@@ -94,12 +94,10 @@ bool
 writeFrame(int fd, WireType type, const unsigned char *payload,
            std::size_t len)
 {
-    ByteWriter hdr;
-    hdr.u32(std::uint32_t(type));
-    hdr.u64(len);
-    hdr.u64(fnv1a64(payload, len));
-    hdr.bytes(payload, len);
-    const auto buf = hdr.take();
+    ByteWriter w;
+    w.u32(std::uint32_t(type));
+    w.blob({payload, len});
+    const auto &buf = w.buffer();
 
     std::size_t off = 0;
     while (off < buf.size()) {
@@ -139,25 +137,21 @@ FrameReader::reset()
 bool
 FrameReader::next(WireFrame &out)
 {
-    const std::size_t avail = _buf.size() - _pos;
-    if (avail < 20)
+    ByteReader r(_buf.data() + _pos, _buf.size() - _pos);
+    if (r.remaining() < 4 + 16)
         return false;
-    ByteReader r(_buf.data() + _pos, avail);
     const std::uint32_t type = r.u32();
-    const std::uint64_t len = r.u64();
-    const std::uint64_t sum = r.u64();
+    const std::uint64_t len = ByteReader(r).u64(); // peek blob length
     if (type < std::uint32_t(WireType::Hello) ||
         type > std::uint32_t(WireType::Telemetry) ||
         len > maxFrameLen)
         throw ByteCodecError("corrupt frame header");
-    if (r.remaining() < len)
+    if (r.remaining() < 16 + len)
         return false;
+    const std::span<const unsigned char> payload = r.blob();
     out.type = WireType(type);
-    out.payload.resize(std::size_t(len));
-    r.bytes(out.payload.data(), out.payload.size());
-    if (fnv1a64(out.payload.data(), out.payload.size()) != sum)
-        throw ByteCodecError("frame checksum mismatch");
-    _pos += 20 + std::size_t(len);
+    out.payload.assign(payload.begin(), payload.end());
+    _pos += r.position();
     // Compact once the consumed prefix dominates the buffer.
     if (_pos > 65536 && _pos * 2 > _buf.size()) {
         _buf.erase(_buf.begin(),

@@ -4,9 +4,10 @@
  *
  * The supervisor (wbcampaign) and its worker processes
  * (`wbcampaign --worker`) exchange messages over two pipes per
- * worker. Every message is one checksummed frame:
+ * worker. Every message is one checksummed frame (blob framing in
+ * sim/codec.hh, docs/CHECKPOINT.md "Framing"):
  *
- *   [u32 type] [u64 len] [u64 fnv] [payload]
+ *   [u32 type] [blob payload]
  *
  * Payloads reuse the bit-exact durability codecs: the worker
  * initialisation frame carries the same JournalHeader a --resume

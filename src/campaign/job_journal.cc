@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include "sim/codec.hh"
+
 // The header codec lives in job_codec.cc: the worker Init frame and
 // the journal header are deliberately the same byte encoding.
 #include "campaign/job_codec.hh"
@@ -214,14 +216,11 @@ JobJournal::open(const std::string &path, const JournalHeader &hdr,
     }
     ByteWriter hw;
     encodeJournalHeader(hw, hdr);
-    const std::vector<unsigned char> payload = hw.take();
     ByteWriter w;
     w.u64(magic);
     w.u32(version);
-    w.u64(payload.size());
-    w.u64(fnv1a64(payload.data(), payload.size()));
-    w.bytes(payload.data(), payload.size());
-    const auto buf = w.take();
+    w.blob(hw.buffer());
+    const auto &buf = w.buffer();
     if (std::fwrite(buf.data(), 1, buf.size(), _f) != buf.size()) {
         err = "cannot write journal header to " + path;
         close();
@@ -240,12 +239,9 @@ JobJournal::append(const JobResult &res)
         return;
     ByteWriter payload;
     encodeJobResult(payload, res);
-    const auto &body = payload.buffer();
     ByteWriter rec;
-    rec.u64(body.size());
-    rec.u64(fnv1a64(body.data(), body.size()));
-    rec.bytes(body.data(), body.size());
-    const auto buf = rec.take();
+    rec.blob(payload.buffer());
+    const auto &buf = rec.buffer();
     // Short write + crash at worst tears this one record; load()
     // detects it by length/checksum and drops it.
     std::fwrite(buf.data(), 1, buf.size(), _f);
@@ -269,21 +265,12 @@ bool
 JobJournal::load(const std::string &path, LoadResult &out,
                  std::string &err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        err = "cannot open journal " + path + ": " +
-              std::strerror(errno);
-        return false;
-    }
     std::vector<unsigned char> data;
-    unsigned char chunk[65536];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        data.insert(data.end(), chunk, chunk + n);
-    std::fclose(f);
+    if (!readFileBytes(path, data, err))
+        return false;
 
     try {
-        ByteReader r(data.data(), data.size());
+        ByteReader r(data);
         if (r.u64() != magic) {
             err = path + ": not a wbcampaign journal";
             return false;
@@ -292,42 +279,21 @@ JobJournal::load(const std::string &path, LoadResult &out,
             err = path + ": unsupported journal version";
             return false;
         }
-        const std::uint64_t hlen = r.u64();
-        const std::uint64_t hsum = r.u64();
-        if (hlen > r.remaining()) {
-            err = path + ": truncated journal header";
-            return false;
-        }
-        std::vector<unsigned char> hbuf(static_cast<std::size_t>(hlen));
-        r.bytes(hbuf.data(), hbuf.size());
-        if (fnv1a64(hbuf.data(), hbuf.size()) != hsum) {
-            err = path + ": journal header checksum mismatch";
-            return false;
-        }
-        ByteReader hr(hbuf.data(), hbuf.size());
+        ByteReader hr(r.blob());
         out.header = decodeJournalHeader(hr);
 
         // Records: stop at the first torn one (everything after a
         // torn record was never fsynced in order, so it is garbage
         // by construction).
         while (!r.atEnd()) {
-            if (r.remaining() < 16) {
+            std::span<const unsigned char> body;
+            try {
+                body = r.blob();
+            } catch (const ByteCodecError &) {
                 ++out.tornDropped;
                 break;
             }
-            const std::uint64_t len = r.u64();
-            const std::uint64_t sum = r.u64();
-            if (len > r.remaining()) {
-                ++out.tornDropped;
-                break;
-            }
-            std::vector<unsigned char> body(static_cast<std::size_t>(len));
-            r.bytes(body.data(), body.size());
-            if (fnv1a64(body.data(), body.size()) != sum) {
-                ++out.tornDropped;
-                break;
-            }
-            ByteReader br(body.data(), body.size());
+            ByteReader br(body);
             out.jobs.push_back(decodeJobResult(br));
         }
     } catch (const ByteCodecError &e) {

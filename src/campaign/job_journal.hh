@@ -10,10 +10,10 @@
  * the codec bit-exactly, the resumed campaign's aggregate JSON/CSV
  * is byte-identical to an uninterrupted run (docs/CHECKPOINT.md).
  *
- * File layout (all little-endian):
- *   [u64 magic "WBJRNL1\0"] [u32 version]
- *   [u64 headerLen] [u64 headerFnv] [header payload]
- *   record*: [u64 len] [u64 fnv] [payload]
+ * File layout (all little-endian; blob framing in sim/codec.hh,
+ * docs/CHECKPOINT.md "Framing"):
+ *   [u64 magic "WBJRNL1\0"] [u32 version] [blob header]
+ *   record*: [blob JobResult]
  *
  * A torn tail record (truncated or checksum-bad — the fsync ordering
  * makes anything after it garbage too) is dropped and counted, never

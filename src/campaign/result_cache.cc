@@ -2,13 +2,10 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <functional>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "campaign/job_journal.hh"
+#include "sim/codec.hh"
 #include "snapshot/system_state.hh"
 
 namespace wb
@@ -64,32 +61,21 @@ ResultCache::entryPath(const std::string &key) const
 bool
 ResultCache::lookup(const std::string &key, JobResult &out) const
 {
-    std::FILE *f = std::fopen(entryPath(key).c_str(), "rb");
-    if (!f)
-        return false;
     std::vector<unsigned char> data;
-    unsigned char chunk[65536];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        data.insert(data.end(), chunk, chunk + n);
-    std::fclose(f);
+    std::string err;
+    if (!readFileBytes(entryPath(key), data, err))
+        return false;
 
     try {
-        ByteReader r(data.data(), data.size());
+        ByteReader r(data);
         if (r.u64() != magic || r.u32() != version)
             return false;
         if (r.str() != key) // hash collision or stale layout
             return false;
-        const std::uint64_t len = r.u64();
-        const std::uint64_t sum = r.u64();
-        if (len != r.remaining())
+        ByteReader body(r.blob());
+        if (!r.atEnd())
             return false;
-        std::vector<unsigned char> body(static_cast<std::size_t>(len));
-        r.bytes(body.data(), body.size());
-        if (fnv1a64(body.data(), body.size()) != sum)
-            return false;
-        ByteReader br(body.data(), body.size());
-        out = decodeJobResult(br);
+        out = decodeJobResult(body);
         return true;
     } catch (const ByteCodecError &) {
         return false; // corrupt entry = miss
@@ -107,40 +93,15 @@ ResultCache::store(const std::string &key,
 
     ByteWriter payload;
     encodeJobResult(payload, res);
-    const auto &body = payload.buffer();
-
     ByteWriter w;
     w.u64(magic);
     w.u32(version);
     w.str(key);
-    w.u64(body.size());
-    w.u64(fnv1a64(body.data(), body.size()));
-    w.bytes(body.data(), body.size());
-    const auto buf = w.take();
-
-    const std::string path = entryPath(key);
-    // The tmp name must be unique per *process* too, not just per
-    // thread: campaign worker processes share the cache directory,
-    // and the main threads of forked siblings can hash identically.
-    // Racing writers then each build a private tmp file and the
-    // rename stays atomic — the entry is always one writer's
-    // complete bytes.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(std::uint64_t(::getpid())) +
-        "." +
-        std::to_string(std::uint64_t(
-            std::hash<std::thread::id>{}(
-                std::this_thread::get_id())));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return;
-    const bool ok =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    std::fclose(f);
-    if (ok)
-        std::filesystem::rename(tmp, path, ec);
-    if (!ok || ec)
-        std::filesystem::remove(tmp, ec);
+    w.blob(payload.buffer());
+    // Errors are ignored: the cache is never load-bearing. Racing
+    // writers of one key each leave a complete entry.
+    std::string err;
+    writeFileAtomic(entryPath(key), w.buffer(), err);
 }
 
 } // namespace wb

@@ -12,8 +12,12 @@
  * schema change invalidates every stale entry at once.
  *
  * Entries are one file per key under the cache directory, written
- * atomically (tmp + rename) so concurrent campaigns can share a
- * cache. Each entry echoes its full key string; a hash collision is
+ * with writeFileAtomic (sim/codec.hh) so concurrent campaigns can
+ * share a cache:
+ *
+ *   [u64 magic "WBCH"] [u32 version] [str key] [blob JobResult]
+ *
+ * Each entry echoes its full key string; a hash collision is
  * detected by the echo comparison and treated as a miss, never as a
  * wrong result.
  */

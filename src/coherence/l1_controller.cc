@@ -117,7 +117,6 @@ L1Controller::bindLoad(const WaitingLoad &wl, const DataBlock &data,
                        LoadSource src)
 {
     assert(_core);
-    _ledger.erase(wl.seq);
     _core->loadResponse(wl.seq, wl.addr, data.readWord(wl.addr),
                         data.readVersion(wl.addr), src);
 }
@@ -126,7 +125,6 @@ bool
 L1Controller::issueLoad(InstSeqNum seq, Addr addr)
 {
     const Addr line = lineOf(addr);
-    _ledger[seq] = "issue";
 
     // A private writeback is in flight for this line: wait for the
     // WBAck (one outstanding transaction per line). A SoS load is
@@ -134,7 +132,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
     if (_wbBuf.count(line)) {
         if (_core->isLoadOrdered(seq))
             return issueGetU(seq, addr);
-        _ledger[seq] = "wb-wait";
         _wbWaiters[line].push_back(WaitingLoad{seq, addr});
         return true;
     }
@@ -147,7 +144,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
         else
             ++_hitsL2;
         touchL1(line);
-        _ledger[seq] = "hit-scheduled";
         scheduleHit(seq, addr, in_l1 ? _cfg.l1HitLatency
                                      : _cfg.l2HitLatency,
                     in_l1 ? LoadSource::CacheHitL1
@@ -167,7 +163,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             // must re-validate at fire time: an invalidation in the
             // 1-cycle window cancels the pending fill, and binding
             // the stale copy then would escape the LQ query.
-            _ledger[seq] = "early-data";
             eventQueue().scheduleIn(1, [this, seq, addr]() {
                 const Addr l = lineOf(addr);
                 auto mit = _mshrs.find(l);
@@ -180,7 +175,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                     bindLoad(WaitingLoad{seq, addr}, pl->data,
                              LoadSource::EarlyData);
                 } else if (!issueLoad(seq, addr)) {
-                    _ledger[seq] = "retryQ";
                     _loadRetryQ.push_back(WaitingLoad{seq, addr});
                 }
             });
@@ -191,7 +185,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             // SoS bypass of a blocked write (Section 3.5.2).
             return issueGetU(seq, addr);
         }
-        _ledger[seq] = "piggyback";
         m.loads.push_back(WaitingLoad{seq, addr});
         return true;
     }
@@ -200,7 +193,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
         // MSHRs exhausted. SoS loads use the reserved entry.
         if (_core->isLoadOrdered(seq))
             return issueGetU(seq, addr);
-        _ledger.erase(seq);
         return false;
     }
 
@@ -210,7 +202,6 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
     m.born = now();
     if (auto *fr = recorder())
         fr->txnBegin(now(), _id, line, 'R');
-    _ledger[seq] = "mshr-new";
     m.loads.push_back(WaitingLoad{seq, addr, now()});
     ++_getS;
     // Charge the private tag lookups before the request leaves.
@@ -252,11 +243,8 @@ L1Controller::maybePrefetch(Addr next_line)
 bool
 L1Controller::issueGetU(InstSeqNum seq, Addr addr)
 {
-    if (_sosMshr) {
-        _ledger.erase(seq);
+    if (_sosMshr)
         return false; // previous bypass still in flight; retry
-    }
-    _ledger[seq] = "getU";
     _sosMshr.emplace();
     _sosMshr->kind = Mshr::Kind::Unc;
     _sosMshr->line = lineOf(addr);
@@ -513,12 +501,9 @@ L1Controller::tick()
         recoveryScan();
     if (!_loadRetryQ.empty()) {
         std::vector<WaitingLoad> again;
-        for (const WaitingLoad &wl : _loadRetryQ) {
-            if (!issueLoad(wl.seq, wl.addr)) {
-                _ledger[wl.seq] = "retryQ";
+        for (const WaitingLoad &wl : _loadRetryQ)
+            if (!issueLoad(wl.seq, wl.addr))
                 again.push_back(wl);
-            }
-        }
         _loadRetryQ = std::move(again);
     }
     if (_retryFills.empty())
@@ -1118,7 +1103,6 @@ L1Controller::handleUData(CohMsg &m)
                 bindLoad(wl, m.data, LoadSource::TearOff);
             } else {
                 ++_tearoffRetry;
-                _ledger.erase(wl.seq);
                 _core->loadMustRetry(wl.seq, wl.addr);
             }
         }
@@ -1138,7 +1122,6 @@ L1Controller::handleUData(CohMsg &m)
             bindLoad(wl, m.data, LoadSource::TearOff);
         } else {
             ++_tearoffRetry;
-            _ledger.erase(wl.seq);
             _core->loadMustRetry(wl.seq, wl.addr);
         }
     }
@@ -1184,12 +1167,9 @@ L1Controller::handleWbDone(CohMsg &m)
         return;
     std::vector<WaitingLoad> waiters = std::move(it->second);
     _wbWaiters.erase(it);
-    for (const auto &wl : waiters) {
-        if (!issueLoad(wl.seq, wl.addr)) {
-            _ledger[wl.seq] = "retryQ";
+    for (const auto &wl : waiters)
+        if (!issueLoad(wl.seq, wl.addr))
             _loadRetryQ.push_back(wl);
-        }
-    }
 }
 
 // ---------------------------------------------------------------
@@ -1200,8 +1180,18 @@ void
 L1Controller::dumpState(std::ostream &os) const
 {
     if (_mshrs.empty() && !_sosMshr && _wbBuf.empty() &&
-        _wbWaiters.empty() && _ledger.empty())
+        _wbWaiters.empty() && _loadRetryQ.empty())
         return;
+    // A load the L1 accepted waits in one of these lists until it
+    // binds or is handed back (hits and early-data binds are only a
+    // few cycles away, in the event queue), so the seqs printed here
+    // place every unbound LQ entry that Core::dumpState lists.
+    auto loads = [&os](const std::vector<WaitingLoad> &v) {
+        os << " loads=[";
+        for (std::size_t i = 0; i < v.size(); ++i)
+            os << (i ? " " : "") << v[i].seq;
+        os << "]";
+    };
     os << name() << ":\n";
     for (const auto &[line, m] : _mshrs) {
         os << "  mshr line=" << std::hex << line << std::dec
@@ -1209,21 +1199,31 @@ L1Controller::dumpState(std::ostream &os) const
            << " grant=" << m.grantSeen << " data=" << m.dataArrived
            << " acks=" << m.acksReceived << "/" << m.acksExpected
            << " fillPend=" << m.fillPending
-           << " waiters=" << m.loads.size()
-           << " age=" << (now() > m.born ? now() - m.born : 0)
+           << " waiters=" << m.loads.size();
+        loads(m.loads);
+        os << " age=" << (now() > m.born ? now() - m.born : 0)
            << "\n";
     }
-    if (_sosMshr)
+    if (_sosMshr) {
         os << "  sosMshr line=" << std::hex << _sosMshr->line
-           << std::dec << "\n";
+           << std::dec;
+        loads(_sosMshr->loads);
+        os << "\n";
+    }
     for (const auto &[line, wb] : _wbBuf)
         os << "  wbBuf line=" << std::hex << line << std::dec
            << "\n";
-    for (const auto &[line, v] : _wbWaiters)
+    for (const auto &[line, v] : _wbWaiters) {
         os << "  wbWaiters line=" << std::hex << line << std::dec
-           << " n=" << v.size() << "\n";
-    for (const auto &[seq, tag] : _ledger)
-        os << "  ledger seq=" << seq << " state=" << tag << "\n";
+           << " n=" << v.size();
+        loads(v);
+        os << "\n";
+    }
+    if (!_loadRetryQ.empty()) {
+        os << "  retryQ n=" << _loadRetryQ.size();
+        loads(_loadRetryQ);
+        os << "\n";
+    }
 }
 
 std::vector<L1Controller::MshrInfo>
@@ -1393,12 +1393,6 @@ L1Controller::serializeState(ByteWriter &w) const
     for (Addr line : _retryFills)
         w.u64(line);
     putLoads(_loadRetryQ);
-
-    w.u64(_ledger.size());
-    for (InstSeqNum seq : sortedKeys(_ledger)) {
-        w.u64(seq);
-        w.str(_ledger.at(seq));
-    }
 
     _dedup.serializeState(w);
 }

@@ -151,7 +151,8 @@ class L1Controller : public SimObject
 
     // ---------------- queries (tests, stats) ----------------
 
-    /** Dump MSHR/writeback state (watchdog diagnostics). */
+    /** Dump MSHR/writeback state and the seq of every load waiting
+     *  in it (watchdog diagnostics). */
     void dumpState(std::ostream &os) const;
 
     /** Structured view of one in-flight transaction (crash report /
@@ -206,9 +207,9 @@ class L1Controller : public SimObject
     std::vector<Addr> cachedLines() const;
 
     /** Snapshot witness: both tag arrays, every MSHR (incl. the
-     *  reserved SoS entry), the writeback buffer, parked loads, the
-     *  diagnostic ledger and the dedup windows. Unordered maps are
-     *  emitted in sorted key order (docs/CHECKPOINT.md). */
+     *  reserved SoS entry), the writeback buffer, parked loads and
+     *  the dedup windows. Unordered maps are emitted in sorted key
+     *  order (docs/CHECKPOINT.md). */
     void serializeState(ByteWriter &w) const;
 
     /** Functional debug read: true if the line is cached here, with
@@ -369,14 +370,6 @@ class L1Controller : public SimObject
     /** Accepted loads whose internal re-issue failed transiently
      *  (resources full); retried every cycle until re-accepted. */
     std::vector<WaitingLoad> _loadRetryQ;
-
-    /**
-     * Diagnostic ledger: every load accepted by issueLoad() is
-     * tracked with its last transition until it binds or is handed
-     * back to the core (retry). A stale entry in a watchdog dump
-     * pinpoints a lost request.
-     */
-    std::unordered_map<InstSeqNum, const char *> _ledger;
 
     // stats
     Counter &_hitsL1;

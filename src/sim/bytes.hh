@@ -1,17 +1,20 @@
 /**
  * @file
  * Bounds-checked little-endian byte codec shared by the durability
- * layer: snapshot sections (src/snapshot/), campaign job journals
- * and the content-addressed result cache (src/campaign/) all
- * serialise through the same two classes so their integrity
- * checksums cover identical encodings.
+ * layer: snapshots, traces, campaign journals, cached job results
+ * and worker frames all serialise through these two classes, so
+ * their integrity checksums cover identical encodings.
  *
- * ByteWriter appends fixed-width little-endian scalars and
- * length-prefixed strings to a growable buffer; ByteReader walks the
- * same encoding and throws ByteCodecError on any overrun or
- * malformed length instead of reading past the end — corrupt input
- * must surface as a classified error, never as UB (see
- * docs/CHECKPOINT.md, "Hostile input").
+ * ByteWriter appends fixed-width little-endian scalars,
+ * length-prefixed strings and checksummed blobs to a growable
+ * buffer; ByteReader walks the same encoding and throws
+ * ByteCodecError on any overrun, malformed length or checksum
+ * mismatch instead of reading past the end — corrupt input must
+ * surface as a classified error, never as UB (see
+ * docs/CHECKPOINT.md, "Hostile input"). The blob is the one framing
+ * unit every checksummed file and frame is built from; the
+ * sectioned container and the file I/O on top of it live in
+ * sim/codec.hh.
  *
  * Header-only on purpose: component serialisers live in the
  * component libraries (core, coherence, network, ...) and must not
@@ -23,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -126,6 +130,15 @@ class ByteWriter
         _buf.insert(_buf.end(), p, p + len);
     }
 
+    /** Length + FNV-1a framed payload (layout: sim/codec.hh). */
+    void
+    blob(std::span<const unsigned char> payload)
+    {
+        u64(payload.size());
+        u64(fnv1a64(payload.data(), payload.size()));
+        bytes(payload.data(), payload.size());
+    }
+
     const std::vector<unsigned char> &buffer() const { return _buf; }
     std::size_t size() const { return _buf.size(); }
 
@@ -162,7 +175,7 @@ class ByteReader
         : _p(static_cast<const unsigned char *>(data)), _len(len)
     {}
 
-    explicit ByteReader(const std::vector<unsigned char> &buf)
+    explicit ByteReader(std::span<const unsigned char> buf)
         : ByteReader(buf.data(), buf.size())
     {}
 
@@ -220,6 +233,26 @@ class ByteReader
         need(len);
         __builtin_memcpy(out, _p + _pos, len);
         _pos += len;
+    }
+
+    /** Read a ByteWriter::blob and return a view of its payload
+     *  inside this buffer; throws ByteCodecError when the length
+     *  overruns the buffer or the checksum does not match. */
+    std::span<const unsigned char>
+    blob()
+    {
+        const std::uint64_t len = u64();
+        const std::uint64_t sum = u64();
+        if (len > remaining())
+            throw ByteCodecError(
+                "blob of " + std::to_string(len) +
+                " byte(s) overruns the " +
+                std::to_string(remaining()) + " left");
+        const std::span<const unsigned char> payload(_p + _pos, len);
+        if (fnv1a64(payload.data(), payload.size()) != sum)
+            throw ByteCodecError("blob checksum mismatch");
+        _pos += len;
+        return payload;
     }
 
     std::size_t remaining() const { return _len - _pos; }

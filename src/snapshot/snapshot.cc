@@ -1,19 +1,10 @@
 #include "snapshot/snapshot.hh"
 
-#include <cstdio>
-#include <fstream>
-
 namespace wb
 {
 
 namespace
 {
-
-/** Hard cap on any single decoded length field. A hostile header
- *  can claim absurd section sizes; clamping against the actual file
- *  size turns that into a clean "truncated" diagnosis instead of a
- *  multi-gigabyte allocation. */
-constexpr std::uint64_t maxSaneLen = 1ULL << 32;
 
 [[noreturn]] void
 fail(const std::string &what)
@@ -35,128 +26,50 @@ SnapshotFile::find(const std::string &name) const
 std::vector<unsigned char>
 SnapshotFile::encode() const
 {
-    ByteWriter head;
-    head.u64(magic);
-    head.u32(version);
-    head.u32(static_cast<std::uint32_t>(sections.size()));
-    head.u64(tick);
-    head.u64(configFingerprint);
-    head.u64(workloadFingerprint);
-    head.u64(head.checksum());
-
-    ByteWriter out;
-    out.bytes(head.buffer().data(), head.size());
-    for (const SnapshotSection &s : sections) {
-        out.str(s.name);
-        out.u64(s.payload.size());
-        out.u64(fnv1a64(s.payload.data(), s.payload.size()));
-        out.bytes(s.payload.data(), s.payload.size());
-    }
-    out.u64(out.checksum());
-    return out.take();
+    return encodeSectioned(
+        magic, version, {tick, configFingerprint, workloadFingerprint},
+        sections);
 }
 
 SnapshotFile
 SnapshotFile::decode(const void *data, std::size_t len)
 {
     try {
-        if (len < 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8)
-            fail("file shorter than the fixed header");
-
-        // Whole-file checksum first: it covers everything up to the
-        // trailing 8 bytes, so a bit flip anywhere is caught even if
-        // it lands in a length field.
-        {
-            ByteReader tail(
-                static_cast<const unsigned char *>(data) + len - 8,
-                8);
-            const std::uint64_t want = tail.u64();
-            const std::uint64_t got = fnv1a64(data, len - 8);
-            if (want != got)
-                fail("file checksum mismatch (corrupt or "
-                     "truncated file)");
-        }
-
-        ByteReader r(data, len - 8);
-        const std::uint64_t m = r.u64();
-        if (m != magic)
-            fail("bad magic (not a wbsim snapshot)");
-        const std::uint32_t v = r.u32();
-        if (v != version)
-            fail("unsupported snapshot version " +
-                 std::to_string(v) + " (expected " +
-                 std::to_string(version) + ")");
-        const std::uint32_t nsec = r.u32();
-
+        SectionedReader r(
+            {static_cast<const unsigned char *>(data), len}, magic,
+            version, 3);
         SnapshotFile out;
-        out.tick = r.u64();
-        out.configFingerprint = r.u64();
-        out.workloadFingerprint = r.u64();
-        {
-            const std::uint64_t want = r.u64();
-            const std::uint64_t got =
-                fnv1a64(data, 8 + 4 + 4 + 8 + 8 + 8);
-            if (want != got)
-                fail("header checksum mismatch");
+        out.tick = r.word(0);
+        out.configFingerprint = r.word(1);
+        out.workloadFingerprint = r.word(2);
+        for (std::uint32_t i = 0; i < r.sectionCount(); ++i) {
+            auto [name, payload] = r.next();
+            if (out.find(name))
+                fail("duplicate section '" + name + "'");
+            out.add(std::move(name), {payload.begin(), payload.end()});
         }
-
-        for (std::uint32_t i = 0; i < nsec; ++i) {
-            SnapshotSection s;
-            s.name = r.str();
-            const std::uint64_t plen = r.u64();
-            const std::uint64_t psum = r.u64();
-            if (plen > maxSaneLen || plen > r.remaining())
-                fail("section '" + s.name +
-                     "' claims more bytes than the file holds");
-            s.payload.resize(plen);
-            if (plen)
-                r.bytes(s.payload.data(), plen);
-            if (fnv1a64(s.payload.data(), s.payload.size()) != psum)
-                fail("section '" + s.name +
-                     "' checksum mismatch");
-            for (const SnapshotSection &prev : out.sections)
-                if (prev.name == s.name)
-                    fail("duplicate section '" + s.name + "'");
-            out.sections.push_back(std::move(s));
-        }
-        if (!r.atEnd())
-            fail(std::to_string(r.remaining()) +
-                 " trailing byte(s) after the last section");
+        r.finish();
         return out;
     } catch (const ByteCodecError &e) {
-        fail(e.what()); // truncated mid-field
+        fail(e.what());
     }
 }
 
 void
 SnapshotFile::save(const std::string &path) const
 {
-    const std::vector<unsigned char> bytes = encode();
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            fail("cannot open " + tmp + " for writing");
-        f.write(reinterpret_cast<const char *>(bytes.data()),
-                std::streamsize(bytes.size()));
-        if (!f.good())
-            fail("short write to " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fail("cannot rename " + tmp + " to " + path);
+    std::string err;
+    if (!writeFileAtomic(path, encode(), err))
+        fail(err);
 }
 
 SnapshotFile
 SnapshotFile::load(const std::string &path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        fail("cannot open " + path);
-    std::vector<unsigned char> bytes(
-        (std::istreambuf_iterator<char>(f)),
-        std::istreambuf_iterator<char>());
-    if (!f.good() && !f.eof())
-        fail("read error on " + path);
+    std::vector<unsigned char> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, err))
+        fail(err);
     return decode(bytes.data(), bytes.size());
 }
 

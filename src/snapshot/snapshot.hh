@@ -4,22 +4,19 @@
  *
  * A snapshot file is a sequence of named sections, each carrying the
  * byte-serialised state of one simulator component (see
- * system_state.hh for what goes in them). The container is designed
- * so that *every* failure mode of hostile or damaged input — wrong
- * magic, unsupported version, truncation anywhere, a flipped bit in
- * a header or a payload, a section table that lies about lengths —
- * is detected and classified before any payload byte is interpreted:
+ * system_state.hh for what goes in them). It is a sectioned container
+ * (sim/codec.hh; docs/CHECKPOINT.md, "Framing") with magic
+ * "WBSNAP01", version 1 and these header words:
  *
- *   [u64 magic "WBSNAP01"] [u32 version] [u32 sectionCount]
  *   [u64 tick] [u64 configFingerprint] [u64 workloadFingerprint]
- *   [u64 headerChecksum]                      (FNV over the above)
- *   sectionCount x:
- *     [str name] [u64 payloadLen] [u64 payloadChecksum] [payload]
- *   [u64 fileChecksum]                        (FNV over everything)
  *
- * All integers little-endian (sim/bytes.hh). Load failures throw
- * SnapshotError with a message naming the first offence; callers map
- * that onto the classified exit taxonomy (docs/RESILIENCE.md).
+ * Every failure mode of hostile or damaged input — wrong magic,
+ * unsupported version, truncation anywhere, a flipped bit in a header
+ * or a payload, a section table that lies about lengths, a duplicate
+ * section name — is detected and classified before any payload byte
+ * is interpreted. Load failures throw SnapshotError with a message
+ * naming the first offence; callers map that onto the classified
+ * exit taxonomy (docs/RESILIENCE.md).
  */
 
 #ifndef WB_SNAPSHOT_SNAPSHOT_HH
@@ -30,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/bytes.hh"
+#include "sim/codec.hh"
 #include "sim/types.hh"
 
 namespace wb
@@ -46,11 +43,7 @@ class SnapshotError : public std::runtime_error
 };
 
 /** One named state section. */
-struct SnapshotSection
-{
-    std::string name;
-    std::vector<unsigned char> payload;
-};
+using SnapshotSection = Section;
 
 /** An in-memory snapshot: header fields plus ordered sections. */
 struct SnapshotFile
@@ -82,8 +75,8 @@ struct SnapshotFile
      *  the first integrity violation. */
     static SnapshotFile decode(const void *data, std::size_t len);
 
-    /** Write to @p path (atomically via a temp file + rename);
-     *  throws SnapshotError on I/O failure. */
+    /** Write to @p path atomically (writeFileAtomic); throws
+     *  SnapshotError on I/O failure. */
     void save(const std::string &path) const;
 
     /** Read + validate @p path; throws SnapshotError. */

@@ -1,9 +1,9 @@
 #include "trace/trace_format.hh"
 
 #include <cstdio>
-#include <fstream>
 
 #include "isa/instr.hh"
+#include "sim/codec.hh"
 
 namespace wb
 {
@@ -11,9 +11,9 @@ namespace wb
 namespace
 {
 
-/** Hard cap on any single decoded length field (see snapshot.cc):
- *  clamped against the actual file size, a hostile header becomes a
- *  clean "truncated" diagnosis instead of a huge allocation. */
+/** Hard cap on any decoded element count: clamped against the
+ *  actual file size, a hostile header becomes a clean "truncated"
+ *  diagnosis instead of a huge allocation. */
 constexpr std::uint64_t maxSaneLen = 1ULL << 32;
 
 constexpr std::uint8_t maxOpcode =
@@ -186,24 +186,11 @@ TraceFile::contentFingerprint() const
 std::vector<unsigned char>
 TraceFile::encode() const
 {
-    ByteWriter head;
-    head.u64(magic);
-    head.u32(version);
-    head.u32(static_cast<std::uint32_t>(2 + 2 * threads.size()));
-    head.u64(threads.size());
-    head.u64(recordCount());
-    head.u64(workloadFp);
-    head.u64(head.checksum());
-
-    ByteWriter out;
-    out.bytes(head.buffer().data(), head.size());
-    auto section = [&out](const std::string &name, auto &&emit) {
+    std::vector<Section> sections;
+    auto section = [&sections](std::string name, auto &&emit) {
         ByteWriter w;
         emit(w);
-        out.str(name);
-        out.u64(w.size());
-        out.u64(w.checksum());
-        out.bytes(w.buffer().data(), w.size());
+        sections.push_back({std::move(name), w.take()});
     };
     section("meta", [&](ByteWriter &w) { encodeMeta(w, *this); });
     section("mem", [&](ByteWriter &w) { encodeMem(w, *this); });
@@ -215,81 +202,35 @@ TraceFile::encode() const
         section("exec" + std::to_string(i), [&](ByteWriter &w) {
             encodeExec(w, threads[i]);
         });
-    out.u64(out.checksum());
-    return out.take();
+    return encodeSectioned(magic, version,
+                           {threads.size(), recordCount(), workloadFp},
+                           sections);
 }
 
 TraceFile
 TraceFile::decode(const void *data, std::size_t len)
 {
     try {
-        constexpr std::size_t headerLen = 8 + 4 + 4 + 8 + 8 + 8 + 8;
-        if (len < headerLen + 8)
-            fail("file shorter than the fixed header");
-
-        // Whole-file checksum first: it covers everything up to the
-        // trailing 8 bytes, so a bit flip anywhere is caught even if
-        // it lands in a length field.
-        {
-            ByteReader tail(
-                static_cast<const unsigned char *>(data) + len - 8,
-                8);
-            const std::uint64_t want = tail.u64();
-            const std::uint64_t got = fnv1a64(data, len - 8);
-            if (want != got)
-                fail("file checksum mismatch (corrupt or "
-                     "truncated file)");
-        }
-
-        ByteReader r(data, len - 8);
-        const std::uint64_t m = r.u64();
-        if (m != magic)
-            fail("bad magic (not a wbsim trace)");
-        const std::uint32_t v = r.u32();
-        if (v != version)
-            fail("unsupported trace version " + std::to_string(v) +
-                 " (expected " + std::to_string(version) + ")");
-        const std::uint32_t nsec = r.u32();
-        const std::uint64_t nthreads = r.u64();
-        const std::uint64_t nrecords = r.u64();
-
+        SectionedReader r(
+            {static_cast<const unsigned char *>(data), len}, magic,
+            version, 3);
+        const std::uint64_t nthreads = r.word(0);
+        const std::uint64_t nrecords = r.word(1);
         TraceFile out;
-        out.workloadFp = r.u64();
-        {
-            const std::uint64_t want = r.u64();
-            const std::uint64_t got =
-                fnv1a64(data, headerLen - 8);
-            if (want != got)
-                fail("header checksum mismatch");
-        }
+        out.workloadFp = r.word(2);
         if (nthreads > maxSaneLen || nthreads * 4 > r.remaining())
             fail("thread count " + std::to_string(nthreads) +
                  " exceeds the file's bytes");
-        if (nsec != 2 + 2 * nthreads)
-            fail("section count " + std::to_string(nsec) +
+        if (r.sectionCount() != 2 + 2 * nthreads)
+            fail("section count " + std::to_string(r.sectionCount()) +
                  " does not match " + std::to_string(nthreads) +
                  " thread(s)");
         out.threads.resize(nthreads);
 
-        // Sections appear in a fixed order; each is checksummed and
-        // must be consumed exactly.
-        auto expect = [&](const std::string &name,
-                          auto &&parse) {
-            const std::string got = r.str();
-            if (got != name)
-                fail("expected section '" + name + "', found '" +
-                     got + "'");
-            const std::uint64_t plen = r.u64();
-            const std::uint64_t psum = r.u64();
-            if (plen > maxSaneLen || plen > r.remaining())
-                fail("section '" + name +
-                     "' claims more bytes than the file holds");
-            std::vector<unsigned char> payload(plen);
-            if (plen)
-                r.bytes(payload.data(), plen);
-            if (fnv1a64(payload.data(), payload.size()) != psum)
-                fail("section '" + name + "' checksum mismatch");
-            ByteReader pr(payload.data(), payload.size());
+        // Sections appear in a fixed order and each payload must be
+        // consumed exactly.
+        auto expect = [&](const std::string &name, auto &&parse) {
+            ByteReader pr(r.next(name).second);
             parse(pr);
             if (!pr.atEnd())
                 fail("section '" + name + "' has " +
@@ -309,9 +250,7 @@ TraceFile::decode(const void *data, std::size_t len)
             expect("exec" + std::to_string(i), [&](ByteReader &pr) {
                 decodeExec(pr, out.threads[i], std::size_t(i));
             });
-        if (!r.atEnd())
-            fail(std::to_string(r.remaining()) +
-                 " trailing byte(s) after the last section");
+        r.finish();
         if (out.recordCount() != nrecords)
             fail("header claims " + std::to_string(nrecords) +
                  " dynamic record(s), sections hold " +
@@ -325,32 +264,18 @@ TraceFile::decode(const void *data, std::size_t len)
 void
 TraceFile::save(const std::string &path) const
 {
-    const std::vector<unsigned char> bytes = encode();
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            fail("cannot open " + tmp + " for writing");
-        f.write(reinterpret_cast<const char *>(bytes.data()),
-                std::streamsize(bytes.size()));
-        if (!f.good())
-            fail("short write to " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fail("cannot rename " + tmp + " to " + path);
+    std::string err;
+    if (!writeFileAtomic(path, encode(), err))
+        fail(err);
 }
 
 TraceFile
 TraceFile::load(const std::string &path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        fail("cannot open " + path);
-    std::vector<unsigned char> bytes(
-        (std::istreambuf_iterator<char>(f)),
-        std::istreambuf_iterator<char>());
-    if (!f.good() && !f.eof())
-        fail("read error on " + path);
+    std::vector<unsigned char> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, err))
+        fail(err);
     return decode(bytes.data(), bytes.size());
 }
 

@@ -13,21 +13,19 @@
  * info`/`diff` inspect and what makes two recordings comparable
  * record-for-record.
  *
- * The container follows src/snapshot/snapshot.cc: every failure mode
- * of hostile or damaged input — wrong magic, unsupported version,
- * truncation anywhere, a flipped bit in a header or payload, a
- * section table that lies about lengths, or a structurally valid
- * payload encoding an impossible instruction (unknown opcode,
- * register >= numRegs, branch target or dynamic pc outside the
- * program) — is detected and classified before any payload byte is
- * trusted:
+ * A `.wbt` file is a sectioned container (sim/codec.hh;
+ * docs/CHECKPOINT.md, "Framing") with magic "WBTRACE1", version 1
+ * and these header words:
  *
- *   [u64 magic "WBTRACE1"] [u32 version] [u32 sectionCount]
  *   [u64 threadCount] [u64 recordCount] [u64 workloadFingerprint]
- *   [u64 headerChecksum]                      (FNV over the above)
- *   sectionCount x:
- *     [str name] [u64 payloadLen] [u64 payloadChecksum] [payload]
- *   [u64 fileChecksum]                        (FNV over everything)
+ *
+ * Every failure mode of hostile or damaged input — wrong magic,
+ * unsupported version, truncation anywhere, a flipped bit in a header
+ * or payload, a section table that lies about lengths, or a
+ * structurally valid payload encoding an impossible instruction
+ * (unknown opcode, register >= numRegs, branch target or dynamic pc
+ * outside the program) — is detected and classified before any
+ * payload byte is trusted.
  *
  * Sections, in fixed order: "meta" (workload name, origin source
  * tag, generation seed), "mem" (initial memory pairs), then per
@@ -126,8 +124,8 @@ struct TraceFile
      *  trace ever escapes. */
     static TraceFile decode(const void *data, std::size_t len);
 
-    /** Write to @p path (atomically via a temp file + rename);
-     *  throws TraceError on I/O failure. */
+    /** Write to @p path atomically (writeFileAtomic); throws
+     *  TraceError on I/O failure. */
     void save(const std::string &path) const;
 
     /** Read + validate @p path; throws TraceError. */

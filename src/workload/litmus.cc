@@ -1,5 +1,7 @@
 #include "workload/litmus.hh"
 
+#include <utility>
+
 #include "workload/common.hh"
 
 namespace wb
@@ -278,6 +280,26 @@ litmusName(LitmusKind k)
       case LitmusKind::Iriw: return "iriw";
     }
     return "?";
+}
+
+bool
+parseLitmusName(const std::string &name, LitmusKind &kind)
+{
+    static const std::pair<const char *, LitmusKind> names[] = {
+        {"table1", LitmusKind::Table1},
+        {"table3", LitmusKind::Table3},
+        {"sb", LitmusKind::StoreBuffer},
+        {"sb-fence", LitmusKind::StoreBufferFenced},
+        {"corr", LitmusKind::CoRR},
+        {"lb", LitmusKind::LoadBuffer},
+        {"iriw", LitmusKind::Iriw},
+    };
+    for (const auto &[n, k] : names)
+        if (name == n) {
+            kind = k;
+            return true;
+        }
+    return false;
 }
 
 Workload

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 
 #include "isa/program.hh"
 
@@ -47,6 +48,10 @@ enum class LitmusKind
 };
 
 const char *litmusName(LitmusKind k);
+
+/** Map a command-line litmus name (table1, table3, sb, sb-fence,
+ *  corr, lb, iriw) onto @p kind. @return false for any other name. */
+bool parseLitmusName(const std::string &name, LitmusKind &kind);
 
 /** Build a litmus workload with @p iterations racing iterations. */
 Workload makeLitmus(LitmusKind kind, int iterations);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -239,6 +240,34 @@ TEST(JobJournalFile, HeaderAndRecordsRoundTrip)
     std::remove(path.c_str());
 }
 
+// A journal outlives the binary that wrote it (--resume), so its
+// header bytes and one record's bytes are pinned.
+TEST(JobJournalFile, EncodingIsPinned)
+{
+    const std::string path = tempPath("journal-pin.wbj");
+    JobJournal j;
+    std::string err;
+    ASSERT_TRUE(j.open(path, sampleHeader(), err)) << err;
+    j.close();
+    const auto header = readFile(path);
+    ASSERT_TRUE(j.open(path, sampleHeader(), err)) << err;
+    j.append(sampleResult());
+    j.close();
+    const auto full = readFile(path);
+    ASSERT_GT(full.size(), header.size());
+    ASSERT_TRUE(std::equal(header.begin(), header.end(),
+                           full.begin()));
+
+    EXPECT_EQ(header.size(), 90u);
+    EXPECT_EQ(fnv1a64(header.data(), header.size()),
+              0x578977a77eb587abULL);
+    const std::size_t rec = full.size() - header.size();
+    EXPECT_EQ(rec, 569u);
+    EXPECT_EQ(fnv1a64(full.data() + header.size(), rec),
+              0x1c377676de5a6326ULL);
+    std::remove(path.c_str());
+}
+
 // A SIGKILL mid-append tears at most the last record: every proper
 // truncation of the file must load the intact prefix and count one
 // dropped tail.
@@ -430,8 +459,8 @@ TEST(ResultCache, StoreLookupRoundTripAndCorruptionDegradesToMiss)
     // A key that hashes to another file misses.
     EXPECT_FALSE(cache.lookup(key + "x", out));
 
-    // Corrupt the stored entry: lookup degrades to a miss, never
-    // an error or a wrong result.
+    // Corrupt the stored entry at every bit: lookup degrades to a
+    // miss, never an error or a wrong result.
     std::string file;
     {
         namespace fs = std::filesystem;
@@ -439,11 +468,47 @@ TEST(ResultCache, StoreLookupRoundTripAndCorruptionDegradesToMiss)
             file = de.path().string();
     }
     ASSERT_FALSE(file.empty());
-    auto bytes = readFile(file);
-    bytes[bytes.size() / 2] ^= 0x01;
+    const auto bytes = readFile(file);
+    auto mutated = bytes;
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
+            writeFile(file, mutated);
+            EXPECT_FALSE(cache.lookup(key, out))
+                << "flip at byte " << byte << " bit " << bit
+                << " was served as a hit";
+            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
+        }
+    }
     writeFile(file, bytes);
-    EXPECT_FALSE(cache.lookup(key, out));
+    EXPECT_TRUE(cache.lookup(key, out));
     std::filesystem::remove_all(dir);
+}
+
+// Cache entries are shared between binaries and backends, so one
+// entry's bytes are pinned. The store leaves exactly one file: no
+// temporary survives a successful rename.
+TEST(ResultCache, EntryEncodingIsPinned)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = tempPath("cache-pin");
+    fs::remove_all(dir);
+    ResultCache(dir).store("pinned-key", sampleResult());
+
+    std::vector<std::string> files;
+    for (const auto &de : fs::directory_iterator(dir))
+        files.push_back(de.path().filename().string());
+    ASSERT_EQ(files.size(), 1u);
+    char name[32];
+    std::snprintf(name, sizeof(name), "%016llx.wbjob",
+                  static_cast<unsigned long long>(
+                      fnv1a64(std::string("pinned-key"))));
+    EXPECT_EQ(files[0], name);
+    const auto bytes = readFile(dir + "/" + files[0]);
+    EXPECT_EQ(bytes.size(), 595u);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()),
+              0x8fd038b496f65a05ULL);
+    fs::remove_all(dir);
 }
 
 // An entry whose key echo does not match (simulated fnv collision)

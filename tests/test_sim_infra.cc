@@ -1,9 +1,10 @@
-/** @file Unit tests for stats, RNG, and logging infrastructure. */
+/** @file Unit tests for stats, RNG, logging and the framing codec. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "sim/codec.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -125,6 +126,172 @@ TEST(Log, TraceFlagGating)
     EXPECT_TRUE(Trace::active(LogFlag::Cache));
     EXPECT_FALSE(Trace::active(LogFlag::Core));
     Trace::disableAll();
+}
+
+// ---------------------------------------------------------------
+// Framing codec: every format's corruption guarantees rest on these
+// ---------------------------------------------------------------
+
+namespace
+{
+
+constexpr std::uint64_t kTestMagic = 0x3130544345535457ULL;
+
+std::vector<unsigned char>
+sampleBlob()
+{
+    ByteWriter w;
+    w.blob(std::vector<unsigned char>{1, 2, 3, 4, 5, 6, 7, 8, 9});
+    return w.take();
+}
+
+std::vector<unsigned char>
+sampleContainer()
+{
+    return encodeSectioned(kTestMagic, 3, {77, 0xfeedULL},
+                           {{"a", {1, 2, 3}},
+                            {"empty", {}},
+                            {"c", std::vector<unsigned char>(40, 9)}});
+}
+
+/** Decode every section of a sampleContainer()-shaped file. */
+std::vector<Section>
+decodeAll(std::span<const unsigned char> bytes)
+{
+    SectionedReader r(bytes, kTestMagic, 3, 2);
+    std::vector<Section> out;
+    for (std::uint32_t i = 0; i < r.sectionCount(); ++i) {
+        auto [name, payload] = r.next();
+        out.push_back({name, {payload.begin(), payload.end()}});
+    }
+    r.finish();
+    return out;
+}
+
+/** Reseal a container after editing it: recompute the whole-file
+ *  checksum so only the edit itself can be rejected. */
+void
+reseal(std::vector<unsigned char> &bytes)
+{
+    const std::uint64_t sum = fnv1a64(bytes.data(), bytes.size() - 8);
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + std::size_t(i)] =
+            static_cast<unsigned char>(sum >> (8 * i));
+}
+
+} // namespace
+
+TEST(ByteCodec, BlobRoundTripsAsAViewOfItsPayload)
+{
+    const auto bytes = sampleBlob();
+    ASSERT_EQ(bytes.size(), 16u + 9u);
+    ByteReader r(bytes);
+    const auto payload = r.blob();
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(payload.data(), bytes.data() + 16);
+    EXPECT_EQ(
+        std::vector<unsigned char>(payload.begin(), payload.end()),
+        (std::vector<unsigned char>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(ByteCodec, EveryBlobBitFlipAndTruncationIsRejected)
+{
+    const auto bytes = sampleBlob();
+    auto mutated = bytes;
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
+            ByteReader r(mutated);
+            EXPECT_THROW(r.blob(), ByteCodecError)
+                << "byte " << byte << " bit " << bit;
+            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
+        }
+    }
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        ByteReader r(bytes.data(), len);
+        EXPECT_THROW(r.blob(), ByteCodecError) << "cut to " << len;
+    }
+}
+
+TEST(ByteCodec, OversizedBlobLengthIsRejectedWithoutAllocating)
+{
+    ByteWriter w;
+    w.u64(~std::uint64_t(0));
+    w.u64(0);
+    w.u64(0);
+    const auto bytes = w.take();
+    ByteReader r(bytes);
+    EXPECT_THROW(r.blob(), ByteCodecError);
+}
+
+TEST(ByteCodec, SectionedContainerRoundTrips)
+{
+    const auto bytes = sampleContainer();
+    SectionedReader r(bytes, kTestMagic, 3, 2);
+    EXPECT_EQ(r.sectionCount(), 3u);
+    EXPECT_EQ(r.word(0), 77u);
+    EXPECT_EQ(r.word(1), 0xfeedu);
+    EXPECT_EQ(r.next("a").second.size(), 3u);
+    EXPECT_EQ(r.next().first, "empty");
+    EXPECT_THROW(r.next("b"), ByteCodecError); // wrong name
+    EXPECT_EQ(decodeAll(bytes).size(), 3u);
+    EXPECT_THROW(SectionedReader(bytes, kTestMagic + 1, 3, 2),
+                 ByteCodecError);
+    EXPECT_THROW(SectionedReader(bytes, kTestMagic, 4, 2),
+                 ByteCodecError);
+}
+
+TEST(ByteCodec, EverySectionedBitFlipIsRejected)
+{
+    const auto bytes = sampleContainer();
+    auto mutated = bytes;
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
+            EXPECT_THROW(decodeAll(mutated), ByteCodecError)
+                << "byte " << byte << " bit " << bit;
+            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
+        }
+    }
+    EXPECT_NO_THROW(decodeAll(mutated));
+}
+
+TEST(ByteCodec, EverySectionedTruncationIsRejected)
+{
+    const auto bytes = sampleContainer();
+    for (std::size_t len = 0; len < bytes.size(); ++len)
+        EXPECT_THROW(decodeAll({bytes.data(), len}), ByteCodecError)
+            << "cut to " << len;
+}
+
+TEST(ByteCodec, SectionedTrailingGarbageIsRejected)
+{
+    auto bytes = sampleContainer();
+    bytes.insert(bytes.end() - 8, 0); // inside the sealed body
+    reseal(bytes);
+    EXPECT_THROW(decodeAll(bytes), ByteCodecError);
+    bytes = sampleContainer();
+    bytes.push_back(0); // after the file checksum
+    EXPECT_THROW(decodeAll(bytes), ByteCodecError);
+}
+
+// A section table that lies about a length, under a valid file
+// checksum, is still rejected by the bounds check, not trusted.
+TEST(ByteCodec, OversizedSectionLengthIsRejected)
+{
+    auto bytes = sampleContainer();
+    const std::size_t len_at = 8 + 4 + 4 + 2 * 8 + 8 + 4 + 1;
+    for (int i = 0; i < 8; ++i)
+        bytes[len_at + std::size_t(i)] = 0x7f;
+    reseal(bytes);
+    try {
+        decodeAll(bytes);
+        FAIL() << "oversized section length decoded";
+    } catch (const ByteCodecError &e) {
+        EXPECT_NE(std::string(e.what()).find("section 'a'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace wb

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -165,11 +166,38 @@ TEST(SnapshotContainer, SaveLoadRoundTrip)
     std::remove(path.c_str());
 }
 
+// A save that cannot replace its target (here a directory) throws
+// and leaves no temp file next to it.
+TEST(SnapshotContainer, FailedSaveLeavesNoTempFile)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "/snap-save-onto-dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir + "/target.wbsnap");
+    EXPECT_THROW(sampleSnapshot().save(dir + "/target.wbsnap"),
+                 SnapshotError);
+    std::vector<std::string> left;
+    for (const auto &de : fs::directory_iterator(dir))
+        left.push_back(de.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>{"target.wbsnap"});
+    fs::remove_all(dir);
+}
+
 TEST(SnapshotContainer, LoadMissingFileThrows)
 {
     EXPECT_THROW(SnapshotFile::load(testing::TempDir() +
                                     "/does-not-exist.wbsnap"),
                  SnapshotError);
+}
+
+// The container is an on-disk format: its bytes for a fixed sample
+// are pinned, so a change to the framing code cannot move them.
+TEST(SnapshotContainer, EncodingIsPinned)
+{
+    const auto bytes = sampleSnapshot().encode();
+    EXPECT_EQ(bytes.size(), 435u);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()),
+              0x26bc55643be2e8e4ULL);
 }
 
 // Hostile input: every single-bit flip anywhere in the container

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -135,6 +138,21 @@ TEST(TraceFormat, EncodingIsDeterministic)
     EXPECT_EQ(a.contentFingerprint(), b.contentFingerprint());
 }
 
+// The committed golden trace pins the on-disk layout: decoding it
+// and encoding again must give back exactly the committed bytes.
+TEST(TraceFormat, GoldenTraceReencodesExactly)
+{
+    std::ifstream f(WB_TEST_DATA_DIR "/golden_sb.wbt",
+                    std::ios::binary);
+    const std::vector<unsigned char> golden{
+        std::istreambuf_iterator<char>(f),
+        std::istreambuf_iterator<char>()};
+    ASSERT_EQ(golden.size(), 2581u);
+    const TraceFile t = TraceFile::decode(golden.data(), golden.size());
+    EXPECT_EQ(t.encode(), golden);
+    EXPECT_EQ(t.contentFingerprint(), 0xcef6f6a006bf792aULL);
+}
+
 TEST(TraceFormat, SaveLoadRoundTripsThroughAFile)
 {
     const TraceFile t = sampleTrace();
@@ -143,6 +161,22 @@ TEST(TraceFormat, SaveLoadRoundTripsThroughAFile)
     const TraceFile back = TraceFile::load(path);
     EXPECT_EQ(diffTraces(t, back), "");
     std::remove(path.c_str());
+}
+
+// A save that cannot replace its target (here a directory) throws
+// and leaves no temp file next to it.
+TEST(TraceFormat, FailedSaveLeavesNoTempFile)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "/trace-save-onto-dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir + "/target.wbt");
+    EXPECT_THROW(sampleTrace().save(dir + "/target.wbt"), TraceError);
+    std::vector<std::string> left;
+    for (const auto &de : fs::directory_iterator(dir))
+        left.push_back(de.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>{"target.wbt"});
+    fs::remove_all(dir);
 }
 
 TEST(TraceFormat, LoadOfMissingFileThrows)

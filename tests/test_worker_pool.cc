@@ -203,6 +203,27 @@ TEST(JobCodec, FramesRoundTripAndRejectCorruption)
     EXPECT_THROW(r3.next(f), ByteCodecError);
 }
 
+// The wire bytes are pinned like the file formats': one RunJob
+// frame carrying a job index.
+TEST(JobCodec, FrameEncodingIsPinned)
+{
+    ByteWriter w;
+    w.u64(42);
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    ASSERT_TRUE(writeFrame(fds[1], WireType::RunJob, w));
+    close(fds[1]);
+    std::vector<unsigned char> bytes;
+    unsigned char chunk[256];
+    ssize_t n;
+    while ((n = read(fds[0], chunk, sizeof(chunk))) > 0)
+        bytes.insert(bytes.end(), chunk, chunk + n);
+    close(fds[0]);
+    EXPECT_EQ(bytes.size(), 28u);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()),
+              0xb23fd544720b5b2aULL);
+}
+
 TEST(JobCodec, WorkerInitRoundTrips)
 {
     WorkerInit init;

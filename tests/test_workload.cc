@@ -140,6 +140,30 @@ INSTANTIATE_TEST_SUITE_P(
         return "Other";
     });
 
+// The command-line names wbsim and wbtrace accept: one per kind,
+// and nothing else (litmusName()'s report names included).
+TEST(Workload, ParseLitmusNameCoversEveryKind)
+{
+    const std::pair<const char *, LitmusKind> names[] = {
+        {"table1", LitmusKind::Table1},
+        {"table3", LitmusKind::Table3},
+        {"sb", LitmusKind::StoreBuffer},
+        {"sb-fence", LitmusKind::StoreBufferFenced},
+        {"corr", LitmusKind::CoRR},
+        {"lb", LitmusKind::LoadBuffer},
+        {"iriw", LitmusKind::Iriw},
+    };
+    for (const auto &[name, want] : names) {
+        LitmusKind got{};
+        ASSERT_TRUE(parseLitmusName(name, got)) << name;
+        EXPECT_EQ(got, want) << name;
+    }
+    LitmusKind k{};
+    EXPECT_FALSE(parseLitmusName("fft", k));
+    EXPECT_FALSE(parseLitmusName("store-buffer", k));
+    EXPECT_FALSE(parseLitmusName("", k));
+}
+
 TEST(Workload, Table1UnderScNeverIllegalAndOrdered)
 {
     // Under SC (the reference), the mp litmus can only produce the

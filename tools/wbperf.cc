@@ -44,6 +44,7 @@
 
 #include "coherence/messages.hh"
 #include "network/mesh.hh"
+#include "sim/bytes.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -58,61 +59,38 @@ using namespace wb;
 
 // ---------------------------------------------------------------- fp
 
-/** FNV-1a 64 accumulator over integer stat fields. */
-struct Fingerprint
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    std::string
-    str() const
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(h));
-        return buf;
-    }
-};
-
-/** Fingerprint the simulated (never wall-clock) outcome of a run.
- *  Field order is part of the fingerprint contract — append only. */
+/** Fingerprint the simulated (never wall-clock) outcome of a run:
+ *  FNV-1a over each field as 8 little-endian bytes. Field order is
+ *  part of the fingerprint contract — append only. */
 std::uint64_t
 fingerprintResults(const SimResults &r)
 {
-    Fingerprint fp;
-    fp.mix(r.completed);
-    fp.mix(r.deadlocked);
-    fp.mix(r.cycles);
-    fp.mix(r.instructions);
-    fp.mix(r.loads);
-    fp.mix(r.stores);
-    fp.mix(r.atomics);
-    fp.mix(r.flitHops);
-    fp.mix(r.messages);
-    fp.mix(r.wbEntries);
-    fp.mix(r.wbEncounters);
-    fp.mix(r.uncacheableReads);
-    fp.mix(r.nacksSent);
-    fp.mix(r.ackReleases);
-    fp.mix(r.lockdownsSet);
-    fp.mix(r.ldtExports);
-    fp.mix(r.oooCommits);
-    fp.mix(r.squashBranch);
-    fp.mix(r.squashDspec);
-    fp.mix(r.squashInv);
-    fp.mix(r.stallRob);
-    fp.mix(r.stallLq);
-    fp.mix(r.stallSq);
-    fp.mix(r.coreCycles);
-    return fp.h;
+    ByteWriter fp;
+    fp.u64(r.completed);
+    fp.u64(r.deadlocked);
+    fp.u64(r.cycles);
+    fp.u64(r.instructions);
+    fp.u64(r.loads);
+    fp.u64(r.stores);
+    fp.u64(r.atomics);
+    fp.u64(r.flitHops);
+    fp.u64(r.messages);
+    fp.u64(r.wbEntries);
+    fp.u64(r.wbEncounters);
+    fp.u64(r.uncacheableReads);
+    fp.u64(r.nacksSent);
+    fp.u64(r.ackReleases);
+    fp.u64(r.lockdownsSet);
+    fp.u64(r.ldtExports);
+    fp.u64(r.oooCommits);
+    fp.u64(r.squashBranch);
+    fp.u64(r.squashDspec);
+    fp.u64(r.squashInv);
+    fp.u64(r.stallRob);
+    fp.u64(r.stallLq);
+    fp.u64(r.stallSq);
+    fp.u64(r.coreCycles);
+    return fp.checksum();
 }
 
 // ------------------------------------------------------------- cells
@@ -152,11 +130,11 @@ microEventQueue()
     eq.runAll();
     c.wallSeconds = secondsSince(t0);
     c.events = eq.executed();
-    Fingerprint fp;
-    fp.mix(sink);
-    fp.mix(eq.executed());
-    fp.mix(eq.now());
-    c.fingerprint = fp.h;
+    ByteWriter fp;
+    fp.u64(sink);
+    fp.u64(eq.executed());
+    fp.u64(eq.now());
+    c.fingerprint = fp.checksum();
     return c;
 }
 
@@ -186,11 +164,11 @@ microMeshSend()
     net.drain(eq);
     c.wallSeconds = secondsSince(t0);
     c.events = eq.executed();
-    Fingerprint fp;
-    fp.mix(delivered);
-    fp.mix(eq.executed());
-    fp.mix(eq.now());
-    c.fingerprint = fp.h;
+    ByteWriter fp;
+    fp.u64(delivered);
+    fp.u64(eq.executed());
+    fp.u64(eq.now());
+    c.fingerprint = fp.checksum();
     return c;
 }
 
@@ -217,9 +195,9 @@ microCohMsgAlloc()
     live.clear();
     c.wallSeconds = secondsSince(t0);
     c.events = iters;
-    Fingerprint fp;
-    fp.mix(acc);
-    c.fingerprint = fp.h;
+    ByteWriter fp;
+    fp.u64(acc);
+    c.fingerprint = fp.checksum();
     return c;
 }
 

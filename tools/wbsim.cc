@@ -340,28 +340,6 @@ listWorkloads()
                 "replay a recorded .wbt trace (docs/TRACES.md)");
 }
 
-int
-litmusKindOf(const std::string &name, LitmusKind &kind)
-{
-    if (name == "table1")
-        kind = LitmusKind::Table1;
-    else if (name == "table3")
-        kind = LitmusKind::Table3;
-    else if (name == "sb")
-        kind = LitmusKind::StoreBuffer;
-    else if (name == "sb-fence")
-        kind = LitmusKind::StoreBufferFenced;
-    else if (name == "corr")
-        kind = LitmusKind::CoRR;
-    else if (name == "lb")
-        kind = LitmusKind::LoadBuffer;
-    else if (name == "iriw")
-        kind = LitmusKind::Iriw;
-    else
-        return 0;
-    return 1;
-}
-
 } // namespace
 
 int
@@ -544,7 +522,7 @@ main(int argc, char **argv)
     TraceFile replay_trace;
     const bool is_trace = workload.rfind("trace=", 0) == 0;
     const bool is_litmus =
-        !is_trace && litmusKindOf(workload, lk) != 0;
+        !is_trace && parseLitmusName(workload, lk);
     std::string wl_source;
     std::uint64_t wl_seed = 0;
     if (is_trace) {

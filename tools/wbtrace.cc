@@ -63,28 +63,6 @@ usage()
 }
 
 int
-litmusKindOf(const std::string &name, LitmusKind &kind)
-{
-    if (name == "table1")
-        kind = LitmusKind::Table1;
-    else if (name == "table3")
-        kind = LitmusKind::Table3;
-    else if (name == "sb")
-        kind = LitmusKind::StoreBuffer;
-    else if (name == "sb-fence")
-        kind = LitmusKind::StoreBufferFenced;
-    else if (name == "corr")
-        kind = LitmusKind::CoRR;
-    else if (name == "lb")
-        kind = LitmusKind::LoadBuffer;
-    else if (name == "iriw")
-        kind = LitmusKind::Iriw;
-    else
-        return 0;
-    return 1;
-}
-
-int
 cmdRecord(int argc, char **argv)
 {
     std::string workload;
@@ -129,7 +107,7 @@ cmdRecord(int argc, char **argv)
     std::string source;
     std::uint64_t wl_seed = seed;
     LitmusKind lk{};
-    if (litmusKindOf(workload, lk)) {
+    if (parseLitmusName(workload, lk)) {
         wl = makeLitmus(lk, iters);
         source = "litmus";
     } else {
