@@ -8,7 +8,7 @@
  * reproduce the figures with more signal.
  *
  * The figure harnesses run their sweeps through the src/campaign
- * subsystem: paperCampaign() builds the spec for the paper's
+ * subsystem: wb::paperCampaign() builds the spec for the paper's
  * 16-core machine, campaignJobs() reads the worker count from a
  * -j N argument or the WB_JOBS environment variable (default: one
  * worker per hardware thread), and reportIncomplete() surfaces the
@@ -53,41 +53,15 @@ campaignJobs(int argc, char **argv)
     return 0;
 }
 
-/** Build the paper's 16-core machine for a commit mode / class. */
+/** The paper's 16-core machine for a commit mode / class: the
+ *  config of a paper campaign's job (the machine does not depend
+ *  on the workload). */
 inline wb::SystemConfig
 paperConfig(wb::CommitMode mode,
             wb::CoreClass cls = wb::CoreClass::SLM)
 {
-    wb::SystemConfig cfg;
-    cfg.numCores = 16;
-    cfg.core = wb::makeCoreConfig(cls);
-    cfg.checker = false; // timing runs; tests cover correctness
-    cfg.maxCycles = 400'000'000;
-    cfg.setMode(mode);
-    return cfg;
-}
-
-/**
- * Campaign spec for a paper sweep: every benchmark profile on the
- * 16-core machine, crossed with the given mode/class axes. Profiles
- * keep their own fixed seeds so each benchmark runs the same
- * program in every cell and timing ratios compare like for like.
- */
-inline wb::CampaignSpec
-paperCampaign(std::vector<wb::CommitMode> modes,
-              std::vector<wb::CoreClass> classes, double scale)
-{
-    wb::CampaignSpec spec;
-    spec.name = "paper-sweep";
-    spec.workloads = wb::benchmarkNames();
-    spec.modes = std::move(modes);
-    spec.classes = std::move(classes);
-    spec.useProfileSeed = true;
-    spec.scale = scale;
-    spec.cores = 16;
-    spec.checker = false;
-    spec.maxCycles = 400'000'000;
-    return spec;
+    const wb::CampaignSpec spec = wb::paperCampaign({mode}, {cls}, 1.0);
+    return spec.configFor(spec.expand().front());
 }
 
 /** Run a paper campaign on the worker pool. */

@@ -55,7 +55,7 @@ main(int argc, char **argv)
     using namespace wb;
     const double scale = wbench::benchScale();
 
-    CampaignSpec spec = wbench::paperCampaign(
+    CampaignSpec spec = paperCampaign(
         {CommitMode::InOrder, CommitMode::OooSafe,
          CommitMode::OooWB},
         {CoreClass::SLM}, scale);

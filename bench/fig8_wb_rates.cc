@@ -29,7 +29,7 @@ main(int argc, char **argv)
     const CoreClass classes[3] = {CoreClass::SLM, CoreClass::NHM,
                                   CoreClass::HSW};
 
-    const CampaignSpec spec = wbench::paperCampaign(
+    const CampaignSpec spec = paperCampaign(
         {CommitMode::OooWB},
         {CoreClass::SLM, CoreClass::NHM, CoreClass::HSW}, scale);
     const CampaignResult result = wbench::runPaperCampaign(

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     using namespace wb;
     const double scale = wbench::benchScale();
 
-    CampaignSpec spec = wbench::paperCampaign(
+    CampaignSpec spec = paperCampaign(
         {CommitMode::InOrder}, {CoreClass::SLM}, scale);
     spec.name = "fig9-overheads";
     // base: squash core, base protocol; wb: lockdown core on the

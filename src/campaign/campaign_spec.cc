@@ -101,13 +101,8 @@ CampaignSpec::configFor(const JobSpec &job) const
     cfg.maxCycles = maxCycles;
     cfg.network = network;
     cfg.ideal.jitter = jitter;
-    if (network == NetworkKind::Mesh) {
-        int w = 1;
-        while (w * w < cores)
-            ++w;
-        cfg.mesh.width = w;
-        cfg.mesh.height = (cores + w - 1) / w;
-    }
+    if (network == NetworkKind::Mesh)
+        cfg.mesh.fit(cores);
     if (watchdogCycles)
         cfg.watchdogCycles = watchdogCycles;
     if (txnWarnCycles)
@@ -119,10 +114,6 @@ CampaignSpec::configFor(const JobSpec &job) const
     if (teardownDrainCycles)
         cfg.teardownDrainCycles = teardownDrainCycles;
     cfg.setMode(job.mode);
-    if (job.mode == CommitMode::OooUnsafe) {
-        cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
-    }
     if (!job.faultSpec.empty()) {
         std::string err;
         if (!parseFaultSpec(job.faultSpec, cfg.faults, err))
@@ -151,6 +142,23 @@ CampaignSpec::workloadFor(const JobSpec &job) const
     if (!useProfileSeed)
         p.seed = job.seed;
     return makeSynthetic(p, cores);
+}
+
+CampaignSpec
+paperCampaign(std::vector<CommitMode> modes,
+              std::vector<CoreClass> classes, double scale)
+{
+    CampaignSpec spec;
+    spec.name = "paper-sweep";
+    spec.workloads = benchmarkNames();
+    spec.modes = std::move(modes);
+    spec.classes = std::move(classes);
+    spec.useProfileSeed = true;
+    spec.scale = scale;
+    spec.cores = 16;
+    spec.checker = false; // timing runs; tests cover correctness
+    spec.maxCycles = 400'000'000;
+    return spec;
 }
 
 std::string
@@ -219,36 +227,6 @@ CampaignSpec::validate() const
          recovery.retransmitBaseCycles == 0))
         return "recovery cycle parameters must be >= 1";
     return "";
-}
-
-bool
-parseCommitMode(const std::string &s, CommitMode &out)
-{
-    if (s == "in-order")
-        out = CommitMode::InOrder;
-    else if (s == "ooo-safe")
-        out = CommitMode::OooSafe;
-    else if (s == "ooo-wb" || s == "ooo-writersblock")
-        out = CommitMode::OooWB;
-    else if (s == "ooo-unsafe")
-        out = CommitMode::OooUnsafe;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseCoreClass(const std::string &s, CoreClass &out)
-{
-    if (s == "SLM" || s == "slm")
-        out = CoreClass::SLM;
-    else if (s == "NHM" || s == "nhm")
-        out = CoreClass::NHM;
-    else if (s == "HSW" || s == "hsw")
-        out = CoreClass::HSW;
-    else
-        return false;
-    return true;
 }
 
 namespace

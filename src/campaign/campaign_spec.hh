@@ -156,6 +156,17 @@ struct CampaignSpec
 };
 
 /**
+ * Campaign spec for a paper sweep: every benchmark profile on the
+ * paper's 16-core machine, crossed with the given mode/class axes.
+ * Profiles keep their own fixed seeds so each benchmark runs the
+ * same program in every cell and timing ratios compare like for
+ * like. The figure harnesses and wbperf's fig cells expand it.
+ */
+CampaignSpec paperCampaign(std::vector<CommitMode> modes,
+                           std::vector<CoreClass> classes,
+                           double scale);
+
+/**
  * Derive a 64-bit seed from the spec's base seed and a list of
  * axis-value strings plus one integer (the seed index). Stable
  * across campaign layout changes; exposed for tests.
@@ -163,13 +174,6 @@ struct CampaignSpec
 std::uint64_t deriveSeed(std::uint64_t base,
                          const std::vector<std::string> &axes,
                          std::uint64_t n);
-
-/** Parse "in-order" | "ooo-safe" | "ooo-writersblock" (alias
- *  "ooo-wb") | "ooo-unsafe". @return false on unknown name. */
-bool parseCommitMode(const std::string &s, CommitMode &out);
-
-/** Parse "SLM" | "NHM" | "HSW" (any case). */
-bool parseCoreClass(const std::string &s, CoreClass &out);
 
 /**
  * Parse a campaign manifest (docs/CAMPAIGN.md grammar): one

@@ -1,8 +1,7 @@
 /**
  * @file
- * The fault-campaign safety invariants, factored out of the PR-1
- * bench harness so both `bench/fault_campaign` and
- * `wbcampaign --builtin fault` assert the same guarantees:
+ * The fault-campaign safety invariants that
+ * `wbcampaign --builtin fault` asserts on every run:
  *
  *  1. no run ever ends in a TSO violation or unclassified;
  *  2. an "ok" verdict really is clean (completed, no leaks);

@@ -6,6 +6,8 @@
 #ifndef WB_CORE_CONFIG_HH
 #define WB_CORE_CONFIG_HH
 
+#include <string>
+
 #include "sim/types.hh"
 
 namespace wb
@@ -37,6 +39,10 @@ enum class CommitMode
 };
 
 const char *commitModeName(CommitMode m);
+
+/** Parse "in-order" | "ooo-safe" | "ooo-writersblock" (alias
+ *  "ooo-wb") | "ooo-unsafe". @return false on unknown name. */
+bool parseCommitMode(const std::string &s, CommitMode &out);
 
 struct CoreConfig
 {
@@ -75,6 +81,9 @@ struct CoreConfig
 enum class CoreClass { SLM, NHM, HSW };
 
 const char *coreClassName(CoreClass c);
+
+/** Parse "SLM" | "NHM" | "HSW" (or lower case). */
+bool parseCoreClass(const std::string &s, CoreClass &out);
 
 /** Build the Table 6 configuration for a processor class. */
 CoreConfig makeCoreConfig(CoreClass cls);

@@ -49,30 +49,18 @@ void
 Core::registerMetrics(MetricsRegistry &metrics)
 {
     // Live occupancy gauges: the same structures pipelineSnapshot()
-    // reports, polled at each snapshot-stream period.
-    auto gauge = [&](const char *n,
-                     std::function<std::uint64_t()> poll) {
-        metrics.addGauge(name() + "." + n, "entries",
-                         std::move(poll));
-    };
-    gauge("rob", [this] {
-        return std::uint64_t(pipelineSnapshot().rob);
-    });
-    gauge("iq", [this] {
-        return std::uint64_t(pipelineSnapshot().iq);
-    });
-    gauge("lq", [this] {
-        return std::uint64_t(pipelineSnapshot().lq);
-    });
-    gauge("sq", [this] {
-        return std::uint64_t(pipelineSnapshot().sq);
-    });
-    gauge("sb", [this] {
-        return std::uint64_t(pipelineSnapshot().sb);
-    });
-    gauge("locksHeld", [this] {
-        return std::uint64_t(pipelineSnapshot().locksHeld);
-    });
+    // reports, polled at each snapshot-stream or timeline period.
+    using Field = std::size_t PipelineSnapshot::*;
+    for (const auto &[n, field] : {
+             std::pair<const char *, Field>{"rob", &PipelineSnapshot::rob},
+             {"iq", &PipelineSnapshot::iq},
+             {"lq", &PipelineSnapshot::lq},
+             {"sq", &PipelineSnapshot::sq},
+             {"sb", &PipelineSnapshot::sb},
+             {"locksHeld", &PipelineSnapshot::locksHeld}})
+        metrics.addGauge(name() + "." + n, "entries", [this, field] {
+            return std::uint64_t(pipelineSnapshot().*field);
+        });
 }
 
 bool

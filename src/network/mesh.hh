@@ -28,6 +28,16 @@ struct MeshConfig
     Tick hopLatency = 6;       //!< switch-to-switch time (cycles)
     Tick localLatency = 1;     //!< node-internal delivery
     bool modelContention = true;
+
+    /** Size to the smallest near-square mesh holding @p nodes. */
+    void
+    fit(int nodes)
+    {
+        width = 1;
+        while (width * width < nodes)
+            ++width;
+        height = (nodes + width - 1) / width;
+    }
 };
 
 /** 2D mesh, X-then-Y dimension-ordered routing. */

@@ -218,14 +218,6 @@ class Network : public SimObject
     /** Total flit-hops injected so far (traffic metric). */
     std::uint64_t flitHops() const { return _flitHops.value(); }
 
-    /** Flit-hops injected on one virtual network (link-utilization
-     *  gauge for the timeline sampler). */
-    std::uint64_t
-    vnetFlitHops(int vnet) const
-    {
-        return _vnetFlitHops[std::size_t(vnet)]->value();
-    }
-
     /** Total messages injected so far. */
     std::uint64_t messages() const { return _messages.value(); }
 

@@ -42,11 +42,16 @@ struct ObsConfig
     /** Metrics snapshot-stream period in cycles; 0 = no stream. */
     Tick metricsPeriod = 0;
     /** Build the metrics registry (gauges + exposition) even when no
-     *  snapshot stream is requested. Implied by metricsPeriod != 0. */
+     *  snapshot stream is requested. Implied by metricsPeriod != 0
+     *  and by timelinePeriod != 0 (the timeline reads the registry). */
     bool metrics = false;
 
     /** True when the metrics registry should exist for this run. */
-    bool metricsEnabled() const { return metrics || metricsPeriod != 0; }
+    bool
+    metricsEnabled() const
+    {
+        return metrics || metricsPeriod != 0 || timelinePeriod != 0;
+    }
 };
 
 /** Structured event kinds (see docs/OBSERVABILITY.md). */

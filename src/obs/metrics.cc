@@ -5,6 +5,8 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "system/json_writer.hh"
+
 namespace wb
 {
 
@@ -40,37 +42,90 @@ MetricsRegistry::addGauge(const std::string &name,
     assert(inserted && "duplicate gauge name");
 }
 
+void
+MetricsRegistry::forEach(const VisitFn &fn) const
+{
+    // Both sources iterate in sorted name order; merge them.
+    const std::map<std::string, StatBase *> none;
+    const auto &stats = _stats ? _stats->all() : none;
+    auto si = stats.begin();
+    auto gi = _gauges.begin();
+    while (si != stats.end() || gi != _gauges.end()) {
+        if (gi == _gauges.end() ||
+            (si != stats.end() && si->first < gi->first)) {
+            fn(si->first, si->second, nullptr);
+            ++si;
+        } else {
+            fn(gi->first, nullptr, &gi->second);
+            ++gi;
+        }
+    }
+}
+
 std::vector<MetricDesc>
 MetricsRegistry::describe() const
 {
     std::vector<MetricDesc> out;
-    // Both sources iterate in sorted name order; merge them.
-    auto si = _stats ? _stats->all().begin() : decltype(_stats->all().begin())();
-    auto se = _stats ? _stats->all().end() : si;
-    auto gi = _gauges.begin();
-    auto ge = _gauges.end();
-    while (si != se || gi != ge) {
-        if (gi == ge || (si != se && si->first < gi->first)) {
-            MetricDesc d;
-            d.name = si->first;
-            d.kind = dynamic_cast<const Histogram *>(si->second)
-                         ? MetricKind::Histogram
-                         : MetricKind::Counter;
-            d.unit = si->second->unit();
-            d.component = componentOf(d.name);
-            out.push_back(std::move(d));
-            ++si;
-        } else {
-            MetricDesc d;
-            d.name = gi->first;
-            d.kind = MetricKind::Gauge;
-            d.unit = gi->second.unit;
-            d.component = componentOf(d.name);
-            out.push_back(std::move(d));
-            ++gi;
-        }
-    }
+    forEach([&](const std::string &name, const StatBase *stat,
+                const Gauge *gauge) {
+        MetricDesc d;
+        d.name = name;
+        d.kind = gauge ? MetricKind::Gauge
+                 : dynamic_cast<const Histogram *>(stat)
+                     ? MetricKind::Histogram
+                     : MetricKind::Counter;
+        d.unit = gauge ? gauge->unit : stat->unit();
+        d.component = componentOf(name);
+        out.push_back(std::move(d));
+    });
     return out;
+}
+
+namespace
+{
+
+/** Does @p name match @p pattern segment by segment? */
+bool
+matchesPattern(std::string_view pattern, std::string_view name)
+{
+    for (;;) {
+        const auto pd = pattern.find('.');
+        const auto nd = name.find('.');
+        const auto seg = pattern.substr(0, pd);
+        if (seg != "*" && seg != name.substr(0, nd))
+            return false;
+        if (pd == std::string_view::npos ||
+            nd == std::string_view::npos)
+            return pd == nd;
+        pattern.remove_prefix(pd + 1);
+        name.remove_prefix(nd + 1);
+    }
+}
+
+} // namespace
+
+std::function<std::uint64_t()>
+MetricsRegistry::sumOf(std::string_view pattern) const
+{
+    std::vector<const Counter *> counters;
+    std::vector<const std::function<std::uint64_t()> *> polls;
+    forEach([&](const std::string &name, const StatBase *stat,
+                const Gauge *gauge) {
+        if (!matchesPattern(pattern, name))
+            return;
+        if (gauge)
+            polls.push_back(&gauge->poll);
+        else if (auto *c = dynamic_cast<const Counter *>(stat))
+            counters.push_back(c);
+    });
+    return [counters = std::move(counters), polls = std::move(polls)] {
+        std::uint64_t sum = 0;
+        for (const Counter *c : counters)
+            sum += c->value();
+        for (const auto *poll : polls)
+            sum += (*poll)();
+        return sum;
+    };
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -91,22 +146,15 @@ MetricsRegistry::values(MetricsSummary *summary) const
             }
         }
     };
-    auto si = _stats ? _stats->all().begin() : decltype(_stats->all().begin())();
-    auto se = _stats ? _stats->all().end() : si;
-    auto gi = _gauges.begin();
-    auto ge = _gauges.end();
-    while (si != se || gi != ge) {
-        if (gi == ge || (si != se && si->first < gi->first)) {
-            if (auto *h = dynamic_cast<const Histogram *>(si->second))
-                note(si->first, h->samples(), false);
-            else if (auto *c = dynamic_cast<const Counter *>(si->second))
-                note(si->first, c->value(), true);
-            ++si;
-        } else {
-            note(gi->first, gi->second.poll(), false);
-            ++gi;
-        }
-    }
+    forEach([&](const std::string &name, const StatBase *stat,
+                const Gauge *gauge) {
+        if (gauge)
+            note(name, gauge->poll(), false);
+        else if (auto *h = dynamic_cast<const Histogram *>(stat))
+            note(name, h->samples(), false);
+        else if (auto *c = dynamic_cast<const Counter *>(stat))
+            note(name, c->value(), true);
+    });
     return out;
 }
 
@@ -129,25 +177,11 @@ promName(const std::string &s)
     return out;
 }
 
-/** Minimal JSON string escaping (names/units are ASCII already). */
+/** Quoted JSON string. */
 std::string
 jsonStr(const std::string &s)
 {
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
+    return '"' + jsonEscape(s) + '"';
 }
 
 std::string

@@ -37,6 +37,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -99,6 +100,15 @@ class MetricsRegistry
     std::vector<MetricDesc> describe() const;
 
     /**
+     * Poll callback for the sum of every counter and gauge whose
+     * name matches @p pattern, where '*' stands for one dot-free
+     * name segment ("core.*.rob" is every core's ROB gauge).
+     * Matches are resolved now; the registry must outlive the
+     * callback.
+     */
+    std::function<std::uint64_t()> sumOf(std::string_view pattern) const;
+
+    /**
      * Current scalar value of every metric, sorted by name:
      * counters report their count, gauges their polled value,
      * histograms their sample count. When @p summary is non-null it
@@ -129,6 +139,14 @@ class MetricsRegistry
         std::string unit;
         std::function<std::uint64_t()> poll;
     };
+
+    using VisitFn = std::function<void(const std::string &name,
+                                       const StatBase *stat,
+                                       const Gauge *gauge)>;
+
+    /** Visit every metric in name order, stats and gauges merged;
+     *  exactly one of @p stat and @p gauge is non-null per call. */
+    void forEach(const VisitFn &fn) const;
 
     const StatRegistry *_stats;
     std::map<std::string, Gauge> _gauges;

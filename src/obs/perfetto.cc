@@ -102,7 +102,8 @@ instant(JsonWriter &w, const ObsEvent &e, const std::string &name,
 
 /** One counter ("C") sample on a named track in the gauge group. */
 void
-counter(JsonWriter &w, Tick ts, const char *name, std::uint64_t v)
+counter(JsonWriter &w, Tick ts, std::string_view name,
+        std::uint64_t v)
 {
     w.openObject();
     w.field("name", std::string(name));
@@ -169,23 +170,10 @@ writePerfettoTrace(std::ostream &os, const FlightRecorder &rec,
     }
 
     if (timeline) {
-        for (const TimelineSample &s : timeline->samples()) {
-            counter(w, s.cycle, "rob", s.rob);
-            counter(w, s.cycle, "iq", s.iq);
-            counter(w, s.cycle, "lq", s.lq);
-            counter(w, s.cycle, "sq", s.sq);
-            counter(w, s.cycle, "sb", s.sb);
-            counter(w, s.cycle, "lockdowns", s.lockdowns);
-            counter(w, s.cycle, "mshrs", s.mshrs);
-            counter(w, s.cycle, "writebacks", s.writebacks);
-            counter(w, s.cycle, "net inFlight", s.inFlight);
-            counter(w, s.cycle, "flits req",
-                    s.vnetFlitHops[0]);
-            counter(w, s.cycle, "flits fwd",
-                    s.vnetFlitHops[1]);
-            counter(w, s.cycle, "flits resp",
-                    s.vnetFlitHops[2]);
-        }
+        for (const TimelineRow &row : timeline->samples())
+            for (std::size_t i = 0; i < timelineColumns.size(); ++i)
+                counter(w, row.cycle, timelineColumns[i].track,
+                        row.values[i]);
     }
 
     w.closeArray();

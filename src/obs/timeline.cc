@@ -1,47 +1,74 @@
 #include "obs/timeline.hh"
 
+#include <string>
+
 #include "system/json_writer.hh"
 
 namespace wb
 {
 
+TimelineSampler::TimelineSampler(const MetricsRegistry &metrics,
+                                 Tick period)
+    : _period(period ? period : 1)
+{
+    for (std::size_t i = 0; i < timelineColumns.size(); ++i)
+        _read[i] = metrics.sumOf(timelineColumns[i].metric);
+}
+
+void
+TimelineSampler::sample(Tick cycle)
+{
+    TimelineRow row;
+    row.cycle = cycle;
+    for (std::size_t i = 0; i < timelineColumns.size(); ++i) {
+        const std::uint64_t v = _read[i]();
+        row.values[i] = timelineColumns[i].delta ? v - _last[i] : v;
+        _last[i] = v;
+    }
+    _samples.push_back(row);
+}
+
 void
 TimelineSampler::writeCsv(std::ostream &os) const
 {
-    os << "cycle,rob,iq,lq,sq,sb,lockdowns,mshrs,writebacks,"
-          "inFlight,vnetReqFlits,vnetFwdFlits,vnetRespFlits\n";
-    for (const TimelineSample &s : _samples) {
-        os << s.cycle << ',' << s.rob << ',' << s.iq << ',' << s.lq
-           << ',' << s.sq << ',' << s.sb << ',' << s.lockdowns
-           << ',' << s.mshrs << ',' << s.writebacks << ','
-           << s.inFlight << ',' << s.vnetFlitHops[0] << ','
-           << s.vnetFlitHops[1] << ',' << s.vnetFlitHops[2] << '\n';
+    os << "cycle";
+    for (const TimelineColumn &c : timelineColumns)
+        os << ',' << c.csv;
+    os << '\n';
+    for (const TimelineRow &row : _samples) {
+        os << row.cycle;
+        for (std::uint64_t v : row.values)
+            os << ',' << v;
+        os << '\n';
     }
 }
 
 void
 TimelineSampler::writeJson(std::ostream &os) const
 {
+    const auto &cols = timelineColumns;
     JsonWriter w(os);
     w.openObject();
     w.field("period", std::uint64_t(_period));
     w.openArray("samples");
-    for (const TimelineSample &s : _samples) {
+    for (const TimelineRow &row : _samples) {
         w.openObject();
-        w.field("cycle", std::uint64_t(s.cycle));
-        w.field("rob", s.rob);
-        w.field("iq", s.iq);
-        w.field("lq", s.lq);
-        w.field("sq", s.sq);
-        w.field("sb", s.sb);
-        w.field("lockdowns", s.lockdowns);
-        w.field("mshrs", s.mshrs);
-        w.field("writebacks", s.writebacks);
-        w.field("inFlight", s.inFlight);
-        w.openArray("vnetFlitHops");
-        for (std::uint64_t v : s.vnetFlitHops)
-            w.field("", v);
-        w.closeArray();
+        w.field("cycle", std::uint64_t(row.cycle));
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            const std::string key(cols[i].json);
+            const bool first = i == 0 || cols[i - 1].json != key;
+            const bool last =
+                i + 1 == cols.size() || cols[i + 1].json != key;
+            if (first && last) {
+                w.field(key, row.values[i]);
+                continue;
+            }
+            if (first)
+                w.openArray(key);
+            w.field("", row.values[i]);
+            if (last)
+                w.closeArray();
+        }
         w.closeObject();
     }
     w.closeArray();

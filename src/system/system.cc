@@ -50,8 +50,7 @@ System::System(const SystemConfig &cfg, const Workload &workload)
               cfg.shards);
     if (cfg.shards > 1 &&
         (cfg.faults.enabled() || cfg.recovery.enabled ||
-         cfg.obs.flightRecorder > 0 || cfg.obs.timelinePeriod > 0 ||
-         cfg.obs.metricsEnabled()))
+         cfg.obs.flightRecorder > 0 || cfg.obs.metricsEnabled()))
         fatal("shards > 1 requires the fault, recovery and "
               "observability layers to be disabled "
               "(docs/PARALLEL.md)");
@@ -99,9 +98,6 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     if (cfg.obs.flightRecorder > 0)
         _recorder = std::make_unique<FlightRecorder>(
             &_stats, cfg.obs.flightRecorder);
-    if (cfg.obs.timelinePeriod > 0)
-        _timeline =
-            std::make_unique<TimelineSampler>(cfg.obs.timelinePeriod);
 
     // The network rides shard 0's queue (only the single-shard
     // retransmission path schedules events on it).
@@ -186,7 +182,8 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     // Metrics registry last, so every component's counters are
     // already in the StatRegistry and each SimObject can add its
     // gauges. Gauges never enter the StatRegistry: run reports stay
-    // byte-identical whether or not metrics are enabled.
+    // byte-identical whether or not metrics are enabled. The
+    // timeline reads its rows from this registry.
     if (cfg.obs.metricsEnabled()) {
         _metrics = std::make_unique<MetricsRegistry>(&_stats);
         _net->registerMetrics(*_metrics);
@@ -199,6 +196,9 @@ System::System(const SystemConfig &cfg, const Workload &workload)
         if (cfg.obs.metricsPeriod > 0)
             _mstream = std::make_unique<MetricsStreamer>(
                 _metrics.get(), cfg.obs.metricsPeriod);
+        if (cfg.obs.timelinePeriod > 0)
+            _timeline = std::make_unique<TimelineSampler>(
+                *_metrics, cfg.obs.timelinePeriod);
     }
 
     // Persistent workers for shards 1..S-1; shard 0 runs on the
@@ -259,7 +259,7 @@ System::runShardTo(Shard &sh, Tick target)
         // Observability hooks are single-shard-only (enforced in the
         // constructor), so they keep their legacy per-tick cadence.
         if (_timeline && _timeline->due(c))
-            sampleTimeline(c);
+            _timeline->sample(c);
         if (_mstream && _mstream->due(c))
             _mstream->emit(c);
     }
@@ -378,34 +378,6 @@ System::step(Tick n)
     const Tick target = _cycle + n;
     while (_cycle < target)
         runEpoch(std::min(target, nextBoundary(_cycle)));
-}
-
-void
-System::sampleTimeline(Tick cycle)
-{
-    TimelineSample s;
-    s.cycle = cycle;
-    for (const auto &c : _cores) {
-        const auto ps = c->pipelineSnapshot();
-        s.rob += ps.rob;
-        s.iq += ps.iq;
-        s.lq += ps.lq;
-        s.sq += ps.sq;
-        s.sb += ps.sb;
-        s.lockdowns += ps.locksHeld;
-    }
-    for (const auto &l1 : _l1s) {
-        s.mshrs += l1->pendingMshrs();
-        s.writebacks += l1->writebackBufferUse();
-    }
-    s.inFlight = _net->inFlight();
-    for (int v = 0; v < 3; ++v) {
-        const std::uint64_t total = _net->vnetFlitHops(v);
-        s.vnetFlitHops[std::size_t(v)] =
-            total - _lastVnetFlits[std::size_t(v)];
-        _lastVnetFlits[std::size_t(v)] = total;
-    }
-    _timeline->push(s);
 }
 
 SimResults

@@ -76,9 +76,9 @@ struct SystemConfig
      *  fault runs keep their fail-fast classification. */
     RecoveryConfig recovery{};
 
-    /** Observability layer (flight recorder + timeline sampler);
-     *  off by default — disabled runs take one extra null test per
-     *  hook. */
+    /** Observability layer (flight recorder, metrics registry and
+     *  the timeline view of it); off by default — disabled runs
+     *  take one extra null test per hook. */
     ObsConfig obs{};
 
     // Per-transaction watchdog (escalates warn -> dump -> verdict).
@@ -338,9 +338,6 @@ class System
      *  provably completed through an endpoint ARQ re-issue. */
     void reclassifyRecoveredRequests();
 
-    /** Push one row of gauges into the timeline sampler. */
-    void sampleTimeline(Tick cycle);
-
     /**
      * One shard: a contiguous tile range [firstTile, endTile) with
      * its own event queue, advanced by exactly one thread at a time
@@ -386,9 +383,9 @@ class System
     StatRegistry _stats;
     MainMemory _memory;
     std::unique_ptr<FlightRecorder> _recorder;
-    std::unique_ptr<TimelineSampler> _timeline;
     std::unique_ptr<MetricsRegistry> _metrics;
     std::unique_ptr<MetricsStreamer> _mstream;
+    std::unique_ptr<TimelineSampler> _timeline; //!< reads _metrics
     std::unique_ptr<FaultInjector> _faults;
     std::unique_ptr<Network> _net;
     std::unique_ptr<TsoChecker> _checker;
@@ -421,10 +418,6 @@ class System
     std::uint64_t _lastCommits = 0;
     Tick _lastProgress = 0;
     bool _runStarted = false; //!< watchdog baselines initialised
-    /** Previous per-vnet flit-hop totals, so timeline rows carry
-     *  per-period deltas (link utilization) instead of a running
-     *  total. */
-    std::array<std::uint64_t, 3> _lastVnetFlits{};
 };
 
 /** One-line human description of a config (Table 6 style). */

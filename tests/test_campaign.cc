@@ -19,6 +19,8 @@
 #include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
 #include "campaign/fault_invariants.hh"
+#include "snapshot/system_state.hh"
+#include "workload/benchmarks.hh"
 #include "workload/synthetic.hh"
 
 using namespace wb;
@@ -94,6 +96,37 @@ TEST(CampaignSpec, ExpansionIsTheOrderedCrossProduct)
         EXPECT_EQ(jobs[i].seed, again[i].seed);
         EXPECT_EQ(jobs[i].faultSeed, again[i].faultSeed);
     }
+}
+
+TEST(CampaignSpec, PaperCampaignIsThePaperMachine)
+{
+    const CampaignSpec spec = paperCampaign(
+        {CommitMode::OooWB}, {CoreClass::SLM, CoreClass::HSW}, 0.1);
+    const auto jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), benchmarkNames().size() * 2);
+    // Profile-major, then class: the order of wbperf's fig cells.
+    EXPECT_EQ(jobs[0].workload, benchmarkNames()[0]);
+    EXPECT_EQ(jobs[0].cls, CoreClass::SLM);
+    EXPECT_EQ(jobs[1].workload, benchmarkNames()[0]);
+    EXPECT_EQ(jobs[1].cls, CoreClass::HSW);
+
+    const SystemConfig cfg = spec.configFor(jobs[1]);
+    EXPECT_EQ(cfg.numCores, 16);
+    EXPECT_EQ(cfg.network, NetworkKind::Mesh);
+    EXPECT_EQ(cfg.mesh.width, 4);
+    EXPECT_EQ(cfg.mesh.height, 4);
+    EXPECT_FALSE(cfg.checker);
+    EXPECT_EQ(cfg.maxCycles, Tick(400'000'000));
+    EXPECT_EQ(cfg.core.robSize, makeCoreConfig(CoreClass::HSW).robSize);
+    EXPECT_EQ(cfg.core.commitMode, CommitMode::OooWB);
+    EXPECT_TRUE(cfg.mem.writersBlock);
+    EXPECT_FALSE(cfg.faults.enabled());
+
+    // Each profile keeps its own seed: the same program as
+    // makeBenchmark builds.
+    EXPECT_EQ(workloadFingerprint(spec.workloadFor(jobs[1])),
+              workloadFingerprint(
+                  makeBenchmark(jobs[1].workload, 16, 0.1)));
 }
 
 TEST(CampaignSpec, SeedsDeriveFromAxisValuesNotPosition)

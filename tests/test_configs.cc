@@ -77,6 +77,12 @@ TEST(Config, SetModeCouplesCoreAndProtocol)
     cfg.setMode(CommitMode::InOrder);
     EXPECT_FALSE(cfg.core.lockdown);
     EXPECT_FALSE(cfg.mem.writersBlock);
+    // The negative control needs no overrides after setMode.
+    cfg.setMode(CommitMode::OooWB);
+    cfg.setMode(CommitMode::OooUnsafe);
+    EXPECT_EQ(cfg.core.commitMode, CommitMode::OooUnsafe);
+    EXPECT_FALSE(cfg.core.lockdown);
+    EXPECT_FALSE(cfg.mem.writersBlock);
 }
 
 TEST(Config, ModeAndClassNames)
@@ -90,6 +96,40 @@ TEST(Config, ModeAndClassNames)
     EXPECT_STREQ(coreClassName(CoreClass::SLM), "SLM");
     EXPECT_STREQ(coreClassName(CoreClass::NHM), "NHM");
     EXPECT_STREQ(coreClassName(CoreClass::HSW), "HSW");
+
+    // The parsers invert the names (and take the short aliases).
+    for (CommitMode m : {CommitMode::InOrder, CommitMode::OooSafe,
+                         CommitMode::OooWB, CommitMode::OooUnsafe}) {
+        CommitMode out = CommitMode::InOrder;
+        EXPECT_TRUE(parseCommitMode(commitModeName(m), out));
+        EXPECT_EQ(out, m);
+    }
+    CommitMode mode{};
+    EXPECT_TRUE(parseCommitMode("ooo-wb", mode));
+    EXPECT_EQ(mode, CommitMode::OooWB);
+    EXPECT_FALSE(parseCommitMode("ooo", mode));
+    for (CoreClass c : {CoreClass::SLM, CoreClass::NHM, CoreClass::HSW}) {
+        CoreClass out = CoreClass::SLM;
+        EXPECT_TRUE(parseCoreClass(coreClassName(c), out));
+        EXPECT_EQ(out, c);
+    }
+    CoreClass cls{};
+    EXPECT_TRUE(parseCoreClass("hsw", cls));
+    EXPECT_EQ(cls, CoreClass::HSW);
+    EXPECT_FALSE(parseCoreClass("Atom", cls));
+}
+
+TEST(Config, MeshFitIsTheSmallestNearSquare)
+{
+    MeshConfig m;
+    for (const auto &[nodes, w, h] :
+         {std::tuple{1, 1, 1}, {4, 2, 2}, {5, 3, 2}, {16, 4, 4},
+          {17, 5, 4}, {64, 8, 8}}) {
+        m.fit(nodes);
+        EXPECT_EQ(m.width, w) << nodes;
+        EXPECT_EQ(m.height, h) << nodes;
+        EXPECT_GE(m.width * m.height, nodes);
+    }
 }
 
 } // namespace wb

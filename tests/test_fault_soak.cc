@@ -6,8 +6,8 @@
  * classified diagnosis (deadlock verdict or panic), never a silent
  * hang, an uncaught exception, or a TSO violation.
  *
- * This is the fast in-tree slice of the sweep; bench/fault_campaign
- * runs the full >= 500-run campaign with the same invariants.
+ * This is the fast in-tree slice of the sweep; `wbcampaign --builtin
+ * fault` runs the full >= 500-run campaign with the same invariants.
  */
 
 #include <gtest/gtest.h>

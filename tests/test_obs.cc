@@ -17,6 +17,7 @@
 #include "obs/metrics.hh"
 #include "obs/perfetto.hh"
 #include "obs/timeline.hh"
+#include "sim/bytes.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "system/crash_report.hh"
@@ -164,7 +165,8 @@ TEST(FlightRecorder, AbortDropsTheOpenTransaction)
 
 TEST(Timeline, PeriodMathAndRowCount)
 {
-    TimelineSampler tl(100);
+    const MetricsRegistry none(nullptr);
+    TimelineSampler tl(none, 100);
     EXPECT_TRUE(tl.due(100));
     EXPECT_TRUE(tl.due(200));
     EXPECT_FALSE(tl.due(1));
@@ -209,6 +211,60 @@ TEST(Timeline, CsvAndJsonCarryEveryGaugeColumn)
               std::count(j.begin(), j.end(), '}'));
     EXPECT_EQ(std::count(j.begin(), j.end(), '['),
               std::count(j.begin(), j.end(), ']'));
+}
+
+TEST(Timeline, ColumnsSumTheRegistryGauges)
+{
+    Workload wl = makeLitmus(LitmusKind::Table1, 100);
+    System sys(obsConfig(0, 64), wl);
+    // The timeline builds the registry it reads, without a stream.
+    ASSERT_NE(sys.metrics(), nullptr);
+    EXPECT_EQ(sys.metricsStream(), nullptr);
+    sys.step(640);
+    TimelineSampler tl(*sys.metrics(), 1);
+    tl.sample(sys.cycle());
+
+    // Oracle: the same gauges read from the components by hand.
+    std::array<std::uint64_t, timelineColumns.size()> want{};
+    for (int i = 0; i < sys.numCores(); ++i) {
+        const auto ps = sys.core(i).pipelineSnapshot();
+        want[0] += ps.rob;
+        want[1] += ps.iq;
+        want[2] += ps.lq;
+        want[3] += ps.sq;
+        want[4] += ps.sb;
+        want[5] += ps.locksHeld;
+        want[6] += sys.l1(i).pendingMshrs();
+        want[7] += sys.l1(i).writebackBufferUse();
+    }
+    want[8] = sys.network().inFlight();
+    want[9] = sys.stats().counterValue("net.flitHopsReq");
+    want[10] = sys.stats().counterValue("net.flitHopsFwd");
+    want[11] = sys.stats().counterValue("net.flitHopsResp");
+    EXPECT_GT(want[0], 0u);
+    EXPECT_GT(want[11], 0u);
+    EXPECT_EQ(tl.samples().front().values, want);
+}
+
+// Byte pins, computed before the timeline became a view of the
+// metrics registry: every export of the table1 run below, and the
+// metrics stream of a fixed run.
+TEST(Timeline, ExportBytesArePinned)
+{
+    Workload wl = makeLitmus(LitmusKind::Table1, 100);
+    System sys(obsConfig(1 << 12, 64), wl);
+    ASSERT_TRUE(sys.run().completed);
+    std::ostringstream csv, json, trace;
+    sys.timeline()->writeCsv(csv);
+    sys.timeline()->writeJson(json);
+    writePerfettoTrace(trace, *sys.flightRecorder(), 4, 4,
+                       sys.timeline());
+    EXPECT_EQ(csv.str().size(), 10077u);
+    EXPECT_EQ(fnv1a64(csv.str()), 0x030caf6903ecf6f5ULL);
+    EXPECT_EQ(json.str().size(), 40269u);
+    EXPECT_EQ(fnv1a64(json.str()), 0x5d0f4831612395bfULL);
+    EXPECT_EQ(trace.str().size(), 302187u);
+    EXPECT_EQ(fnv1a64(trace.str()), 0x20d0cc96cb84b980ULL);
 }
 
 // ---------------------------------------------------------------
@@ -520,6 +576,20 @@ TEST(Metrics, StreamIsDeltaEncodedAndDeterministic)
     // machine drains, so the final line must not repeat every
     // metric the first data line carried.
     EXPECT_NE(a[1], a.back());
+}
+
+TEST(Metrics, StreamBytesArePinned)
+{
+    Workload wl = makeLitmus(LitmusKind::Table1, 100);
+    System sys(metricsConfig(500), wl);
+    std::string stream;
+    sys.metricsStream()->setCallback(
+        [&stream](const MetricsSummary &, const std::string &line) {
+            stream += line + '\n';
+        });
+    ASSERT_TRUE(sys.run().completed);
+    EXPECT_EQ(stream.size(), 76277u);
+    EXPECT_EQ(fnv1a64(stream), 0xe52a1541a678c949ULL);
 }
 
 TEST(Metrics, StreamerSkipsUnchangedPeriodsAndDuplicateTicks)

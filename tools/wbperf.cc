@@ -2,9 +2,9 @@
  * @file
  * wbperf — the repo's performance baseline harness.
  *
- * Runs a FIXED matrix of cells (three component micro-loops plus the
- * fig8 benchmark sweep: every profile x {SLM, NHM, HSW} in OooWB
- * mode) and records, per cell, wall-clock seconds, executed event
+ * Runs a FIXED matrix of cells (component micro-loops plus the fig8
+ * benchmark sweep: every profile x {SLM, NHM, HSW} in OooWB mode)
+ * and records, per cell, wall-clock seconds, executed event
  * count and a 64-bit FNV-1a fingerprint over the simulated stats.
  * The fingerprints depend only on simulated behaviour — never on
  * wall-clock — so two builds that simulate identically produce
@@ -42,7 +42,10 @@
 
 #include <sys/resource.h>
 
+#include "campaign/campaign_spec.hh"
+#include "checker/tso_checker.hh"
 #include "coherence/messages.hh"
+#include "mem/cache_array.hh"
 #include "network/mesh.hh"
 #include "sim/bytes.hh"
 #include "sim/event_queue.hh"
@@ -50,7 +53,6 @@
 #include "sim/stats.hh"
 #include "system/json_writer.hh"
 #include "system/system.hh"
-#include "workload/benchmarks.hh"
 
 namespace
 {
@@ -112,9 +114,8 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Mirror of bench/micro_components BM_EventQueueScheduleRun: the
- *  scheduling/dispatch loop with a mix of same-tick and near-future
- *  events, heavy on insert/extract-min. */
+/** The event kernel's scheduling/dispatch loop with a mix of
+ *  same-tick and near-future events, heavy on insert/extract-min. */
 CellResult
 microEventQueue()
 {
@@ -138,8 +139,8 @@ microEventQueue()
     return c;
 }
 
-/** Mirror of BM_MeshSend: routed hop-by-hop delivery through the
- *  4x4 mesh, exercising per-hop event scheduling. */
+/** Routed hop-by-hop delivery through the 4x4 mesh, exercising
+ *  per-hop event scheduling. */
 CellResult
 microMeshSend()
 {
@@ -201,6 +202,56 @@ microCohMsgAlloc()
     return c;
 }
 
+/** Tag probes of a warmed 128 KB 8-way array: the lookup every L1,
+ *  L2 and LLC access starts with. */
+CellResult
+microCacheFind()
+{
+    CellResult c{"micro.cache_find", "micro"};
+    const auto t0 = std::chrono::steady_clock::now();
+    CacheArray<DataBlock> cache(128 * 1024, 8);
+    Rng rng(1);
+    for (int i = 0; i < 1000; ++i) {
+        const Addr a = lineOf(rng.next() % (1 << 22));
+        if (!cache.find(a) && !cache.needVictim(a))
+            cache.allocate(a);
+    }
+    std::uint64_t hits = 0;
+    const int iters = 10'000'000;
+    for (int i = 0; i < iters; ++i)
+        hits += cache.find(lineOf(rng.next() % (1 << 22))) != nullptr;
+    c.wallSeconds = secondsSince(t0);
+    c.events = iters;
+    ByteWriter fp;
+    fp.u64(hits);
+    c.fingerprint = fp.checksum();
+    return c;
+}
+
+/** TsoChecker::loadCompleted against a word with a long version
+ *  history: the check every load of a checked run pays. */
+CellResult
+microCheckerLoad()
+{
+    CellResult c{"micro.checker_load", "micro"};
+    const auto t0 = std::chrono::steady_clock::now();
+    TsoChecker chk(1);
+    Version v = 0;
+    for (int i = 0; i < 1024; ++i)
+        chk.storePerformed(0, 0x1000, std::uint64_t(i), ++v);
+    const int iters = 25'000'000;
+    for (int i = 0; i < iters; ++i)
+        chk.loadCompleted(0, 0x1000, v, false);
+    c.wallSeconds = secondsSince(t0);
+    c.events = iters;
+    ByteWriter fp;
+    fp.u64(chk.loadsChecked());
+    fp.u64(chk.storesTracked());
+    fp.u64(chk.violations().size());
+    c.fingerprint = fp.checksum();
+    return c;
+}
+
 std::string fpString(std::uint64_t h);
 
 /** Metrics guard: the same small benchmark with the metrics
@@ -214,14 +265,12 @@ CellResult
 microMetrics(double scale)
 {
     CellResult c{"micro.metrics", "micro"};
-    const std::string bench = "fft";
-    Workload wl = makeBenchmark(bench, 16, scale);
-    SystemConfig cfg;
-    cfg.numCores = 16;
-    cfg.core = makeCoreConfig(CoreClass::SLM);
-    cfg.checker = false;
-    cfg.maxCycles = 400'000'000;
-    cfg.setMode(CommitMode::OooWB);
+    CampaignSpec spec =
+        paperCampaign({CommitMode::OooWB}, {CoreClass::SLM}, scale);
+    spec.workloads = {"fft"};
+    const JobSpec job = spec.expand().front();
+    const Workload wl = spec.workloadFor(job);
+    SystemConfig cfg = spec.configFor(job);
 
     std::uint64_t fpOff = 0;
     {
@@ -259,20 +308,16 @@ microMetrics(double scale)
     return c;
 }
 
-/** One fig8 cell: a benchmark profile on the paper's 16-core
- *  machine (bench/bench_common.hh paperConfig) in OooWB mode. */
+/** One fig8 cell: a job of the paper campaign (a benchmark
+ *  profile on the paper's 16-core machine in OooWB mode). */
 CellResult
-figCell(const std::string &name, CoreClass cls, double scale,
-        int shards)
+figCell(const CampaignSpec &spec, const JobSpec &job, int shards)
 {
-    CellResult c{"fig8." + name + "." + coreClassName(cls), "fig"};
-    Workload wl = makeBenchmark(name, 16, scale);
-    SystemConfig cfg;
-    cfg.numCores = 16;
-    cfg.core = makeCoreConfig(cls);
-    cfg.checker = false;
-    cfg.maxCycles = 400'000'000;
-    cfg.setMode(CommitMode::OooWB);
+    CellResult c{"fig8." + job.workload + "." +
+                     coreClassName(job.cls),
+                 "fig"};
+    const Workload wl = spec.workloadFor(job);
+    SystemConfig cfg = spec.configFor(job);
     // Sharding must never move a fingerprint — the cell name stays
     // the same on purpose, so a --check against a single-shard
     // baseline is exactly the determinism gate from docs/PARALLEL.md.
@@ -504,13 +549,15 @@ main(int argc, char **argv)
         report(microMeshSend());
         report(microCohMsgAlloc());
         report(microMetrics(scale));
+        report(microCacheFind());
+        report(microCheckerLoad());
     }
     if (!microOnly) {
-        const std::vector<CoreClass> classes{
-            CoreClass::SLM, CoreClass::NHM, CoreClass::HSW};
-        for (const std::string &name : benchmarkNames())
-            for (CoreClass cls : classes)
-                report(figCell(name, cls, scale, shards));
+        const CampaignSpec spec = paperCampaign(
+            {CommitMode::OooWB},
+            {CoreClass::SLM, CoreClass::NHM, CoreClass::HSW}, scale);
+        for (const JobSpec &job : spec.expand())
+            report(figCell(spec, job, shards));
     }
 
     double total = 0;

@@ -20,8 +20,10 @@
  *   64 usage error
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,7 +74,8 @@ usage()
         "  --scale F         workload scale      (default 0.5)\n"
         "  --iters N         litmus iterations   (default 2000)\n"
         "  --network K       mesh | ideal        (default mesh)\n"
-        "  --jitter N        ideal-net jitter    (default 10)\n"
+        "  --jitter N        ideal-net jitter    (default 10,\n"
+        "                                         at most 10000)\n"
         "  --seed N          workload seed override\n"
         "  --no-checker      disable the TSO checker (faster)\n"
         "  --non-silent      non-silent shared evictions\n"
@@ -132,33 +135,17 @@ usage()
         "            64 usage error\n");
 }
 
-bool
-parseMode(const std::string &s, CommitMode &mode)
-{
-    if (s == "in-order")
-        mode = CommitMode::InOrder;
-    else if (s == "ooo-safe")
-        mode = CommitMode::OooSafe;
-    else if (s == "ooo-wb" || s == "ooo-writersblock")
-        mode = CommitMode::OooWB;
-    else if (s == "ooo-unsafe")
-        mode = CommitMode::OooUnsafe;
-    else
-        return false;
-    return true;
-}
-
 /**
- * Strict bounded count parse for flags like --cores/--iters/--ldt.
- * The historical std::atoi calls silently read "16x" as 16 and
- * "huge" as 0; here the whole string must be a decimal/hex number
- * inside [lo, hi]. On failure, prints a usage-taxonomy complaint
- * naming the flag and the specific defect (not a number, trailing
- * garbage, out of range) — callers exit 64.
+ * Strict bounded count parse for flags like --cores/--iters/--seed.
+ * The historical std::atoi calls silently read "16x" as 16, "huge"
+ * as 0 and "-5" as 2^64 - 5; here the whole string must be a
+ * decimal/hex number inside [lo, hi]. On failure, prints a
+ * usage-taxonomy complaint naming the flag and the specific defect
+ * (not a number, trailing garbage, out of range) — callers exit 64.
  */
 bool
-parseCount(const char *flag, const std::string &s, long long lo,
-           long long hi, long long &out)
+parseCount(const char *flag, const std::string &s, std::uint64_t lo,
+           std::uint64_t hi, std::uint64_t &out)
 {
     if (s.empty() || s[0] == '-' || s[0] == '+' ||
         std::isspace(static_cast<unsigned char>(s[0]))) {
@@ -182,55 +169,50 @@ parseCount(const char *flag, const std::string &s, long long lo,
                      flag, end, s.c_str());
         return false;
     }
-    if (errno == ERANGE || v > static_cast<unsigned long long>(hi) ||
-        static_cast<long long>(v) < lo) {
+    if (errno == ERANGE || v < lo || v > hi) {
         std::fprintf(stderr,
-                     "%s: %s out of range [%lld, %lld]\n", flag,
-                     s.c_str(), lo, hi);
+                     "%s: %s out of range [%llu, %llu]\n", flag,
+                     s.c_str(), static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
         return false;
     }
-    out = static_cast<long long>(v);
+    out = v;
     return true;
 }
 
-/** Strict decimal/hex period parse: the whole string, >= 1. */
+/** Whole-string parse of a positive finite number (--scale). */
 bool
-parsePeriod(const std::string &s, Tick &out)
+parsePositive(const char *flag, const std::string &s, double &out)
 {
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    errno = 0;
     char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (errno != 0 || end != s.c_str() + s.size() || v == 0)
+    const double v = std::strtod(s.c_str(), &end);
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+        *end != '\0' || !std::isfinite(v) || v <= 0) {
+        std::fprintf(stderr, "%s: '%s' is not a positive number\n",
+                     flag, s.c_str());
         return false;
-    out = Tick(v);
+    }
+    out = v;
     return true;
 }
 
 /**
  * Split and validate a "FILE,PERIOD" sink spec (--timeline,
  * --metrics-stream). Rejects a missing comma, an empty path, and a
- * zero/non-numeric/trailing-garbage period; on failure @p err holds
- * the complaint for a usage error (exit 64).
+ * zero/non-numeric/trailing-garbage period, printing the complaint
+ * for a usage error (exit 64).
  */
 bool
 parseSinkSpec(const char *flag, const std::string &v,
-              std::string &path, Tick &period, std::string &err)
+              std::string &path, Tick &period)
 {
     const auto comma = v.rfind(',');
     if (comma == std::string::npos || comma == 0) {
-        err = std::string(flag) + " needs FILE,PERIOD";
+        std::fprintf(stderr, "%s needs FILE,PERIOD\n", flag);
         return false;
     }
     path = v.substr(0, comma);
-    if (!parsePeriod(v.substr(comma + 1), period)) {
-        err = std::string(flag) +
-              " PERIOD must be a number >= 1, got '" +
-              v.substr(comma + 1) + "'";
-        return false;
-    }
-    return true;
+    return parseCount(flag, v.substr(comma + 1), 1, ~Tick(0), period);
 }
 
 /**
@@ -264,20 +246,6 @@ probeSinkWritable(const std::string &spec, std::string &err)
         return false;
     }
     std::fclose(f);
-    return true;
-}
-
-bool
-parseClass(const std::string &s, CoreClass &cls)
-{
-    if (s == "SLM" || s == "slm")
-        cls = CoreClass::SLM;
-    else if (s == "NHM" || s == "nhm")
-        cls = CoreClass::NHM;
-    else if (s == "HSW" || s == "hsw")
-        cls = CoreClass::HSW;
-    else
-        return false;
     return true;
 }
 
@@ -390,49 +358,62 @@ main(int argc, char **argv)
         if (a == "--workload")
             workload = next();
         else if (a == "--mode") {
-            if (!parseMode(next(), mode)) {
+            if (!parseCommitMode(next(), mode)) {
                 usage();
                 return 64;
             }
         } else if (a == "--class") {
-            if (!parseClass(next(), cls)) {
+            if (!parseCoreClass(next(), cls)) {
                 usage();
                 return 64;
             }
         } else if (a == "--cores") {
-            long long v = 0;
+            std::uint64_t v = 0;
             if (!parseCount("--cores", next(), 1, 4096, v))
                 return 64;
             cores = int(v);
             cores_set = true;
-        } else if (a == "--scale")
-            scale = std::atof(next());
-        else if (a == "--iters") {
-            long long v = 0;
+        } else if (a == "--scale") {
+            if (!parsePositive("--scale", next(), scale))
+                return 64;
+        } else if (a == "--iters") {
+            std::uint64_t v = 0;
             if (!parseCount("--iters", next(), 1, 100'000'000, v))
                 return 64;
             iters = int(v);
         } else if (a == "--shards") {
-            long long v = 0;
+            std::uint64_t v = 0;
             if (!parseCount("--shards", next(), 1, 4096, v))
                 return 64;
             shards = int(v);
         } else if (a == "--network") {
             const std::string n = next();
+            if (n != "mesh" && n != "ideal") {
+                std::fprintf(stderr,
+                             "--network: '%s' is not mesh or "
+                             "ideal\n",
+                             n.c_str());
+                return 64;
+            }
             network = n == "ideal" ? NetworkKind::Ideal
                                    : NetworkKind::Mesh;
-        } else if (a == "--jitter")
-            jitter = Tick(std::atoll(next()));
-        else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 0);
-        else if (a == "--no-checker")
+        } else if (a == "--jitter") {
+            // Bounded well below the watchdogs, so jitter alone can
+            // never pass for a hang.
+            if (!parseCount("--jitter", next(), 0, 10'000, jitter))
+                return 64;
+        } else if (a == "--seed") {
+            if (!parseCount("--seed", next(), 0, ~std::uint64_t(0),
+                            seed))
+                return 64;
+        } else if (a == "--no-checker")
             checker = false;
         else if (a == "--non-silent")
             silent_evictions = false;
         else if (a == "--in-order-issue")
             in_order_issue = true;
         else if (a == "--ldt") {
-            long long v = 0;
+            std::uint64_t v = 0;
             if (!parseCount("--ldt", next(), 1, 1 << 20, v))
                 return 64;
             ldt = int(v);
@@ -447,14 +428,12 @@ main(int argc, char **argv)
         else if (a == "--flight-recorder")
             flight_recorder = 65536;
         else if (a.rfind("--flight-recorder=", 0) == 0) {
-            flight_recorder = std::strtoull(
-                a.c_str() + std::strlen("--flight-recorder="),
-                nullptr, 0);
-            if (flight_recorder == 0) {
-                std::fprintf(stderr,
-                             "--flight-recorder needs N >= 1\n");
+            std::uint64_t v = 0;
+            if (!parseCount("--flight-recorder",
+                            a.substr(std::strlen("--flight-recorder=")),
+                            1, ~std::uint64_t(0), v))
                 return 64;
-            }
+            flight_recorder = std::size_t(v);
         } else if (a == "--trace-out")
             trace_out = next();
         else if (a == "--timeline" ||
@@ -463,25 +442,18 @@ main(int argc, char **argv)
                 a == "--timeline"
                     ? next()
                     : a.substr(std::strlen("--timeline="));
-            std::string err;
             if (!parseSinkSpec("--timeline", v, timeline_path,
-                               timeline_period, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
+                               timeline_period))
                 return 64;
-            }
         } else if (a == "--metrics-stream" ||
                    a.rfind("--metrics-stream=", 0) == 0) {
             const std::string v =
                 a == "--metrics-stream"
                     ? next()
                     : a.substr(std::strlen("--metrics-stream="));
-            std::string err;
             if (!parseSinkSpec("--metrics-stream", v,
-                               metrics_stream, metrics_period,
-                               err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
+                               metrics_stream, metrics_period))
                 return 64;
-            }
         } else if (a == "--metrics-expo")
             metrics_expo = next();
         else if (a == "--checkpoint-at" ||
@@ -490,13 +462,9 @@ main(int argc, char **argv)
                 a == "--checkpoint-at"
                     ? next()
                     : a.substr(std::strlen("--checkpoint-at="));
-            checkpoint_at = Tick(std::strtoull(v.c_str(),
-                                               nullptr, 0));
-            if (checkpoint_at == 0) {
-                std::fprintf(stderr,
-                             "--checkpoint-at needs TICK >= 1\n");
+            if (!parseCount("--checkpoint-at", v, 1, ~Tick(0),
+                            checkpoint_at))
                 return 64;
-            }
         } else if (a == "--checkpoint")
             checkpoint_path = next();
         else if (a == "--restore")
@@ -581,6 +549,13 @@ main(int argc, char **argv)
         if (!cores_set && cores == 16)
             cores = 4;
     } else {
+        if (!std::ranges::count(benchmarkNames(), workload)) {
+            std::fprintf(stderr,
+                         "--workload: unknown workload '%s' (see "
+                         "--list)\n",
+                         workload.c_str());
+            return 64;
+        }
         SyntheticParams p = benchmarkProfile(workload, scale);
         if (seed)
             p.seed = seed;
@@ -638,19 +613,9 @@ main(int argc, char **argv)
     cfg.ideal.jitter = jitter;
     cfg.checker = checker;
     cfg.mem.silentSharedEvictions = silent_evictions;
-    if (network == NetworkKind::Mesh) {
-        // Smallest mesh that fits.
-        int w = 1;
-        while (w * w < cores)
-            ++w;
-        cfg.mesh.width = w;
-        cfg.mesh.height = (cores + w - 1) / w;
-    }
+    if (network == NetworkKind::Mesh)
+        cfg.mesh.fit(cores);
     cfg.setMode(mode);
-    if (mode == CommitMode::OooUnsafe) {
-        cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
-    }
     if (!faults_spec.empty()) {
         std::string err;
         if (!parseFaultSpec(faults_spec, cfg.faults, err)) {
