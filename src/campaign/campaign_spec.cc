@@ -191,8 +191,9 @@ CampaignSpec::validate() const
         return "an axis is empty";
     if (seeds < 1)
         return "seeds must be >= 1";
-    if (cores < 1)
-        return "cores must be >= 1";
+    if (cores < 1 || cores > maxCores)
+        return "cores must be in [1, " + std::to_string(maxCores) +
+               "] (the directory's sharer set)";
     if (maxRetries < 0)
         return "retries must be >= 0";
     if (!workloadFactory)

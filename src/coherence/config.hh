@@ -7,11 +7,19 @@
 #define WB_COHERENCE_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 
 #include "sim/types.hh"
 
 namespace wb
 {
+
+/** The directory's sharer set: a full map, one bit per core. */
+using SharerSet = std::uint32_t;
+
+/** Most cores the sharer set can name. Larger machines are rejected
+ *  up front (System, wbsim, wbtrace, CampaignSpec::validate). */
+constexpr int maxCores = std::numeric_limits<SharerSet>::digits;
 
 struct MemSystemConfig
 {

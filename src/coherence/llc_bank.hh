@@ -128,7 +128,7 @@ class LLCBank : public SimObject
         bool haveData = false;
         bool dirty = false;
         DataBlock data{};
-        std::uint32_t sharers = 0;
+        SharerSet sharers = 0;
         int owner = -1;
 
         // transaction bookkeeping

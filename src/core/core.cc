@@ -10,6 +10,18 @@
 namespace wb
 {
 
+namespace
+{
+
+/** Insert @p seq into the ascending list @p list. */
+void
+insertBySeq(std::vector<InstSeqNum> &list, InstSeqNum seq)
+{
+    list.insert(std::upper_bound(list.begin(), list.end(), seq), seq);
+}
+
+} // namespace
+
 Core::Core(std::string name, EventQueue *eq, StatRegistry *stats,
            CoreId id, const CoreConfig &cfg, L1Controller *l1,
            const Program *program)
@@ -160,7 +172,7 @@ Core::fetchAndDispatch()
         const bool needs_iq =
             in.op != Opcode::Nop && in.op != Opcode::Halt &&
             in.op != Opcode::Jmp && in.op != Opcode::Fence;
-        if (needs_iq && int(_iq.size()) >= _cfg.iqSize)
+        if (needs_iq && _iqCount >= _cfg.iqSize)
             return;
         if ((isLoad(in.op) || isAtomic(in.op)) &&
             int(_lq.size()) >= _cfg.lqSize)
@@ -189,8 +201,8 @@ Core::fetchAndDispatch()
                 _frontier = seq;
         }
         if (isStore(in.op) || isAtomic(in.op))
-            _sq.emplace(seq, SqEntry{invalidAddr, false, 0, false,
-                                     isAtomic(in.op)});
+            _sq.emplace(seq,
+                        SqEntry{invalidAddr, false, isAtomic(in.op)});
 
         // next fetch pc
         int next_pc = _pc + 1;
@@ -214,11 +226,16 @@ Core::fetchAndDispatch()
             _fences.insert(seq);
         }
 
+        e.prevInIq = _lastInIq;
         if (needs_iq) {
             e.inIq = true;
-            _iq.push_back(seq);
+            _lastInIq = seq;
+            ++_iqCount;
+            if (ready(e))
+                _ready.push_back(seq);
         }
         _rob.emplace(seq, std::move(e));
+        ++_commitGen;
         _pc = next_pc;
         if (_fetchBlocked)
             return;
@@ -260,8 +277,14 @@ Core::wakeConsumers(RobEntry &e)
     for (const auto &[cseq, op] : e.consumers) {
         RobEntry *c = robFind(cseq);
         if (c && !c->srcReady[op]) {
+            // A memory op is ready once its base arrives; a later
+            // store-data source must not enter it a second time.
+            const bool was_ready = ready(*c);
             c->srcVal[std::size_t(op)] = e.result;
             c->srcReady[std::size_t(op)] = true;
+            if (!was_ready && ready(*c))
+                insertBySeq(_ready, cseq);
+            ++_commitGen;
         }
     }
     e.consumers.clear();
@@ -287,31 +310,29 @@ Core::ready(const RobEntry &e) const
 void
 Core::issueFromIq()
 {
-    int budget = _cfg.fetchWidth;
-    bool stalled = false;
-    std::vector<InstSeqNum> keep;
-    keep.reserve(_iq.size());
-    for (InstSeqNum seq : _iq) {
+    const std::size_t budget =
+        std::min(_ready.size(), std::size_t(_cfg.fetchWidth));
+    std::size_t n = 0;
+    for (; n < budget; ++n) {
+        const InstSeqNum seq = _ready[n];
         RobEntry *e = robFind(seq);
-        if (!e)
-            continue; // squashed
-        if (!stalled && budget > 0 && ready(*e)) {
-            --budget;
-            e->inIq = false;
-            e->issued = true;
-            eventQueue().scheduleIn(execLatency(e->in.op),
-                                    [this, seq]() { execute(seq); });
-        } else {
-            // Stall-on-use cores issue strictly in order: the first
-            // not-ready instruction blocks everything younger.
-            // (Loads that already issued keep performing out of
-            // order — exactly the EV5/ECL reordering window.)
-            if (_cfg.inOrderIssue)
-                stalled = true;
-            keep.push_back(seq);
+        // Stall-on-use cores issue strictly in order: an entry goes
+        // only once no older one is waiting, so the first not-ready
+        // instruction blocks everything younger. (Loads that already
+        // issued keep performing out of order — exactly the EV5/ECL
+        // reordering window.)
+        if (_cfg.inOrderIssue) {
+            const RobEntry *prev = robFind(e->prevInIq);
+            if (prev && prev->inIq)
+                break;
         }
+        e->inIq = false;
+        e->issued = true;
+        --_iqCount;
+        eventQueue().scheduleIn(execLatency(e->in.op),
+                                [this, seq]() { execute(seq); });
     }
-    _iq = std::move(keep);
+    _ready.erase(_ready.begin(), _ready.begin() + std::ptrdiff_t(n));
 }
 
 void
@@ -320,6 +341,7 @@ Core::execute(InstSeqNum seq)
     RobEntry *e = robFind(seq);
     if (!e || e->executed)
         return; // squashed (or atomic already performed at head)
+    ++_commitGen;
     const Opcode op = e->in.op;
 
     if (isMem(op)) {
@@ -331,6 +353,8 @@ Core::execute(InstSeqNum seq)
             assert(lq);
             lq->addr = e->addr;
             lq->pc = e->pc;
+            if (isLoad(op))
+                insertBySeq(_loadCands, seq);
         }
         if (isStore(op) || isAtomic(op)) {
             SqEntry *sq = _sq.find(seq);
@@ -382,12 +406,17 @@ void
 Core::memIssue()
 {
     int ports = _cfg.cachePorts;
-    for (auto [seq, lq] : _lq) {
-        if (ports <= 0)
-            break;
-        if (lq.isAtomic || lq.performed || lq.issued ||
-            lq.mustRetry || lq.addr == invalidAddr)
+    // Candidates that left the LQ or stopped qualifying never qualify
+    // again: compact them away as the walk passes them.
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    for (; i < _loadCands.size() && ports > 0; ++i) {
+        const InstSeqNum seq = _loadCands[i];
+        LqEntry *lqp = _lq.find(seq);
+        if (!lqp || lqp->performed || lqp->issued || lqp->mustRetry)
             continue;
+        _loadCands[kept++] = seq;
+        LqEntry &lq = *lqp;
 
         // A pending fence orders every younger load after it.
         if (!_fences.empty() && *_fences.begin() < seq)
@@ -456,6 +485,8 @@ Core::memIssue()
             --ports;
         }
     }
+    _loadCands.erase(_loadCands.begin() + std::ptrdiff_t(kept),
+                     _loadCands.begin() + std::ptrdiff_t(i));
 }
 
 void
@@ -464,6 +495,7 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
 {
     if (lq.performed)
         return;
+    ++_commitGen;
     lq.performed = true;
     lq.value = value;
     lq.version = ver;
@@ -542,6 +574,7 @@ Core::loadMustRetry(InstSeqNum seq, Addr addr)
 void
 Core::recomputeFrontier()
 {
+    ++_commitGen;
     InstSeqNum f = invalidSeqNum;
     for (auto [seq, lq] : _lq) {
         if (!lq.performed) {
@@ -639,6 +672,7 @@ Core::drainStoreBuffer()
         _lastDrainedStore = head.seq;
         _l1->performStore(head.addr, head.data);
         _sb.pop_front();
+        ++_commitGen;
     } else {
         _l1->requestWritePermission(line);
     }
@@ -667,6 +701,7 @@ Core::driveFence()
     if (!_sb.empty())
         return;
     e.executed = true;
+    ++_commitGen;
     _fences.erase(seq);
 }
 
@@ -695,6 +730,7 @@ Core::driveAtomic()
         });
     e.result = old;
     e.executed = true;
+    ++_commitGen;
     wakeConsumers(e);
     LqEntry *lq = _lq.find(seq);
     assert(lq);
@@ -708,6 +744,13 @@ Core::driveAtomic()
 void
 Core::commit()
 {
+    // A scan that retires nothing changes nothing, so until a write
+    // to one of its inputs bumps _commitGen it would retire nothing
+    // again.
+    if (_commitGen == _scannedGen)
+        return;
+    _scannedGen = _commitGen;
+
     int budget = _cfg.commitWidth;
     bool saw_unperformed_load = false;
     bool saw_unperformed_atomic = false;
@@ -854,7 +897,7 @@ Core::retireEntry(RobEntry &e)
     if (isLoad(op) || isAtomic(op))
         _lq.erase(e.seq);
     if (isStore(op)) {
-        _sb.push_back(SbEntry{e.seq, e.addr, e.srcVal[1], false});
+        _sb.push_back(SbEntry{e.seq, e.addr, e.srcVal[1]});
         ++_storesCommitted;
     }
     if (isAtomic(op)) {
@@ -863,6 +906,7 @@ Core::retireEntry(RobEntry &e)
     }
     if (isStore(op))
         _sq.erase(e.seq);
+    ++_commitGen;
     ++_commits;
     ++_committed;
     WB_EVENT(recorder(), now(), EvKind::Commit, EvUnit::Core, _id,
@@ -895,6 +939,9 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         RobEntry &e = *ep;
         if (writesReg(e.in.op))
             _regMap[e.in.dst] = e.prevWriter;
+        _lastInIq = e.prevInIq;
+        if (e.inIq)
+            --_iqCount;
         if (const LqEntry *lq = _lq.find(seq)) {
             if (lq->lockdown)
                 releaseLockdown(lineOf(lq->addr));
@@ -906,11 +953,11 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         _rob.erase(seq);
         ++_squashedInstrs;
     }
-    _iq.erase(std::remove_if(_iq.begin(), _iq.end(),
-                             [&](InstSeqNum s) {
-                                 return s >= first_bad;
-                             }),
-              _iq.end());
+    for (auto *list : {&_ready, &_loadCands})
+        list->erase(std::lower_bound(list->begin(), list->end(),
+                                     first_bad),
+                    list->end());
+    ++_commitGen;
     _pc = new_pc;
     _fetchBlocked = false;
     _fetchStallUntil = now() + _cfg.mispredictPenalty;
@@ -929,7 +976,7 @@ Core::dumpState(std::ostream &os) const
     os << name() << ": pc=" << _pc << " halted=" << _halted
        << " fetchBlocked=" << _fetchBlocked
        << " commits=" << _commits << " rob=" << _rob.size()
-       << " iq=" << _iq.size() << " lq=" << _lq.size()
+       << " iq=" << _iqCount << " lq=" << _lq.size()
        << " sq=" << _sq.size() << " sb=" << _sb.size()
        << " ldt=" << _ldt.size() << " frontier=" << _frontier
        << "\n";
@@ -965,7 +1012,7 @@ Core::pipelineSnapshot() const
     s.halted = _halted;
     s.commits = _commits;
     s.rob = _rob.size();
-    s.iq = _iq.size();
+    s.iq = std::size_t(_iqCount);
     s.lq = _lq.size();
     s.sq = _sq.size();
     s.sb = _sb.size();
@@ -1069,6 +1116,7 @@ Core::serializeState(ByteWriter &w) const
         w.b(e.srcReady[0]);
         w.b(e.srcReady[1]);
         w.u64(e.prevWriter);
+        w.u64(e.prevInIq);
         w.u64(e.consumers.size());
         for (const auto &[cseq, slot] : e.consumers) {
             w.u64(cseq);
@@ -1078,16 +1126,17 @@ Core::serializeState(ByteWriter &w) const
         w.b(e.inIq);
         w.b(e.issued);
         w.b(e.executed);
-        w.b(e.committed);
         w.b(e.predictedTaken);
         w.u64(e.addr);
         w.b(e.addrReady);
     }
 
-    // IQ: the vector's own order is deterministic pipeline state.
-    w.u64(_iq.size());
-    for (InstSeqNum s : _iq)
+    // IQ: occupancy and the ready list (entries carry inIq).
+    w.i64(_iqCount);
+    w.u64(_ready.size());
+    for (InstSeqNum s : _ready)
         w.u64(s);
+    w.u64(_lastInIq);
 
     w.u64(_lq.size());
     for (auto [seq, e] : _lq) {
@@ -1110,8 +1159,6 @@ Core::serializeState(ByteWriter &w) const
         w.u64(seq);
         w.u64(e.addr);
         w.b(e.addrReady);
-        w.u64(e.data);
-        w.b(e.dataReady);
         w.b(e.isAtomic);
     }
 
@@ -1120,7 +1167,6 @@ Core::serializeState(ByteWriter &w) const
         w.u64(e.seq);
         w.u64(e.addr);
         w.u64(e.data);
-        w.b(e.requested);
     }
 
     w.u64(_ldt.size());
@@ -1161,7 +1207,6 @@ Core::serializeState(ByteWriter &w) const
     }
 
     w.u64(_frontier);
-    w.u64(_checkedUpTo);
 
     w.u64(_fences.size());
     for (InstSeqNum s : _fences)
@@ -1170,7 +1215,6 @@ Core::serializeState(ByteWriter &w) const
     w.u64(_nextSeq);
     w.u64(_lastDrainedStore);
     w.u64(_commits);
-    w.i64(_robLive);
 }
 
 } // namespace wb

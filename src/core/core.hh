@@ -180,12 +180,14 @@ class Core : public SimObject, public CoreMemIf
         std::uint64_t srcVal[2] = {0, 0};
         bool srcReady[2] = {true, true};
         InstSeqNum prevWriter = invalidSeqNum; //!< for map rewind
+        /** Youngest IQ entry dispatched before this one
+         *  (stall-on-use issue order; rewound like prevWriter). */
+        InstSeqNum prevInIq = invalidSeqNum;
         std::vector<std::pair<InstSeqNum, int>> consumers;
         std::uint64_t result = 0;
         bool inIq = false;
         bool issued = false;
         bool executed = false;  //!< result/addr known (loads: bound)
-        bool committed = false;
         // branches
         bool predictedTaken = false;
         // memory
@@ -212,8 +214,6 @@ class Core : public SimObject, public CoreMemIf
     {
         Addr addr = invalidAddr;
         bool addrReady = false;
-        std::uint64_t data = 0;
-        bool dataReady = false;
         bool isAtomic = false;
     };
 
@@ -222,7 +222,6 @@ class Core : public SimObject, public CoreMemIf
         InstSeqNum seq;
         Addr addr;
         std::uint64_t data;
-        bool requested = false;
     };
 
     struct LdtEntry
@@ -297,8 +296,15 @@ class Core : public SimObject, public CoreMemIf
 
     // structures (flat seq-indexed rings; docs/PERFORMANCE.md)
     SeqTable<RobEntry> _rob;
-    std::vector<InstSeqNum> _iq; // waiting entries (seq)
+    int _iqCount = 0; //!< IQ occupancy: dispatched, not yet issued
+    /** IQ entries whose sources are ready, ascending seq. */
+    std::vector<InstSeqNum> _ready;
+    InstSeqNum _lastInIq = invalidSeqNum; //!< RobEntry::prevInIq
     SeqTable<LqEntry> _lq;
+    /** Loads that received their address, ascending seq: a superset
+     *  of the loads memIssue() may issue (those that stopped
+     *  qualifying are dropped when it next reaches them). */
+    std::vector<InstSeqNum> _loadCands;
     SeqTable<SqEntry> _sq;
     std::deque<SbEntry> _sb;
     /** Exported lockdowns of committed loads. OoO commit inserts
@@ -311,7 +317,13 @@ class Core : public SimObject, public CoreMemIf
     std::unordered_map<Addr, LockInfo> _locks;
     std::map<InstSeqNum, PendingCheck> _pendingChecks;
     InstSeqNum _frontier = invalidSeqNum; //!< oldest non-performed ld
-    InstSeqNum _checkedUpTo = 0;
+
+    /** Generation of the commit scan's inputs: every write to one
+     *  bumps it, a retire too, so commit() skips while it still
+     *  equals the value its last (idle) scan started at. The inputs
+     *  and write sites are listed in docs/PERFORMANCE.md. */
+    std::uint64_t _commitGen = 1;
+    std::uint64_t _scannedGen = 0;
 
     /** Pending (non-executed) fences, oldest first. */
     std::set<InstSeqNum> _fences;
@@ -320,7 +332,6 @@ class Core : public SimObject, public CoreMemIf
     InstSeqNum _lastDrainedStore = 0; //!< TSO st->st order assert
 
     std::uint64_t _commits = 0;
-    int _robLive = 0; //!< non-committed ROB entries
 
     // stats
     Counter &_cycles;

@@ -45,6 +45,10 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     if (int(workload.threads.size()) > cfg.numCores)
         fatal("workload has %d threads but only %d cores",
               int(workload.threads.size()), cfg.numCores);
+    if (cfg.numCores < 1 || cfg.numCores > maxCores)
+        fatal("numCores must be in [1, %d] (the directory's sharer "
+              "set), got %d",
+              maxCores, cfg.numCores);
     if (cfg.shards < 1 || cfg.shards > cfg.numCores)
         fatal("shards must be in [1, %d], got %d", cfg.numCores,
               cfg.shards);

@@ -222,6 +222,13 @@ TEST(CampaignSpec, ManifestParsesAndValidates)
         "workloads = fft\nmix broken drop=oops\n");
     CampaignSpec s3;
     EXPECT_FALSE(parseCampaignSpec(bad3, s3, err));
+
+    // Wider than the directory's sharer set.
+    std::istringstream bad4("workloads = fft\ncores = " +
+                            std::to_string(maxCores + 1) + "\n");
+    CampaignSpec s4;
+    EXPECT_FALSE(parseCampaignSpec(bad4, s4, err));
+    EXPECT_NE(err.find("cores"), std::string::npos);
 }
 
 TEST(CampaignAggregator, ReductionAndLiveCounts)

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "system/system.hh"
+#include "workload/litmus.hh"
 
 namespace wb
 {
@@ -130,6 +133,18 @@ TEST(Config, MeshFitIsTheSmallestNearSquare)
         EXPECT_EQ(m.height, h) << nodes;
         EXPECT_GE(m.width * m.height, nodes);
     }
+}
+
+// The directory names sharers with one bit per core, so a machine
+// wider than that set cannot be built (wbsim, wbtrace and campaign
+// specs reject it earlier, as usage errors).
+TEST(Config, CoreCountIsBoundedByTheSharerSet)
+{
+    const Workload wl = makeLitmus(LitmusKind::Table1, 10);
+    SystemConfig cfg;
+    cfg.numCores = maxCores + 1;
+    cfg.mesh.fit(cfg.numCores);
+    EXPECT_THROW(System sys(cfg, wl), std::runtime_error);
 }
 
 } // namespace wb

@@ -4,7 +4,9 @@
 
 #include <sstream>
 
+#include "sim/bytes.hh"
 #include "system/report.hh"
+#include "workload/benchmarks.hh"
 #include "workload/litmus.hh"
 #include "workload/synthetic.hh"
 
@@ -115,6 +117,76 @@ TEST(Report, SameSeedRunsAreByteIdentical)
         return os.str();
     };
     EXPECT_EQ(once(), once());
+}
+
+// Behaviour pin for the core modes no benchmark cell runs: every
+// commit mode with out-of-order and with stall-on-use issue, on the
+// paper's 16-core HSW mesh and on 4 cores of the jittered ideal
+// network. Each run's report, stats included, hashes to a constant,
+// so a pipeline change that moves any counter in any mode fails here.
+TEST(Report, EveryCoreModeIsPinned)
+{
+    struct Pin
+    {
+        CommitMode mode;
+        bool inOrderIssue;
+        std::uint64_t fft;
+        std::uint64_t table1;
+    };
+    const Pin pins[] = {
+        {CommitMode::InOrder, false, 0xdce3649aa1fca970ULL,
+         0x97356c478f647f75ULL},
+        {CommitMode::InOrder, true, 0x64a51c989e02289fULL,
+         0x8d445cb14271c221ULL},
+        {CommitMode::OooSafe, false, 0x4dbc9c4a5f1fda32ULL,
+         0x36e6e505cc84e40eULL},
+        {CommitMode::OooSafe, true, 0x9b5defd168083942ULL,
+         0x4da022651fe353b8ULL},
+        {CommitMode::OooWB, false, 0x0bdcd8ff264ad55cULL,
+         0x6080b3f249a3844fULL},
+        {CommitMode::OooWB, true, 0xb9bd00ffde9f8b33ULL,
+         0xac046eac7b3cb796ULL},
+        {CommitMode::OooUnsafe, false, 0x37c1807e8b7d5d56ULL,
+         0x7e6395aa9ef78d0fULL},
+        {CommitMode::OooUnsafe, true, 0x8ae03f64585467b7ULL,
+         0x3169ddf72c4e9bf1ULL},
+    };
+
+    SystemConfig mesh;
+    mesh.numCores = 16;
+    mesh.core = makeCoreConfig(CoreClass::HSW);
+    const Workload fft = makeBenchmark("fft", 16, 0.02);
+
+    SystemConfig ideal;
+    ideal.numCores = 4;
+    ideal.network = NetworkKind::Ideal;
+    ideal.ideal.numNodes = 4;
+    ideal.ideal.baseLatency = 8;
+    ideal.ideal.jitter = 12;
+    const Workload table1 = makeLitmus(LitmusKind::Table1, 300);
+
+    auto hash = [](SystemConfig cfg, const Pin &pin,
+                   const Workload &wl, std::size_t &violations) {
+        cfg.setMode(pin.mode);
+        cfg.core.inOrderIssue = pin.inOrderIssue;
+        System sys(cfg, wl);
+        const SimResults r = sys.run();
+        EXPECT_TRUE(r.completed);
+        violations = r.tsoViolations;
+        std::ostringstream os;
+        writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+        return fnv1a64(os.str());
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(commitModeName(pin.mode)) +
+                     (pin.inOrderIssue ? " stall-on-use"
+                                       : " ooo-issue"));
+        std::size_t violations = 0;
+        EXPECT_EQ(hash(mesh, pin, fft, violations), pin.fft);
+        EXPECT_EQ(hash(ideal, pin, table1, violations), pin.table1);
+        // The negative control must stay caught on the litmus test.
+        EXPECT_EQ(violations > 0, pin.mode == CommitMode::OooUnsafe);
+    }
 }
 
 } // namespace wb

@@ -369,7 +369,7 @@ main(int argc, char **argv)
             }
         } else if (a == "--cores") {
             std::uint64_t v = 0;
-            if (!parseCount("--cores", next(), 1, 4096, v))
+            if (!parseCount("--cores", next(), 1, maxCores, v))
                 return 64;
             cores = int(v);
             cores_set = true;
@@ -536,6 +536,13 @@ main(int argc, char **argv)
         }
         if (!cores_set)
             cores = int(replay_trace.threads.size());
+        if (cores > maxCores) {
+            std::fprintf(stderr,
+                         "trace has %zu threads; the directory's "
+                         "sharer set names at most %d cores\n",
+                         replay_trace.threads.size(), maxCores);
+            return 64;
+        }
         if (cores < int(replay_trace.threads.size())) {
             std::fprintf(stderr,
                          "--cores %d is fewer than the trace's %zu "

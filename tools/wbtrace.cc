@@ -29,6 +29,7 @@
 #include <map>
 #include <string>
 
+#include "coherence/config.hh"
 #include "isa/instr.hh"
 #include "trace/trace_recorder.hh"
 #include "trace/trace_workload.hh"
@@ -87,9 +88,19 @@ cmdRecord(int argc, char **argv)
             out = next();
         else if (a == "--seed")
             seed = std::strtoull(next(), nullptr, 0);
-        else if (a == "--cores")
-            cores = std::atoi(next());
-        else if (a == "--scale")
+        else if (a == "--cores") {
+            const char *s = next();
+            char *end = nullptr;
+            const long v = std::strtol(s, &end, 10);
+            if (end == s || *end != '\0' || v < 1 || v > maxCores) {
+                std::fprintf(stderr,
+                             "--cores: '%s' is not a core count in "
+                             "[1, %d]\n",
+                             s, maxCores);
+                return 64;
+            }
+            cores = int(v);
+        } else if (a == "--scale")
             scale = std::atof(next());
         else if (a == "--iters")
             iters = std::atoi(next());
