@@ -41,8 +41,7 @@ main()
         cfg.mem.silentSharedEvictions = false;
         System sys(cfg, wl);
         SimResults loud = sys.run();
-        const std::uint64_t puts =
-            sys.stats().sumCounters(".putsShared");
+        const std::uint64_t puts = sys.stats().sum("l1.*.putsShared");
 
         const double nf =
             silent.flitHops

@@ -36,8 +36,7 @@ main()
         cfg.checker = true; // prove prefetching stays TSO-correct
         System sys(cfg, wl);
         SimResults on = sys.run();
-        const std::uint64_t pf =
-            sys.stats().sumCounters(".prefetches");
+        const std::uint64_t pf = sys.stats().sum("l1.*.prefetches");
 
         const double nt =
             off.cycles ? double(on.cycles) / double(off.cycles)

@@ -26,31 +26,43 @@
 #include <string>
 
 #include "campaign/campaign_runner.hh"
+#include "sim/parse.hh"
 #include "system/system.hh"
 #include "workload/benchmarks.hh"
 
 namespace wbench
 {
 
+/** WB_BENCH_SCALE, else 1.0; a malformed value exits 64. */
 inline double
 benchScale()
 {
+    double scale = 1.0;
     if (const char *s = std::getenv("WB_BENCH_SCALE"))
-        return std::atof(s);
-    return 1.0;
+        if (!wb::parseFlag("WB_BENCH_SCALE", s, wb::minScale,
+                           wb::maxScale, scale))
+            std::exit(64);
+    return scale;
 }
 
 /** Worker count for a harness: -j N argument, else WB_JOBS env,
- *  else 0 (= one worker per hardware thread). */
+ *  else 0 (= one worker per hardware thread); a malformed count
+ *  exits 64. */
 inline int
 campaignJobs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (!std::strcmp(argv[i], "-j") && i + 1 < argc)
-            return std::atoi(argv[i + 1]);
-    if (const char *s = std::getenv("WB_JOBS"))
-        return std::atoi(s);
-    return 0;
+    const char *arg = std::getenv("WB_JOBS");
+    const char *name = "WB_JOBS";
+    for (int i = 1; i + 1 < argc; ++i)
+        if (!std::strcmp(argv[i], "-j")) {
+            arg = argv[i + 1];
+            name = "-j";
+            break;
+        }
+    int jobs = 0;
+    if (arg && !wb::parseFlag(name, arg, 0, 4096, jobs))
+        std::exit(64);
+    return jobs;
 }
 
 /** The paper's 16-core machine for a commit mode / class: the

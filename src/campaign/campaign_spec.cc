@@ -1,9 +1,11 @@
 #include "campaign/campaign_spec.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "trace/trace_workload.hh"
 #include "workload/benchmarks.hh"
 #include "workload/synthetic.hh"
@@ -323,6 +325,20 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
         if (value.empty())
             return fail("empty value for '" + key + "'");
 
+        // A whole-string number in [lo, hi], else the line's error.
+        const auto number =
+            [&]<class T>(T &field, std::type_identity_t<T> lo = 0,
+                         std::type_identity_t<T> hi =
+                             std::numeric_limits<T>::max()) {
+                const std::string bad =
+                    parseNumber(value, lo, hi, field);
+                return bad.empty() || fail(key + ": " + bad);
+            };
+        const auto boolean = [&](bool &field) {
+            return parseBool(value, field) ||
+                   fail("bad boolean '" + value + "'");
+        };
+        bool ok = true;
         if (key == "name") {
             out.name = value;
         } else if (key == "workloads") {
@@ -343,17 +359,6 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
                     return fail("unknown class '" + c + "'");
                 out.classes.push_back(cls);
             }
-        } else if (key == "seeds") {
-            out.seeds = std::atoi(value.c_str());
-        } else if (key == "base-seed") {
-            out.baseSeed = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "profile-seed") {
-            if (!parseBool(value, out.useProfileSeed))
-                return fail("bad boolean '" + value + "'");
-        } else if (key == "cores") {
-            out.cores = std::atoi(value.c_str());
-        } else if (key == "scale") {
-            out.scale = std::atof(value.c_str());
         } else if (key == "network") {
             if (value == "mesh")
                 out.network = NetworkKind::Mesh;
@@ -361,62 +366,58 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
                 out.network = NetworkKind::Ideal;
             else
                 return fail("unknown network '" + value + "'");
+        } else if (key == "seeds") {
+            ok = number(out.seeds, 1);
+        } else if (key == "base-seed") {
+            ok = number(out.baseSeed);
+        } else if (key == "profile-seed") {
+            ok = boolean(out.useProfileSeed);
+        } else if (key == "cores") {
+            ok = number(out.cores, 1, maxCores);
+        } else if (key == "scale") {
+            ok = number(out.scale, minScale, maxScale);
         } else if (key == "jitter") {
-            out.jitter = Tick(std::strtoull(value.c_str(), nullptr,
-                                            0));
+            // As wbsim --jitter: well below the watchdogs.
+            ok = number(out.jitter, 0, 10'000);
         } else if (key == "checker") {
-            if (!parseBool(value, out.checker))
-                return fail("bad boolean '" + value + "'");
+            ok = boolean(out.checker);
         } else if (key == "max-cycles") {
-            out.maxCycles = Tick(std::strtoull(value.c_str(),
-                                               nullptr, 0));
+            ok = number(out.maxCycles, 1);
         } else if (key == "watchdog") {
-            out.watchdogCycles = Tick(std::strtoull(value.c_str(),
-                                                    nullptr, 0));
+            ok = number(out.watchdogCycles);
         } else if (key == "txn-warn") {
-            out.txnWarnCycles = Tick(std::strtoull(value.c_str(),
-                                                   nullptr, 0));
+            ok = number(out.txnWarnCycles);
         } else if (key == "txn-deadlock") {
-            out.txnDeadlockCycles = Tick(std::strtoull(
-                value.c_str(), nullptr, 0));
+            ok = number(out.txnDeadlockCycles);
         } else if (key == "poll") {
-            out.watchdogPollCycles = Tick(std::strtoull(
-                value.c_str(), nullptr, 0));
+            ok = number(out.watchdogPollCycles);
         } else if (key == "drain") {
-            out.teardownDrainCycles = Tick(std::strtoull(
-                value.c_str(), nullptr, 0));
+            ok = number(out.teardownDrainCycles);
         } else if (key == "retries") {
-            out.maxRetries = std::atoi(value.c_str());
+            ok = number(out.maxRetries);
         } else if (key == "recovery") {
-            if (!parseBool(value, out.recovery.enabled))
-                return fail("bad boolean '" + value + "'");
+            ok = boolean(out.recovery.enabled);
         } else if (key == "retry-timeout") {
-            out.recovery.retryTimeoutCycles = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
+            ok = number(out.recovery.retryTimeoutCycles);
         } else if (key == "retry-budget") {
-            out.recovery.retryBudget =
-                unsigned(std::strtoul(value.c_str(), nullptr, 0));
+            ok = number(out.recovery.retryBudget);
         } else if (key == "recovery-poll") {
-            out.recovery.pollCycles = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
+            ok = number(out.recovery.pollCycles);
         } else if (key == "retransmit-base") {
-            out.recovery.retransmitBaseCycles = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
+            ok = number(out.recovery.retransmitBaseCycles);
         } else if (key == "retransmit-budget") {
-            out.recovery.retransmitBudget =
-                unsigned(std::strtoul(value.c_str(), nullptr, 0));
+            ok = number(out.recovery.retransmitBudget);
         } else if (key == "flight-recorder") {
-            out.obs.flightRecorder = std::size_t(
-                std::strtoull(value.c_str(), nullptr, 0));
+            ok = number(out.obs.flightRecorder);
         } else if (key == "timeline-period") {
-            out.obs.timelinePeriod = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
+            ok = number(out.obs.timelinePeriod);
         } else if (key == "metrics-period") {
-            out.obs.metricsPeriod = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
+            ok = number(out.obs.metricsPeriod);
         } else {
             return fail("unknown key '" + key + "'");
         }
+        if (!ok)
+            return false;
     }
     const std::string bad = out.validate();
     if (!bad.empty()) {

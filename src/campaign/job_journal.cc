@@ -21,52 +21,26 @@ namespace wb
 namespace
 {
 
+// The per-vnet arrays follow orphansAbsorbed, the last recovery
+// counter.
 void
 encodeSimResults(ByteWriter &w, const SimResults &r)
 {
     w.b(r.completed);
     w.b(r.deadlocked);
     w.str(r.deadlockReason);
-    w.u64(r.cycles);
-    w.u64(r.instructions);
-    w.u64(r.loads);
-    w.u64(r.stores);
-    w.u64(r.atomics);
-    w.u64(r.flitHops);
-    w.u64(r.messages);
-    w.u64(r.leakedMessages);
-    w.u64(r.faultsDropped);
-    w.u64(r.faultsDuplicated);
-    w.u64(r.faultsDelayed);
-    w.b(r.recoveryEnabled);
-    w.u64(r.retransmits);
-    w.u64(r.recoveredMessages);
-    w.u64(r.arqReissues);
-    w.u64(r.arqRecovered);
-    w.u64(r.dedupHits);
-    w.u64(r.orphansAbsorbed);
-    for (std::uint64_t v : r.dupDelivered)
-        w.u64(v);
-    for (std::uint64_t v : r.oooDelivered)
-        w.u64(v);
-    w.u64(r.wbEntries);
-    w.u64(r.wbEncounters);
-    w.u64(r.uncacheableReads);
-    w.u64(r.nacksSent);
-    w.u64(r.ackReleases);
-    w.u64(r.lockdownsSet);
-    w.u64(r.lockdownsSeen);
-    w.u64(r.ldtExports);
-    w.u64(r.oooCommits);
-    w.u64(r.squashBranch);
-    w.u64(r.squashDspec);
-    w.u64(r.squashInv);
-    w.u64(r.stallRob);
-    w.u64(r.stallLq);
-    w.u64(r.stallSq);
-    w.u64(r.stallOther);
-    w.u64(r.coreCycles);
-    w.u64(r.tsoViolations);
+    for (const ResultField &f : resultFields) {
+        if (f.flag)
+            w.b(r.*f.flag);
+        else
+            w.u64(r.*f.count);
+        if (f.count != &SimResults::orphansAbsorbed)
+            continue;
+        for (std::uint64_t v : r.dupDelivered)
+            w.u64(v);
+        for (std::uint64_t v : r.oooDelivered)
+            w.u64(v);
+    }
 }
 
 SimResults
@@ -76,46 +50,18 @@ decodeSimResults(ByteReader &r)
     s.completed = r.b();
     s.deadlocked = r.b();
     s.deadlockReason = r.str();
-    s.cycles = r.u64();
-    s.instructions = r.u64();
-    s.loads = r.u64();
-    s.stores = r.u64();
-    s.atomics = r.u64();
-    s.flitHops = r.u64();
-    s.messages = r.u64();
-    s.leakedMessages = r.u64();
-    s.faultsDropped = r.u64();
-    s.faultsDuplicated = r.u64();
-    s.faultsDelayed = r.u64();
-    s.recoveryEnabled = r.b();
-    s.retransmits = r.u64();
-    s.recoveredMessages = r.u64();
-    s.arqReissues = r.u64();
-    s.arqRecovered = r.u64();
-    s.dedupHits = r.u64();
-    s.orphansAbsorbed = r.u64();
-    for (std::uint64_t &v : s.dupDelivered)
-        v = r.u64();
-    for (std::uint64_t &v : s.oooDelivered)
-        v = r.u64();
-    s.wbEntries = r.u64();
-    s.wbEncounters = r.u64();
-    s.uncacheableReads = r.u64();
-    s.nacksSent = r.u64();
-    s.ackReleases = r.u64();
-    s.lockdownsSet = r.u64();
-    s.lockdownsSeen = r.u64();
-    s.ldtExports = r.u64();
-    s.oooCommits = r.u64();
-    s.squashBranch = r.u64();
-    s.squashDspec = r.u64();
-    s.squashInv = r.u64();
-    s.stallRob = r.u64();
-    s.stallLq = r.u64();
-    s.stallSq = r.u64();
-    s.stallOther = r.u64();
-    s.coreCycles = r.u64();
-    s.tsoViolations = std::size_t(r.u64());
+    for (const ResultField &f : resultFields) {
+        if (f.flag)
+            s.*f.flag = r.b();
+        else
+            s.*f.count = r.u64();
+        if (f.count != &SimResults::orphansAbsorbed)
+            continue;
+        for (std::uint64_t &v : s.dupDelivered)
+            v = r.u64();
+        for (std::uint64_t &v : s.oooDelivered)
+            v = r.u64();
+    }
     return s;
 }
 

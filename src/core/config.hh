@@ -74,7 +74,6 @@ struct CoreConfig
      * lockdown requires MemSystemConfig::writersBlock.
      */
     bool lockdown = false;
-    std::uint64_t maxInstructions = 0; //!< 0 = run to Halt
 };
 
 /** Table 6 processor classes. */

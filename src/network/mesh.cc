@@ -43,15 +43,13 @@ MeshNetwork::routeArrival(Tick snow, const NetMsg &msg)
             next = d == South ? node + _cfg.width
                               : node - _cfg.width;
         }
-        if (_cfg.modelContention) {
-            Tick &free_at = _linkFree[linkIndex(node, d, v)];
-            if (free_at > t) {
-                _linkWaitCycles += free_at - t;
-                t = free_at;
-            }
-            // The link is serialised for the packet's flits.
-            free_at = t + msg.flits;
+        Tick &free_at = _linkFree[linkIndex(node, d, v)];
+        if (free_at > t) {
+            _linkWaitCycles += free_at - t;
+            t = free_at;
         }
+        // The link is serialised for the packet's flits.
+        free_at = t + msg.flits;
         t += _cfg.hopLatency;
         node = next;
     }

@@ -27,7 +27,6 @@ struct MeshConfig
     int height = 4;            //!< routers per column
     Tick hopLatency = 6;       //!< switch-to-switch time (cycles)
     Tick localLatency = 1;     //!< node-internal delivery
-    bool modelContention = true;
 
     /** Size to the smallest near-square mesh holding @p nodes. */
     void

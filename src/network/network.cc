@@ -167,63 +167,42 @@ Network::send(MsgPtr msg, Tick snow)
     // Node-internal transfer (core <-> its co-located LLC bank):
     // never crosses a shard, so it is modelled inline on the calling
     // thread. Fault injection implies a single-shard run, so the
-    // fault-path counters below may touch shared state directly.
-    const int dst = msg->dst;
-    ++_deltas[std::size_t(dst)].localMessages;
+    // fault-path counters may touch shared state directly.
+    ++_deltas[std::size_t(msg->dst)].localMessages;
+    place(snow, std::move(msg), localLatency());
+}
 
+void
+Network::commitOne(Tick snow, MsgPtr msg)
+{
+    accountTraffic(*msg, hopsOf(*msg));
+
+    // Route first, fault decision second — a dropped packet still
+    // occupied the links it crossed before being eaten (and the
+    // legacy single-threaded model ordered it the same way).
+    const Tick arrival = routeArrival(snow, *msg);
+    assert(arrival > snow && "route must cost at least one tick");
+    place(snow, std::move(msg), arrival - snow);
+}
+
+void
+Network::place(Tick snow, MsgPtr msg, Tick latency)
+{
+    NetMsg &m = *msg;
     FaultDecision d;
     if (_faults)
         d = _faults->next();
 
-    const Tick arrive = snow + localLatency();
+    const Tick arrival = snow + latency;
     if (d.drop) {
         ++_faultDropped;
-        const std::uint64_t id = recordLedger(*msg, snow, true);
+        const std::uint64_t id = recordLedger(m, snow, true);
         // Transport recovery covers forwards and responses: they
         // carry multi-party transient state no endpoint can rebuild.
         // A dropped *request* created no directory state, so its
         // owner's ARQ re-issue is the recovery path instead; the
         // teardown reclassifier retires this entry once the
         // transaction provably completed.
-        if (_recovery.enabled && msg->vnet != VNet::Request)
-            scheduleRetransmit(id, std::move(msg), localLatency(), 0);
-        return;
-    }
-    if (d.extraDelay > 0)
-        ++_faultDelayed;
-    if (d.duplicate) {
-        ++_faultDuplicated;
-        const std::uint64_t dup_id = recordLedger(*msg, snow, false);
-        inboxInsert(dst, arrive + d.extraDelay + d.dupOffset,
-                    InboxEntry{snow, msg->seq, msg->src, 1, dup_id,
-                               msg});
-    }
-    const std::uint64_t id = recordLedger(*msg, snow, false);
-    inboxInsert(dst, arrive + d.extraDelay,
-                InboxEntry{snow, msg->seq, msg->src, 0, id,
-                           std::move(msg)});
-}
-
-void
-Network::commitOne(Tick snow, MsgPtr msg)
-{
-    NetMsg &m = *msg;
-    accountTraffic(m, hopsOf(m));
-
-    // Route first, fault decision second — a dropped packet still
-    // occupied the links it crossed before being eaten (and the
-    // legacy single-threaded model ordered it the same way).
-    const Tick arrival = routeArrival(snow, m);
-    assert(arrival > snow && "route must cost at least one tick");
-    const Tick latency = arrival - snow;
-
-    FaultDecision d;
-    if (_faults)
-        d = _faults->next();
-
-    if (d.drop) {
-        ++_faultDropped;
-        const std::uint64_t id = recordLedger(m, snow, true);
         if (_recovery.enabled && m.vnet != VNet::Request)
             scheduleRetransmit(id, std::move(msg), latency, 0);
         return;

@@ -339,9 +339,15 @@ class Network : public SimObject
         *_vnetFlitHops[std::size_t(msg.vnet)] += fh;
     }
 
-    /** Process one canonically-ordered batch element: fault draw,
-     *  route, ledger, inbox. Serial phase. */
+    /** Process one canonically-ordered batch element: route, then
+     *  place(). Serial phase. */
     void commitOne(Tick snow, MsgPtr msg);
+
+    /** Place a message sent at @p snow that takes @p latency ticks
+     *  to arrive: fault draw, drop (and retransmit), delay,
+     *  duplicate, ledger and inbox. Every arrival goes through here,
+     *  node-internal or routed. */
+    void place(Tick snow, MsgPtr msg, Tick latency);
 
     /** Schedule retransmission attempt @p attempt of a dropped
      *  message after its (bounded exponential) backoff. The ledger

@@ -2,9 +2,12 @@
 
 #include <cassert>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <unistd.h>
 
+#include "sim/parse.hh"
+#include "sim/results.hh"
 #include "system/json_writer.hh"
 
 namespace wb
@@ -81,29 +84,6 @@ MetricsRegistry::describe() const
     return out;
 }
 
-namespace
-{
-
-/** Does @p name match @p pattern segment by segment? */
-bool
-matchesPattern(std::string_view pattern, std::string_view name)
-{
-    for (;;) {
-        const auto pd = pattern.find('.');
-        const auto nd = name.find('.');
-        const auto seg = pattern.substr(0, pd);
-        if (seg != "*" && seg != name.substr(0, nd))
-            return false;
-        if (pd == std::string_view::npos ||
-            nd == std::string_view::npos)
-            return pd == nd;
-        pattern.remove_prefix(pd + 1);
-        name.remove_prefix(nd + 1);
-    }
-}
-
-} // namespace
-
 std::function<std::uint64_t()>
 MetricsRegistry::sumOf(std::string_view pattern) const
 {
@@ -111,7 +91,7 @@ MetricsRegistry::sumOf(std::string_view pattern) const
     std::vector<const std::function<std::uint64_t()> *> polls;
     forEach([&](const std::string &name, const StatBase *stat,
                 const Gauge *gauge) {
-        if (!matchesPattern(pattern, name))
+        if (!StatRegistry::matches(pattern, name))
             return;
         if (gauge)
             polls.push_back(&gauge->poll);
@@ -132,29 +112,23 @@ std::vector<std::pair<std::string, std::uint64_t>>
 MetricsRegistry::values(MetricsSummary *summary) const
 {
     std::vector<std::pair<std::string, std::uint64_t>> out;
-    auto note = [&](const std::string &name, std::uint64_t v,
-                    bool is_counter) {
-        out.emplace_back(name, v);
-        if (summary && is_counter) {
-            if (name.starts_with("core.")) {
-                if (name.ends_with(".commits"))
-                    summary->instructions += v;
-                else if (name.ends_with(".stores"))
-                    summary->stores += v;
-            } else if (name.ends_with(".writersBlockEntries")) {
-                summary->wbEntries += v;
-            }
-        }
-    };
     forEach([&](const std::string &name, const StatBase *stat,
                 const Gauge *gauge) {
         if (gauge)
-            note(name, gauge->poll(), false);
+            out.emplace_back(name, gauge->poll());
         else if (auto *h = dynamic_cast<const Histogram *>(stat))
-            note(name, h->samples(), false);
+            out.emplace_back(name, h->samples());
         else if (auto *c = dynamic_cast<const Counter *>(stat))
-            note(name, c->value(), true);
+            out.emplace_back(name, c->value());
     });
+    // The roll-ups sum what the run's SimResults sum.
+    if (summary && _stats) {
+        summary->instructions =
+            _stats->sum(resultStat(&SimResults::instructions));
+        summary->stores = _stats->sum(resultStat(&SimResults::stores));
+        summary->wbEntries =
+            _stats->sum(resultStat(&SimResults::wbEntries));
+    }
     return out;
 }
 
@@ -283,14 +257,12 @@ bool
 MetricsStreamer::openFile(const std::string &spec, std::string &err)
 {
     if (spec.rfind("fd:", 0) == 0) {
-        errno = 0;
-        char *end = nullptr;
-        long fd = std::strtol(spec.c_str() + 3, &end, 10);
-        if (end == spec.c_str() + 3 || *end != '\0' || fd < 0) {
+        int fd = 0;
+        if (!parseNumber(spec.substr(3), 0, INT_MAX, fd).empty()) {
             err = "bad descriptor in '" + spec + "'";
             return false;
         }
-        int dup_fd = ::dup(static_cast<int>(fd));
+        int dup_fd = ::dup(fd);
         if (dup_fd < 0) {
             err = "dup(" + std::to_string(fd) + "): " +
                   std::strerror(errno);

@@ -74,9 +74,9 @@ struct MetricDesc
 struct MetricsSummary
 {
     Tick tick = 0;
-    std::uint64_t instructions = 0; //!< sum of core.*.commits
-    std::uint64_t stores = 0;       //!< sum of core.*.stores
-    std::uint64_t wbEntries = 0;    //!< sum of llc.*.writersBlockEntries
+    std::uint64_t instructions = 0; //!< SimResults::instructions
+    std::uint64_t stores = 0;       //!< SimResults::stores
+    std::uint64_t wbEntries = 0;    //!< SimResults::wbEntries
 };
 
 /**
@@ -101,10 +101,9 @@ class MetricsRegistry
 
     /**
      * Poll callback for the sum of every counter and gauge whose
-     * name matches @p pattern, where '*' stands for one dot-free
-     * name segment ("core.*.rob" is every core's ROB gauge).
-     * Matches are resolved now; the registry must outlive the
-     * callback.
+     * name matches @p pattern (StatRegistry::matches: "core.*.rob"
+     * is every core's ROB gauge). Matches are resolved now; the
+     * registry must outlive the callback.
      */
     std::function<std::uint64_t()> sumOf(std::string_view pattern) const;
 

@@ -41,11 +41,8 @@ enum class LogFlag : unsigned
     Core = 1u << 0,
     Cache = 1u << 1,
     Directory = 1u << 2,
-    Network = 1u << 3,
-    Lockdown = 1u << 4,
-    Checker = 1u << 5,
-    Commit = 1u << 6,
-    Workload = 1u << 7,
+    Lockdown = 1u << 3,
+    Checker = 1u << 4,
 };
 
 /** Global trace configuration (off by default; atomic, so it may

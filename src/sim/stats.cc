@@ -97,18 +97,35 @@ StatRegistry::counterValue(const std::string &name) const
     return stat ? stat->value() : 0;
 }
 
-std::uint64_t
-StatRegistry::sumCounters(const std::string &suffix) const
+bool
+StatRegistry::matches(std::string_view pattern, std::string_view name)
 {
-    std::uint64_t total = 0;
-    for (const auto &[name, stat] : _stats) {
-        if (name.size() >= suffix.size() &&
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-            if (auto *c = dynamic_cast<Counter *>(stat))
-                total += c->value();
-        }
+    for (;;) {
+        const auto pd = pattern.find('.');
+        const auto nd = name.find('.');
+        const auto seg = pattern.substr(0, pd);
+        if (seg != "*" && seg != name.substr(0, nd))
+            return false;
+        if (pd == std::string_view::npos ||
+            nd == std::string_view::npos)
+            return pd == nd;
+        pattern.remove_prefix(pd + 1);
+        name.remove_prefix(nd + 1);
     }
+}
+
+std::uint64_t
+StatRegistry::sum(std::string_view pattern) const
+{
+    // Every match shares the pattern's literal prefix, and names
+    // with one prefix are adjacent in the sorted map.
+    const std::string prefix(pattern.substr(0, pattern.find('*')));
+    std::uint64_t total = 0;
+    for (auto it = _stats.lower_bound(prefix);
+         it != _stats.end() && it->first.starts_with(prefix); ++it)
+        if (matches(pattern, it->first))
+            if (auto *c = dynamic_cast<const Counter *>(it->second))
+                total += c->value();
     return total;
 }
 

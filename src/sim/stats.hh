@@ -12,6 +12,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wb
@@ -124,8 +125,16 @@ class StatRegistry
     /** Counter value by name; 0 if absent. */
     std::uint64_t counterValue(const std::string &name) const;
 
-    /** Sum of all counters whose name matches "*.suffix". */
-    std::uint64_t sumCounters(const std::string &suffix) const;
+    /**
+     * Does @p name match @p pattern segment by segment? '*' stands
+     * for one dot-free name segment: "core.*.commits" matches every
+     * core's commit counter and nothing else.
+     */
+    static bool matches(std::string_view pattern,
+                        std::string_view name);
+
+    /** Sum of every counter whose name matches @p pattern. */
+    std::uint64_t sum(std::string_view pattern) const;
 
     /** Dump all stats, sorted by name. */
     void dump(std::ostream &os) const;

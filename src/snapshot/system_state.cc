@@ -31,7 +31,6 @@ configFingerprint(const SystemConfig &cfg)
     w.u8(std::uint8_t(c.commitMode));
     w.b(c.inOrderIssue);
     w.b(c.lockdown);
-    w.u64(c.maxInstructions);
 
     const MemSystemConfig &m = cfg.mem;
     w.u64(m.l1Size);
@@ -57,7 +56,6 @@ configFingerprint(const SystemConfig &cfg)
     w.i64(cfg.mesh.height);
     w.u64(cfg.mesh.hopLatency);
     w.u64(cfg.mesh.localLatency);
-    w.b(cfg.mesh.modelContention);
     w.i64(cfg.ideal.numNodes);
     w.u64(cfg.ideal.baseLatency);
     w.u64(cfg.ideal.jitter);
@@ -67,7 +65,6 @@ configFingerprint(const SystemConfig &cfg)
     w.b(cfg.checker);
     w.u64(cfg.maxCycles);
     w.u64(cfg.watchdogCycles);
-    w.u64(cfg.maxInstructionsPerCore);
 
     const FaultConfig &f = cfg.faults;
     w.u64(f.seed);

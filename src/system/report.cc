@@ -38,16 +38,17 @@ writeJsonReport(std::ostream &os, const std::string &workload,
     w.field("completed", r.completed);
     w.field("deadlocked", r.deadlocked);
     w.field("deadlockReason", r.deadlockReason);
-    w.field("cycles", std::uint64_t(r.cycles));
-    w.field("instructions", r.instructions);
-    w.field("loads", r.loads);
-    w.field("stores", r.stores);
-    w.field("atomics", r.atomics);
-    w.field("flitHops", r.flitHops);
-    // Per-vnet delivery-anomaly counters, reported next to the
-    // flit-hop metric they contextualise. Always on (counted even
-    // without recovery) so lossy transports are visible in any run.
-    {
+    for (const ResultField &f : resultFields) {
+        if (f.flag)
+            w.field(f.key, r.*f.flag);
+        else
+            w.field(f.key, r.*f.count);
+        if (f.count != &SimResults::flitHops)
+            continue;
+        // Per-vnet delivery-anomaly counters, reported next to the
+        // flit-hop metric they contextualise. Always on (counted
+        // even without recovery) so lossy transports are visible in
+        // any run.
         static const char *kVNets[] = {"request", "forward",
                                        "response"};
         w.openObject("dupDelivered");
@@ -59,36 +60,6 @@ writeJsonReport(std::ostream &os, const std::string &workload,
             w.field(kVNets[v], r.oooDelivered[v]);
         w.closeObject();
     }
-    w.field("messages", r.messages);
-    w.field("leakedMessages", r.leakedMessages);
-    w.field("faultsDropped", r.faultsDropped);
-    w.field("faultsDuplicated", r.faultsDuplicated);
-    w.field("faultsDelayed", r.faultsDelayed);
-    w.field("recoveryEnabled", r.recoveryEnabled);
-    w.field("retransmits", r.retransmits);
-    w.field("recoveredMessages", r.recoveredMessages);
-    w.field("arqReissues", r.arqReissues);
-    w.field("arqRecovered", r.arqRecovered);
-    w.field("dedupHits", r.dedupHits);
-    w.field("orphansAbsorbed", r.orphansAbsorbed);
-    w.field("writersBlockEntries", r.wbEntries);
-    w.field("writersBlockEncounters", r.wbEncounters);
-    w.field("uncacheableReads", r.uncacheableReads);
-    w.field("nacksSent", r.nacksSent);
-    w.field("ackReleases", r.ackReleases);
-    w.field("lockdownsSet", r.lockdownsSet);
-    w.field("lockdownsSeen", r.lockdownsSeen);
-    w.field("ldtExports", r.ldtExports);
-    w.field("oooCommits", r.oooCommits);
-    w.field("squashBranch", r.squashBranch);
-    w.field("squashDspec", r.squashDspec);
-    w.field("squashInv", r.squashInv);
-    w.field("stallRob", r.stallRob);
-    w.field("stallLq", r.stallLq);
-    w.field("stallSq", r.stallSq);
-    w.field("stallOther", r.stallOther);
-    w.field("coreCycles", r.coreCycles);
-    w.field("tsoViolations", std::uint64_t(r.tsoViolations));
     w.field("wbPerKiloStore", r.wbPerKiloStore());
     w.field("uncReadsPerKiloLoad", r.uncReadsPerKiloLoad());
     w.closeObject();

@@ -134,10 +134,6 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     if (cfg.checker)
         _checker = std::make_unique<TsoChecker>(cfg.numCores);
 
-    CoreConfig core_cfg = cfg.core;
-    if (cfg.maxInstructionsPerCore)
-        core_cfg.maxInstructions = cfg.maxInstructionsPerCore;
-
     for (int i = 0; i < cfg.numCores; ++i) {
         EventQueue *eq =
             &_shards[std::size_t(_tileShard[std::size_t(i)])]->eq;
@@ -148,7 +144,7 @@ System::System(const SystemConfig &cfg, const Workload &workload)
             "llc." + std::to_string(i), eq, &_stats, i, _cfg.mem,
             _net.get(), &_memory));
         _cores.push_back(std::make_unique<Core>(
-            "core." + std::to_string(i), eq, &_stats, i, core_cfg,
+            "core." + std::to_string(i), eq, &_stats, i, cfg.core,
             _l1s.back().get(), &_programs[std::size_t(i)]));
         _l1s.back()->setCore(_cores.back().get());
         if (cfg.recovery.enabled) {
@@ -693,50 +689,16 @@ SimResults
 System::snapshot() const
 {
     SimResults r;
+    for (const ResultField &f : resultFields)
+        if (f.stat)
+            r.*f.count = _stats.sum(f.stat);
     r.cycles = _cycle;
-    r.instructions = _stats.sumCounters(".commits");
-    r.loads = _stats.sumCounters(".loads");
-    // Core-side stores = committed stores; atomics counted apart.
-    r.stores = 0;
-    r.atomics = 0;
-    for (const auto &c : _cores) {
-        r.stores += _stats.counterValue(c->name() + ".stores");
-        r.atomics += _stats.counterValue(c->name() + ".atomics");
-    }
-    r.flitHops = _stats.counterValue("net.flitHops");
-    r.messages = _stats.counterValue("net.messages");
     r.leakedMessages = _net->undelivered().size();
-    r.faultsDropped = _stats.counterValue("net.faultDropped");
-    r.faultsDuplicated = _stats.counterValue("net.faultDuplicated");
-    r.faultsDelayed = _stats.counterValue("net.faultDelayed");
     r.recoveryEnabled = _cfg.recovery.enabled;
-    r.retransmits = _stats.counterValue("net.retransmits");
-    r.recoveredMessages = _stats.counterValue("net.recovered");
-    r.arqReissues = _stats.sumCounters(".arqReissues");
-    r.arqRecovered = _stats.sumCounters(".arqRecovered");
-    r.dedupHits = _stats.sumCounters(".dedupHits");
-    r.orphansAbsorbed = _stats.sumCounters(".orphansAbsorbed");
     for (int v = 0; v < numVNets; ++v) {
         r.dupDelivered[std::size_t(v)] = _net->dupDelivered(v);
         r.oooDelivered[std::size_t(v)] = _net->oooDelivered(v);
     }
-    r.wbEntries = _stats.sumCounters(".writersBlockEntries");
-    r.wbEncounters = _stats.sumCounters(".writersBlockEncounters");
-    r.uncacheableReads = _stats.sumCounters(".uncacheableReads");
-    r.nacksSent = _stats.sumCounters(".nacksSent");
-    r.ackReleases = _stats.sumCounters(".ackReleases");
-    r.lockdownsSet = _stats.sumCounters(".lockdownsSet");
-    r.lockdownsSeen = _stats.sumCounters(".lockdownsSeen");
-    r.ldtExports = _stats.sumCounters(".ldtExports");
-    r.oooCommits = _stats.sumCounters(".oooCommits");
-    r.squashBranch = _stats.sumCounters(".squashBranch");
-    r.squashDspec = _stats.sumCounters(".squashDspec");
-    r.squashInv = _stats.sumCounters(".squashInv");
-    r.stallRob = _stats.sumCounters(".stallRobFull");
-    r.stallLq = _stats.sumCounters(".stallLqFull");
-    r.stallSq = _stats.sumCounters(".stallSqFull");
-    r.stallOther = _stats.sumCounters(".stallOther");
-    r.coreCycles = _stats.sumCounters(".cycles");
     r.tsoViolations =
         _checker ? _checker->violations().size() : 0;
     return r;

@@ -34,6 +34,7 @@
 #include "recovery/recovery.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
+#include "sim/results.hh"
 #include "sim/stats.hh"
 
 namespace wb
@@ -66,7 +67,6 @@ struct SystemConfig
     int shards = 1;
     Tick maxCycles = 100'000'000;
     Tick watchdogCycles = 200'000; //!< no commit anywhere => deadlock
-    std::uint64_t maxInstructionsPerCore = 0; //!< 0 = run to Halt
 
     /** Network fault campaign; inactive unless faults.enabled(). */
     FaultConfig faults{};
@@ -96,83 +96,6 @@ struct SystemConfig
         core.commitMode = mode;
         core.lockdown = mode == CommitMode::OooWB;
         mem.writersBlock = core.lockdown;
-    }
-};
-
-/** Aggregated results of one simulation. */
-struct SimResults
-{
-    bool completed = false;  //!< every thread halted
-    bool deadlocked = false; //!< a hang detector fired
-    /** Which detector fired: "" | "commit-watchdog" |
-     *  "transaction-timeout" | "message-leak" | "teardown-leak". */
-    std::string deadlockReason;
-    Tick cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t atomics = 0;
-
-    // network
-    std::uint64_t flitHops = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t leakedMessages = 0; //!< undelivered at end of run
-
-    // fault campaign
-    std::uint64_t faultsDropped = 0;
-    std::uint64_t faultsDuplicated = 0;
-    std::uint64_t faultsDelayed = 0;
-
-    // recovery layer (all zero when recovery is disabled, except the
-    // delivery-order statistics, which are always collected)
-    bool recoveryEnabled = false;
-    std::uint64_t retransmits = 0;    //!< transport re-sends of drops
-    std::uint64_t recoveredMessages = 0; //!< drops delivered/retired
-    std::uint64_t arqReissues = 0;    //!< L1 request re-issues
-    std::uint64_t arqRecovered = 0;   //!< transactions completed
-                                      //!< after >= 1 re-issue
-    std::uint64_t dedupHits = 0;      //!< duplicate deliveries eaten
-    std::uint64_t orphansAbsorbed = 0; //!< replayed grants absorbed
-    std::array<std::uint64_t, 3> dupDelivered{}; //!< per vnet
-    std::array<std::uint64_t, 3> oooDelivered{}; //!< per vnet
-
-    // WritersBlock / protocol events
-    std::uint64_t wbEntries = 0;      //!< directory WritersBlocks
-    std::uint64_t wbEncounters = 0;   //!< writes deferred at a WB
-    std::uint64_t uncacheableReads = 0;
-    std::uint64_t nacksSent = 0;
-    std::uint64_t ackReleases = 0;
-    std::uint64_t lockdownsSet = 0;
-    std::uint64_t lockdownsSeen = 0;
-    std::uint64_t ldtExports = 0;
-    std::uint64_t oooCommits = 0;
-
-    // squashes
-    std::uint64_t squashBranch = 0;
-    std::uint64_t squashDspec = 0;
-    std::uint64_t squashInv = 0;
-
-    // stall breakdown (summed over cores, in core-cycles)
-    std::uint64_t stallRob = 0;
-    std::uint64_t stallLq = 0;
-    std::uint64_t stallSq = 0;
-    std::uint64_t stallOther = 0;
-    std::uint64_t coreCycles = 0;
-
-    std::size_t tsoViolations = 0;
-
-    double
-    wbPerKiloStore() const
-    {
-        return stores ? 1000.0 * double(wbEntries) / double(stores)
-                      : 0.0;
-    }
-    double
-    uncReadsPerKiloLoad() const
-    {
-        return loads ? 1000.0 * double(uncacheableReads) /
-                           double(loads)
-                     : 0.0;
     }
 };
 

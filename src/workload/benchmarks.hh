@@ -30,6 +30,11 @@ const std::vector<std::string> &splashNames();
 /** PARSEC subset of benchmarkNames(). */
 const std::vector<std::string> &parsecNames();
 
+/** The scales a command line or manifest may ask for. Scales below
+ *  0.05 run as 0.05; the cap keeps iteration counts representable. */
+inline constexpr double minScale = 1e-6;
+inline constexpr double maxScale = 1e6;
+
 /**
  * Profile for @p name. @p scale multiplies the iteration count
  * (1.0 = the default used by the benches; tests use less).

@@ -229,6 +229,36 @@ TEST(CampaignSpec, ManifestParsesAndValidates)
     CampaignSpec s4;
     EXPECT_FALSE(parseCampaignSpec(bad4, s4, err));
     EXPECT_NE(err.find("cores"), std::string::npos);
+
+    // Numbers parse whole and within range, and the error names the
+    // line. std::atoi once read each of these as something else.
+    const struct
+    {
+        const char *text;
+        const char *error;
+    } rejects[] = {
+        {"workloads = fft\njitter = -5\n",
+         "line 2: jitter: '-5' is not an unsigned number"},
+        {"workloads = fft\njitter = 10001\n",
+         "line 2: jitter: 10001 out of range [0, 10000]"},
+        {"workloads = fft\n\ncores = 4x\n",
+         "line 3: cores: trailing garbage 'x' after number in '4x'"},
+        {"scale = abc\nworkloads = fft\n",
+         "line 1: scale: 'abc' is not a number"},
+        {"workloads = fft\nseeds = 2x\n",
+         "line 2: seeds: trailing garbage 'x' after number in '2x'"},
+        {"workloads = fft\nseeds = 0\n",
+         "line 2: seeds: 0 out of range [1, 2147483647]"},
+        {"# comment\nretry-budget = 99999999999\n",
+         "line 2: retry-budget: 99999999999 out of range [0, "
+         "4294967295]"},
+    };
+    for (const auto &r : rejects) {
+        std::istringstream bad(r.text);
+        CampaignSpec s;
+        EXPECT_FALSE(parseCampaignSpec(bad, s, err)) << r.text;
+        EXPECT_EQ(err, r.error);
+    }
 }
 
 TEST(CampaignAggregator, ReductionAndLiveCounts)

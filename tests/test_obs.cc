@@ -530,7 +530,27 @@ TEST(Metrics, SummaryRollsUpCoreCounters)
     EXPECT_EQ(sum.instructions, commits);
     EXPECT_EQ(sum.stores, stores);
     EXPECT_GT(sum.instructions, 0u);
-    EXPECT_LT(sum.stores, sys.stats().sumCounters("stores"));
+    EXPECT_LT(sum.stores, sys.stats().sum("*.*.stores"));
+}
+
+// The telemetry roll-up and the run's results sum the same stats:
+// the last summary a stream delivers is the run's final count.
+TEST(Metrics, LastSummaryMatchesTheRunResults)
+{
+    Workload wl = makeLitmus(LitmusKind::Table1, 100);
+    System sys(metricsConfig(500), wl);
+    MetricsSummary last;
+    sys.metricsStream()->setCallback(
+        [&last](const MetricsSummary &sum, const std::string &) {
+            last = sum;
+        });
+    const SimResults r = sys.run();
+    ASSERT_TRUE(r.completed);
+    EXPECT_GT(last.tick, 0u);
+    EXPECT_GT(r.wbEntries, 0u);
+    EXPECT_EQ(last.instructions, r.instructions);
+    EXPECT_EQ(last.stores, r.stores);
+    EXPECT_EQ(last.wbEntries, r.wbEntries);
 }
 
 TEST(Metrics, StreamIsDeltaEncodedAndDeterministic)

@@ -19,7 +19,9 @@
 #include "campaign/campaign_spec.hh"
 #include "recovery/equivalence.hh"
 #include "recovery/recovery.hh"
+#include "sim/bytes.hh"
 #include "system/crash_report.hh"
+#include "system/report.hh"
 #include "system/system.hh"
 #include "workload/synthetic.hh"
 
@@ -216,6 +218,37 @@ TEST(Recovery, IdenticalSeedAndSpecReplaysBitIdentically)
     EXPECT_EQ(a.results.recoveredMessages,
               b.results.recoveredMessages);
     EXPECT_EQ(json_a, json_b);
+}
+
+// Report pin for a faulty run the recovery layer heals: every fault
+// and recovery counter, and the per-vnet duplicate deliveries, are
+// non-zero here, so a swapped pair of them moves the hash. No
+// benchmark cell or mode pin runs faults.
+TEST(Recovery, FaultyRunReportIsPinned)
+{
+    const std::uint64_t seed = 2;
+    const SystemConfig cfg = recoveryConfig(
+        CommitMode::OooWB,
+        "delay=0.02:100,reorder=0.03:6:48,dup=0.01,drop=0.008:2",
+        seed);
+    const Workload wl = recoveryWorkload(seed);
+    System sys(cfg, wl);
+    const SimResults r = sys.run();
+    EXPECT_TRUE(r.completed);
+    EXPECT_GT(r.faultsDropped, 0u);
+    EXPECT_GT(r.faultsDuplicated, 0u);
+    EXPECT_GT(r.faultsDelayed, 0u);
+    EXPECT_GT(r.retransmits, 0u);
+    EXPECT_GT(r.recoveredMessages, 0u);
+    EXPECT_GT(r.arqReissues, 0u);
+    EXPECT_GT(r.arqRecovered, 0u);
+    EXPECT_GT(r.dedupHits, 0u);
+    EXPECT_GT(r.dupDelivered[0] + r.dupDelivered[1] +
+                  r.dupDelivered[2],
+              0u);
+    std::ostringstream os;
+    writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+    EXPECT_EQ(fnv1a64(os.str()), 0xb0adfccaf5a8177eULL);
 }
 
 TEST(Equivalence, RecoveredRunMatchesFaultFreeTwin)

@@ -102,6 +102,78 @@ sampleResult()
     return r;
 }
 
+/** A JobResult with every field set, each counter, per-vnet slot
+ *  and string distinct and non-zero: a codec that swaps, drops or
+ *  repeats any field changes its bytes. */
+JobResult
+fullResult()
+{
+    JobResult r;
+    r.spec.index = 23;
+    r.spec.workload = "radix";
+    r.spec.mode = CommitMode::OooSafe;
+    r.spec.cls = CoreClass::HSW;
+    r.spec.variant = "v2";
+    r.spec.mixName = "drop";
+    r.spec.faultSpec = "drop=0.01:2";
+    r.spec.seedIndex = 5;
+    r.spec.seed = 0x0123456789abcdefULL;
+    r.spec.faultSeed = 0xfedcba9876543210ULL;
+    r.outcome = RunOutcome::Panic;
+    r.verdict = "panic";
+    r.detail = "panic: duplicate delivery";
+    SimResults &s = r.results;
+    s.completed = true;
+    s.deadlocked = true;
+    s.deadlockReason = "message-leak: l1.2 mshr";
+    s.cycles = 1001;
+    s.instructions = 1002;
+    s.loads = 1003;
+    s.stores = 1004;
+    s.atomics = 1005;
+    s.flitHops = 1006;
+    s.messages = 1007;
+    s.leakedMessages = 1008;
+    s.faultsDropped = 1009;
+    s.faultsDuplicated = 1010;
+    s.faultsDelayed = 1011;
+    s.recoveryEnabled = true;
+    s.retransmits = 1012;
+    s.recoveredMessages = 1013;
+    s.arqReissues = 1014;
+    s.arqRecovered = 1015;
+    s.dedupHits = 1016;
+    s.orphansAbsorbed = 1017;
+    s.dupDelivered = {1018, 1019, 1020};
+    s.oooDelivered = {1021, 1022, 1023};
+    s.wbEntries = 1024;
+    s.wbEncounters = 1025;
+    s.uncacheableReads = 1026;
+    s.nacksSent = 1027;
+    s.ackReleases = 1028;
+    s.lockdownsSet = 1029;
+    s.lockdownsSeen = 1030;
+    s.ldtExports = 1031;
+    s.oooCommits = 1032;
+    s.squashBranch = 1033;
+    s.squashDspec = 1034;
+    s.squashInv = 1035;
+    s.stallRob = 1036;
+    s.stallLq = 1037;
+    s.stallSq = 1038;
+    s.stallOther = 1039;
+    s.coreCycles = 1040;
+    s.tsoViolations = 1041;
+    r.attempts = 3;
+    r.infraFailure = true;
+    r.crashJson = "{\"verdict\":\"panic\"}";
+    r.crashReportPath = "crash-job23.json";
+    r.equivalenceChecked = true;
+    r.equivalenceMatch = true;
+    r.equivalenceDetail = "mem[0x80] 3 != 4";
+    return r;
+}
+
 void
 expectEqual(const JobResult &a, const JobResult &b)
 {
@@ -265,6 +337,17 @@ TEST(JobJournalFile, EncodingIsPinned)
     EXPECT_EQ(rec, 569u);
     EXPECT_EQ(fnv1a64(full.data() + header.size(), rec),
               0x1c377676de5a6326ULL);
+
+    // The same for a record in which every field is set.
+    ASSERT_TRUE(j.open(path, sampleHeader(), err)) << err;
+    j.append(fullResult());
+    j.close();
+    const auto every = readFile(path);
+    ASSERT_GT(every.size(), header.size());
+    const std::size_t every_rec = every.size() - header.size();
+    EXPECT_EQ(every_rec, 559u);
+    EXPECT_EQ(fnv1a64(every.data() + header.size(), every_rec),
+              0x7bf9d1f800bb4892ULL);
     std::remove(path.c_str());
 }
 
@@ -508,6 +591,14 @@ TEST(ResultCache, EntryEncodingIsPinned)
     EXPECT_EQ(bytes.size(), 595u);
     EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()),
               0x8fd038b496f65a05ULL);
+
+    // The same for an entry in which every field is set.
+    fs::remove_all(dir);
+    ResultCache(dir).store("pinned-key", fullResult());
+    const auto every = readFile(dir + "/" + files[0]);
+    EXPECT_EQ(every.size(), 585u);
+    EXPECT_EQ(fnv1a64(every.data(), every.size()),
+              0x649633e7b8beb905ULL);
     fs::remove_all(dir);
 }
 

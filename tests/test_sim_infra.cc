@@ -25,15 +25,23 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, SumCountersBySuffix)
+TEST(Stats, SumCountersByPattern)
 {
     StatRegistry reg;
     StatGroup a(&reg, "core.0");
     StatGroup b(&reg, "core.1");
+    StatGroup l1(&reg, "l1.0");
     a.counter("commits") += 10;
     b.counter("commits") += 32;
     a.counter("other") += 5;
-    EXPECT_EQ(reg.sumCounters(".commits"), 42u);
+    l1.counter("commits") += 100;
+    EXPECT_EQ(reg.sum("core.*.commits"), 42u);
+    EXPECT_EQ(reg.sum("*.*.commits"), 142u);
+    EXPECT_EQ(reg.sum("core.1.commits"), 32u);
+    // '*' is exactly one segment, and literals match whole segments.
+    EXPECT_EQ(reg.sum("*.commits"), 0u);
+    EXPECT_EQ(reg.sum("core.*"), 0u);
+    EXPECT_EQ(reg.sum("cor.*.commits"), 0u);
     EXPECT_EQ(reg.counterValue("core.9.commits"), 0u);
 }
 

@@ -158,7 +158,7 @@ TEST(SystemMulti, NonSilentEvictionsStayCorrect)
         ASSERT_TRUE(r.completed)
             << commitModeName(mode) << " deadlocked=" << r.deadlocked;
         EXPECT_EQ(r.tsoViolations, 0u) << commitModeName(mode);
-        EXPECT_GT(sys.stats().sumCounters(".putsShared"), 0u)
+        EXPECT_GT(sys.stats().sum("l1.*.putsShared"), 0u)
             << "non-silent mode never sent a PutS";
     }
 }
@@ -188,7 +188,7 @@ TEST(SystemMulti, PrefetcherStaysCorrectAndIssues)
     SimResults r = sys.run();
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.tsoViolations, 0u);
-    EXPECT_GT(sys.stats().sumCounters(".prefetches"), 0u);
+    EXPECT_GT(sys.stats().sum("l1.*.prefetches"), 0u);
     for (int t = 0; t < 2; ++t)
         for (Reg reg = 1; reg < 16; ++reg)
             EXPECT_EQ(sys.core(t).regValue(reg),
@@ -316,8 +316,7 @@ TEST(SystemMulti, SnapshotAggregatesCounters)
     EXPECT_GT(r.stores, 0u);
     EXPECT_GT(r.messages, 0u);
     EXPECT_GT(r.flitHops, 0u);
-    EXPECT_EQ(r.instructions,
-              sys.stats().sumCounters(".commits"));
+    EXPECT_EQ(r.instructions, sys.stats().sum("core.*.commits"));
 }
 
 } // namespace wb

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -41,6 +42,7 @@
 #include "campaign/job_journal.hh"
 #include "campaign/result_cache.hh"
 #include "campaign/worker_pool.hh"
+#include "sim/parse.hh"
 
 namespace
 {
@@ -197,13 +199,15 @@ main(int argc, char **argv)
     bool no_cache = false;
     bool process_backend = false;
     double job_timeout = 0;
-    long job_mem_mb = 0;
+    std::uint64_t job_mem_mb = 0;
     int max_respawns = -1;
     int poison_threshold = 0;
     std::string chaos_spec;
     std::string telemetry_dir;
-    long long telemetry_period = 0;
+    Tick telemetry_period = 0;
     double heartbeat_grace = 0;
+    constexpr int intMax = std::numeric_limits<int>::max();
+    constexpr double realMax = std::numeric_limits<double>::max();
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -214,17 +218,18 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        bool ok = true; // false: the complaint is printed, exit 64
         if (a == "--spec")
             spec_path = next();
         else if (a == "--builtin")
             builtin = next();
-        else if (a == "-j" || a == "--jobs")
-            jobs = std::atoi(next());
-        else if (a.rfind("-j", 0) == 0 && a.size() > 2 &&
-                 std::isdigit(static_cast<unsigned char>(a[2])))
-            jobs = std::atoi(a.c_str() + 2);
-        else if (a == "--seeds")
-            seeds_override = std::atoi(next());
+        else if (a == "--jobs" || a.rfind("-j", 0) == 0) {
+            // --jobs N, -j N or -jN
+            const std::string v =
+                a.size() > 2 && a[1] == 'j' ? a.substr(2) : next();
+            ok = parseFlag("--jobs", v, 0, 4096, jobs);
+        } else if (a == "--seeds")
+            ok = parseFlag("--seeds", next(), 1, intMax, seeds_override);
         else if (a == "--quick")
             seeds_override = 4;
         else if (a == "--out")
@@ -250,22 +255,28 @@ main(int argc, char **argv)
         else if (a == "--process")
             process_backend = true;
         else if (a == "--job-timeout")
-            job_timeout = std::atof(next());
+            ok = parseFlag("--job-timeout", next(), 0.0, realMax,
+                           job_timeout);
         else if (a == "--job-mem-limit")
-            job_mem_mb = std::atol(next());
+            ok = parseFlag("--job-mem-limit", next(), 0,
+                           ~std::uint64_t(0), job_mem_mb);
         else if (a == "--max-respawns")
-            max_respawns = std::atoi(next());
+            ok = parseFlag("--max-respawns", next(), 0, intMax,
+                           max_respawns);
         else if (a == "--poison-threshold")
-            poison_threshold = std::atoi(next());
+            ok = parseFlag("--poison-threshold", next(), 1, intMax,
+                           poison_threshold);
         else if (a == "--chaos-worker") {
             chaos_spec = next();
             process_backend = true;
         } else if (a == "--telemetry")
             telemetry_dir = next();
         else if (a == "--telemetry-period")
-            telemetry_period = std::atoll(next());
+            ok = parseFlag("--telemetry-period", next(), 1, ~Tick(0),
+                           telemetry_period);
         else if (a == "--heartbeat-grace")
-            heartbeat_grace = std::atof(next());
+            ok = parseFlag("--heartbeat-grace", next(), 0.0, realMax,
+                           heartbeat_grace);
         else if (a == "--dry-run")
             dry_run = true;
         else if (a == "--no-progress")
@@ -274,19 +285,13 @@ main(int argc, char **argv)
             usage();
             return a == "--help" || a == "-h" ? 0 : 64;
         }
+        if (!ok)
+            return 64;
     }
 
-    if (telemetry_period < 0 ||
-        (telemetry_period != 0 && telemetry_dir.empty())) {
+    if (telemetry_period != 0 && telemetry_dir.empty()) {
         std::fprintf(stderr,
-                     telemetry_period < 0
-                         ? "--telemetry-period: must be >= 1\n"
-                         : "--telemetry-period needs --telemetry "
-                           "DIR\n");
-        return 64;
-    }
-    if (heartbeat_grace < 0) {
-        std::fprintf(stderr, "--heartbeat-grace: must be >= 0\n");
+                     "--telemetry-period needs --telemetry DIR\n");
         return 64;
     }
 
@@ -433,8 +438,7 @@ main(int argc, char **argv)
                                    : out_dir + "/cache");
     opts.process.enabled = process_backend;
     opts.process.jobTimeoutSeconds = job_timeout;
-    opts.process.jobMemLimitMb =
-        job_mem_mb > 0 ? static_cast<std::uint64_t>(job_mem_mb) : 0;
+    opts.process.jobMemLimitMb = job_mem_mb;
     if (max_respawns >= 0)
         opts.process.maxRespawnsPerWorker = max_respawns;
     if (poison_threshold > 0)
@@ -443,7 +447,7 @@ main(int argc, char **argv)
     if (heartbeat_grace > 0)
         opts.process.heartbeatGraceSeconds = heartbeat_grace;
     opts.telemetryDir = telemetry_dir;
-    opts.telemetryPeriod = Tick(telemetry_period);
+    opts.telemetryPeriod = telemetry_period;
 
     // Self-pipe: the signal handler may only touch the stop flag and
     // this fd, and the supervisor's poll() must wake immediately so a

@@ -21,7 +21,8 @@
  * total wall-clock exceeding baseline * (1 + max-regress). Speedups
  * are reported, never failed on.
  *
- * Output schema "wb-perf-1" (compact JSON, fixed key order):
+ * Output schema "wb-perf-1" (compact JSON, fixed key order), on
+ * stdout unless --out FILE is given:
  *   { schema, bench, scale, cells:[{name, kind, wallSeconds,
  *     events, eventsPerSec, fingerprint}...], totalWallSeconds,
  *     totalEvents, eventsPerSec, peakRssKb,
@@ -35,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -49,10 +51,12 @@
 #include "network/mesh.hh"
 #include "sim/bytes.hh"
 #include "sim/event_queue.hh"
+#include "sim/parse.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "system/json_writer.hh"
 #include "system/system.hh"
+#include "workload/benchmarks.hh"
 
 namespace
 {
@@ -62,36 +66,18 @@ using namespace wb;
 // ---------------------------------------------------------------- fp
 
 /** Fingerprint the simulated (never wall-clock) outcome of a run:
- *  FNV-1a over each field as 8 little-endian bytes. Field order is
- *  part of the fingerprint contract — append only. */
+ *  FNV-1a over the status and each fingerprinted resultFields row,
+ *  each as 8 little-endian bytes. Field order is part of the
+ *  fingerprint contract — append only. */
 std::uint64_t
 fingerprintResults(const SimResults &r)
 {
     ByteWriter fp;
     fp.u64(r.completed);
     fp.u64(r.deadlocked);
-    fp.u64(r.cycles);
-    fp.u64(r.instructions);
-    fp.u64(r.loads);
-    fp.u64(r.stores);
-    fp.u64(r.atomics);
-    fp.u64(r.flitHops);
-    fp.u64(r.messages);
-    fp.u64(r.wbEntries);
-    fp.u64(r.wbEncounters);
-    fp.u64(r.uncacheableReads);
-    fp.u64(r.nacksSent);
-    fp.u64(r.ackReleases);
-    fp.u64(r.lockdownsSet);
-    fp.u64(r.ldtExports);
-    fp.u64(r.oooCommits);
-    fp.u64(r.squashBranch);
-    fp.u64(r.squashDspec);
-    fp.u64(r.squashInv);
-    fp.u64(r.stallRob);
-    fp.u64(r.stallLq);
-    fp.u64(r.stallSq);
-    fp.u64(r.coreCycles);
+    for (const ResultField &f : resultFields)
+        if (f.fingerprinted)
+            fp.u64(r.*f.count);
     return fp.checksum();
 }
 
@@ -467,7 +453,7 @@ usage(const char *argv0)
         "          [--micro-only | --fig-only] [--quiet]\n"
         "\n"
         "Runs the fixed micro + fig8 perf matrix, writes a\n"
-        "wb-perf-1 JSON report (default BENCH_10.json), and with\n"
+        "wb-perf-1 JSON report (to stdout unless --out), and with\n"
         "--check compares simulated-stat fingerprints (and, with\n"
         "--max-regress, total wall clock) against a baseline.\n"
         "--shards N runs the fig cells sharded (docs/PARALLEL.md);\n"
@@ -482,7 +468,7 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    std::string outPath = "BENCH_10.json";
+    std::string outPath = "-";
     std::string checkPath;
     double maxRegress = -1;
     double scale = 0.1;
@@ -492,44 +478,33 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
+            if (i + 1 >= argc)
+                std::exit(usage(argv[0]));
+            return argv[++i];
         };
-        if (a == "--out") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            outPath = v;
-        } else if (a == "--check") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            checkPath = v;
-        } else if (a == "--max-regress") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            maxRegress = std::atof(v);
-        } else if (a == "--scale") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            scale = std::atof(v);
-        } else if (a == "--shards") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            shards = std::atoi(v);
-            if (shards < 1 || shards > 16)
-                return usage(argv[0]);
-        } else if (a == "--micro-only") {
+        bool ok = true; // false: the complaint is printed, exit 64
+        if (a == "--out")
+            outPath = next();
+        else if (a == "--check")
+            checkPath = next();
+        else if (a == "--max-regress")
+            ok = parseFlag("--max-regress", next(), 0.0,
+                           std::numeric_limits<double>::max(),
+                           maxRegress);
+        else if (a == "--scale")
+            ok = parseFlag("--scale", next(), minScale, maxScale, scale);
+        else if (a == "--shards")
+            ok = parseFlag("--shards", next(), 1, 16, shards);
+        else if (a == "--micro-only")
             microOnly = true;
-        } else if (a == "--fig-only") {
+        else if (a == "--fig-only")
             figOnly = true;
-        } else if (a == "--quiet") {
+        else if (a == "--quiet")
             quiet = true;
-        } else {
+        else
             return usage(argv[0]);
-        }
+        if (!ok)
+            return 64;
     }
     if (microOnly && figOnly)
         return usage(argv[0]);

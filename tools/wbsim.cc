@@ -21,9 +21,8 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <cmath>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +36,7 @@
 #include "obs/perfetto.hh"
 #include "obs/timeline.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "snapshot/system_state.hh"
 #include "system/crash_report.hh"
 #include "system/report.hh"
@@ -81,8 +81,8 @@ usage()
         "  --non-silent      non-silent shared evictions\n"
         "  --in-order-issue  stall-on-use (EV5/ECL-style) issue\n"
         "  --ldt N           lockdown table size (default 32)\n"
-        "  --trace FLAGS     comma list: core,cache,dir,net,\n"
-        "                    lockdown,checker,commit\n"
+        "  --trace FLAGS     comma list: core,cache,dir,\n"
+        "                    lockdown,checker\n"
         "  --faults SPEC     fault campaign, e.g.\n"
         "                    \"seed=7,delay=0.01:200,drop=0.001:2\"\n"
         "  --crash-dump FILE write a JSON crash report on any\n"
@@ -136,67 +136,6 @@ usage()
 }
 
 /**
- * Strict bounded count parse for flags like --cores/--iters/--seed.
- * The historical std::atoi calls silently read "16x" as 16, "huge"
- * as 0 and "-5" as 2^64 - 5; here the whole string must be a
- * decimal/hex number inside [lo, hi]. On failure, prints a
- * usage-taxonomy complaint naming the flag and the specific defect
- * (not a number, trailing garbage, out of range) — callers exit 64.
- */
-bool
-parseCount(const char *flag, const std::string &s, std::uint64_t lo,
-           std::uint64_t hi, std::uint64_t &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+' ||
-        std::isspace(static_cast<unsigned char>(s[0]))) {
-        std::fprintf(stderr,
-                     "%s: '%s' is not an unsigned number\n", flag,
-                     s.c_str());
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (end == s.c_str()) {
-        std::fprintf(stderr, "%s: '%s' is not a number\n", flag,
-                     s.c_str());
-        return false;
-    }
-    if (*end != '\0') {
-        std::fprintf(stderr,
-                     "%s: trailing garbage '%s' after number in "
-                     "'%s'\n",
-                     flag, end, s.c_str());
-        return false;
-    }
-    if (errno == ERANGE || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "%s: %s out of range [%llu, %llu]\n", flag,
-                     s.c_str(), static_cast<unsigned long long>(lo),
-                     static_cast<unsigned long long>(hi));
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-/** Whole-string parse of a positive finite number (--scale). */
-bool
-parsePositive(const char *flag, const std::string &s, double &out)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
-        *end != '\0' || !std::isfinite(v) || v <= 0) {
-        std::fprintf(stderr, "%s: '%s' is not a positive number\n",
-                     flag, s.c_str());
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-/**
  * Split and validate a "FILE,PERIOD" sink spec (--timeline,
  * --metrics-stream). Rejects a missing comma, an empty path, and a
  * zero/non-numeric/trailing-garbage period, printing the complaint
@@ -212,7 +151,7 @@ parseSinkSpec(const char *flag, const std::string &v,
         return false;
     }
     path = v.substr(0, comma);
-    return parseCount(flag, v.substr(comma + 1), 1, ~Tick(0), period);
+    return parseFlag(flag, v.substr(comma + 1), 1, ~Tick(0), period);
 }
 
 /**
@@ -226,13 +165,12 @@ bool
 probeSinkWritable(const std::string &spec, std::string &err)
 {
     if (spec.rfind("fd:", 0) == 0) {
-        char *end = nullptr;
-        const long fd = std::strtol(spec.c_str() + 3, &end, 10);
-        if (end == spec.c_str() + 3 || *end != '\0' || fd < 0) {
+        int fd = 0;
+        if (!parseNumber(spec.substr(3), 0, INT_MAX, fd).empty()) {
             err = "bad descriptor in '" + spec + "'";
             return false;
         }
-        const int d = ::dup(static_cast<int>(fd));
+        const int d = ::dup(fd);
         if (d < 0) {
             err = spec + ": " + std::strerror(errno);
             return false;
@@ -249,11 +187,13 @@ probeSinkWritable(const std::string &spec, std::string &err)
     return true;
 }
 
-void
+/** Enable each flag of a comma list; an unknown flag is a usage
+ *  error (exit 64). */
+bool
 enableTrace(const std::string &flags)
 {
     std::size_t pos = 0;
-    while (pos < flags.size()) {
+    while (pos <= flags.size()) {
         std::size_t comma = flags.find(',', pos);
         if (comma == std::string::npos)
             comma = flags.size();
@@ -264,19 +204,18 @@ enableTrace(const std::string &flags)
             Trace::enable(LogFlag::Cache);
         else if (f == "dir")
             Trace::enable(LogFlag::Directory);
-        else if (f == "net")
-            Trace::enable(LogFlag::Network);
         else if (f == "lockdown")
             Trace::enable(LogFlag::Lockdown);
         else if (f == "checker")
             Trace::enable(LogFlag::Checker);
-        else if (f == "commit")
-            Trace::enable(LogFlag::Commit);
-        else
-            std::fprintf(stderr, "unknown trace flag '%s'\n",
+        else {
+            std::fprintf(stderr, "--trace: unknown flag '%s'\n",
                          f.c_str());
+            return false;
+        }
         pos = comma + 1;
     }
+    return true;
 }
 
 void
@@ -355,6 +294,7 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        bool ok = true; // false: the complaint is printed, exit 64
         if (a == "--workload")
             workload = next();
         else if (a == "--mode") {
@@ -368,25 +308,15 @@ main(int argc, char **argv)
                 return 64;
             }
         } else if (a == "--cores") {
-            std::uint64_t v = 0;
-            if (!parseCount("--cores", next(), 1, maxCores, v))
-                return 64;
-            cores = int(v);
+            ok = parseFlag("--cores", next(), 1, maxCores, cores);
             cores_set = true;
-        } else if (a == "--scale") {
-            if (!parsePositive("--scale", next(), scale))
-                return 64;
-        } else if (a == "--iters") {
-            std::uint64_t v = 0;
-            if (!parseCount("--iters", next(), 1, 100'000'000, v))
-                return 64;
-            iters = int(v);
-        } else if (a == "--shards") {
-            std::uint64_t v = 0;
-            if (!parseCount("--shards", next(), 1, 4096, v))
-                return 64;
-            shards = int(v);
-        } else if (a == "--network") {
+        } else if (a == "--scale")
+            ok = parseFlag("--scale", next(), minScale, maxScale, scale);
+        else if (a == "--iters")
+            ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
+        else if (a == "--shards")
+            ok = parseFlag("--shards", next(), 1, 4096, shards);
+        else if (a == "--network") {
             const std::string n = next();
             if (n != "mesh" && n != "ideal") {
                 std::fprintf(stderr,
@@ -400,25 +330,19 @@ main(int argc, char **argv)
         } else if (a == "--jitter") {
             // Bounded well below the watchdogs, so jitter alone can
             // never pass for a hang.
-            if (!parseCount("--jitter", next(), 0, 10'000, jitter))
-                return 64;
-        } else if (a == "--seed") {
-            if (!parseCount("--seed", next(), 0, ~std::uint64_t(0),
-                            seed))
-                return 64;
-        } else if (a == "--no-checker")
+            ok = parseFlag("--jitter", next(), 0, 10'000, jitter);
+        } else if (a == "--seed")
+            ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0), seed);
+        else if (a == "--no-checker")
             checker = false;
         else if (a == "--non-silent")
             silent_evictions = false;
         else if (a == "--in-order-issue")
             in_order_issue = true;
-        else if (a == "--ldt") {
-            std::uint64_t v = 0;
-            if (!parseCount("--ldt", next(), 1, 1 << 20, v))
-                return 64;
-            ldt = int(v);
-        } else if (a == "--trace")
-            enableTrace(next());
+        else if (a == "--ldt")
+            ok = parseFlag("--ldt", next(), 1, 1 << 20, ldt);
+        else if (a == "--trace")
+            ok = enableTrace(next());
         else if (a == "--faults")
             faults_spec = next();
         else if (a == "--crash-dump")
@@ -427,14 +351,11 @@ main(int argc, char **argv)
             dump_stats = true;
         else if (a == "--flight-recorder")
             flight_recorder = 65536;
-        else if (a.rfind("--flight-recorder=", 0) == 0) {
-            std::uint64_t v = 0;
-            if (!parseCount("--flight-recorder",
-                            a.substr(std::strlen("--flight-recorder=")),
-                            1, ~std::uint64_t(0), v))
-                return 64;
-            flight_recorder = std::size_t(v);
-        } else if (a == "--trace-out")
+        else if (a.rfind("--flight-recorder=", 0) == 0)
+            ok = parseFlag("--flight-recorder",
+                           a.substr(std::strlen("--flight-recorder=")),
+                           1, ~std::size_t(0), flight_recorder);
+        else if (a == "--trace-out")
             trace_out = next();
         else if (a == "--timeline" ||
                  a.rfind("--timeline=", 0) == 0) {
@@ -442,18 +363,16 @@ main(int argc, char **argv)
                 a == "--timeline"
                     ? next()
                     : a.substr(std::strlen("--timeline="));
-            if (!parseSinkSpec("--timeline", v, timeline_path,
-                               timeline_period))
-                return 64;
+            ok = parseSinkSpec("--timeline", v, timeline_path,
+                               timeline_period);
         } else if (a == "--metrics-stream" ||
                    a.rfind("--metrics-stream=", 0) == 0) {
             const std::string v =
                 a == "--metrics-stream"
                     ? next()
                     : a.substr(std::strlen("--metrics-stream="));
-            if (!parseSinkSpec("--metrics-stream", v,
-                               metrics_stream, metrics_period))
-                return 64;
+            ok = parseSinkSpec("--metrics-stream", v, metrics_stream,
+                               metrics_period);
         } else if (a == "--metrics-expo")
             metrics_expo = next();
         else if (a == "--checkpoint-at" ||
@@ -462,9 +381,8 @@ main(int argc, char **argv)
                 a == "--checkpoint-at"
                     ? next()
                     : a.substr(std::strlen("--checkpoint-at="));
-            if (!parseCount("--checkpoint-at", v, 1, ~Tick(0),
-                            checkpoint_at))
-                return 64;
+            ok = parseFlag("--checkpoint-at", v, 1, ~Tick(0),
+                           checkpoint_at);
         } else if (a == "--checkpoint")
             checkpoint_path = next();
         else if (a == "--restore")
@@ -480,6 +398,8 @@ main(int argc, char **argv)
             usage();
             return a == "--help" || a == "-h" ? 0 : 64;
         }
+        if (!ok)
+            return 64;
     }
 
     // Build the workload. Trace provenance (source tag + generation

@@ -31,6 +31,7 @@
 
 #include "coherence/config.hh"
 #include "isa/instr.hh"
+#include "sim/parse.hh"
 #include "trace/trace_recorder.hh"
 #include "trace/trace_workload.hh"
 #include "workload/benchmarks.hh"
@@ -82,32 +83,25 @@ cmdRecord(int argc, char **argv)
             }
             return argv[++i];
         };
+        bool ok = true; // false: the complaint is printed, exit 64
         if (a == "--workload")
             workload = next();
         else if (a == "-o" || a == "--out")
             out = next();
         else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 0);
-        else if (a == "--cores") {
-            const char *s = next();
-            char *end = nullptr;
-            const long v = std::strtol(s, &end, 10);
-            if (end == s || *end != '\0' || v < 1 || v > maxCores) {
-                std::fprintf(stderr,
-                             "--cores: '%s' is not a core count in "
-                             "[1, %d]\n",
-                             s, maxCores);
-                return 64;
-            }
-            cores = int(v);
-        } else if (a == "--scale")
-            scale = std::atof(next());
+            ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0), seed);
+        else if (a == "--cores")
+            ok = parseFlag("--cores", next(), 1, maxCores, cores);
+        else if (a == "--scale")
+            ok = parseFlag("--scale", next(), minScale, maxScale, scale);
         else if (a == "--iters")
-            iters = std::atoi(next());
+            ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
         else {
             usage();
             return 64;
         }
+        if (!ok)
+            return 64;
     }
     if (workload.empty() || out.empty()) {
         usage();
@@ -121,6 +115,12 @@ cmdRecord(int argc, char **argv)
     if (parseLitmusName(workload, lk)) {
         wl = makeLitmus(lk, iters);
         source = "litmus";
+    } else if (!std::ranges::count(benchmarkNames(), workload)) {
+        std::fprintf(stderr,
+                     "--workload: unknown workload '%s' (see wbsim "
+                     "--list)\n",
+                     workload.c_str());
+        return 64;
     } else {
         SyntheticParams p = benchmarkProfile(workload, scale);
         if (seed)
