@@ -40,7 +40,7 @@ main()
         SystemConfig cfg = wbench::paperConfig(CommitMode::OooWB);
         cfg.mem.silentSharedEvictions = false;
         System sys(cfg, wl);
-        SimResults loud = sys.run();
+        SimResults loud = wbench::runChecked(sys, name + " (non-silent)");
         const std::uint64_t puts = sys.stats().sum("l1.*.putsShared");
 
         const double nf =

@@ -43,7 +43,9 @@ main()
                 wbench::paperConfig(CommitMode::OooWB);
             cfg.core.ldtSize = s;
             System sys(cfg, wl);
-            SimResults r = sys.run();
+            SimResults r = wbench::runChecked(
+                sys, std::string(name) + " (ldt " +
+                         std::to_string(s) + ")");
             std::printf(" %9.3f",
                         double(r.cycles) / double(io.cycles));
         }

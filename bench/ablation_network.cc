@@ -40,14 +40,18 @@ main()
             SystemConfig io = wbench::paperConfig(
                 CommitMode::InOrder);
             io.mesh.hopLatency = h;
+            const std::string hop =
+                " (hop " + std::to_string(h) + ")";
             System s1(io, wl);
-            SimResults r1 = s1.run();
+            SimResults r1 =
+                wbench::runChecked(s1, name + (" in-order" + hop));
 
             SystemConfig wb_cfg =
                 wbench::paperConfig(CommitMode::OooWB);
             wb_cfg.mesh.hopLatency = h;
             System s2(wb_cfg, wl);
-            SimResults r2 = s2.run();
+            SimResults r2 =
+                wbench::runChecked(s2, name + (" ooo-wb" + hop));
             std::printf("   %9.3f",
                         r1.cycles ? double(r2.cycles) /
                                         double(r1.cycles)

@@ -26,6 +26,7 @@ main()
 
     double sum = 0;
     int n = 0;
+    bool violated = false;
     for (const std::string &name : benchmarkNames()) {
         SimResults off = wbench::runBenchmark(
             name, CommitMode::OooWB, CoreClass::SLM, scale);
@@ -35,7 +36,7 @@ main()
         cfg.mem.prefetchNextLine = true;
         cfg.checker = true; // prove prefetching stays TSO-correct
         System sys(cfg, wl);
-        SimResults on = sys.run();
+        SimResults on = wbench::runChecked(sys, name + " (prefetch)");
         const std::uint64_t pf = sys.stats().sum("l1.*.prefetches");
 
         const double nt =
@@ -43,6 +44,7 @@ main()
                        : 1.0;
         sum += nt;
         ++n;
+        violated |= on.tsoViolations != 0;
         std::printf("%-15s %12llu %12llu %10.4f %12llu %10s\n",
                     name.c_str(),
                     static_cast<unsigned long long>(off.cycles),
@@ -53,5 +55,5 @@ main()
     wbench::printRule(78);
     std::printf("%-15s %36.4f\n", "average", sum / n);
     wbench::reportRunIncomplete();
-    return 0;
+    return violated ? 1 : 0;
 }

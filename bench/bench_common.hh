@@ -104,11 +104,11 @@ reportIncomplete(const wb::CampaignResult &result)
 }
 
 /**
- * Run one benchmark profile serially (the ablation harnesses still
- * iterate a parameter at a time). The returned SimResults carries
- * completed=false when the run hit maxCycles; callers aggregating
- * several runs should count those rather than fold them in
- * silently — runIncomplete() tallies them per process.
+ * Serial runs (the ablations iterate a parameter at a time; table2
+ * runs litmus machines) go through runChecked(): a run that hit
+ * maxCycles is warned about on stderr and tallied in
+ * runIncomplete(), and reportRunIncomplete() flags the rows it skews
+ * instead of folding it in silently.
  */
 inline int &
 runIncomplete()
@@ -117,21 +117,29 @@ runIncomplete()
     return n;
 }
 
+/** Run a built System (@p what names it in the warning); its
+ *  stats() stay readable afterwards. */
+inline wb::SimResults
+runChecked(wb::System &sys, const std::string &what)
+{
+    wb::SimResults r = sys.run();
+    if (!r.completed) {
+        ++runIncomplete();
+        std::fprintf(stderr, "WARNING: %s did not complete\n",
+                     what.c_str());
+    }
+    return r;
+}
+
+/** Run one benchmark profile on the paper machine. */
 inline wb::SimResults
 runBenchmark(const std::string &name, wb::CommitMode mode,
              wb::CoreClass cls, double scale)
 {
     wb::Workload wl = wb::makeBenchmark(name, 16, scale);
     wb::System sys(paperConfig(mode, cls), wl);
-    wb::SimResults r = sys.run();
-    if (!r.completed) {
-        ++runIncomplete();
-        std::fprintf(stderr,
-                     "WARNING: %s (%s/%s) did not complete\n",
-                     name.c_str(), wb::commitModeName(mode),
-                     wb::coreClassName(cls));
-    }
-    return r;
+    return runChecked(sys, name + " (" + wb::commitModeName(mode) +
+                               "/" + wb::coreClassName(cls) + ")");
 }
 
 /** Footer for the serial ablation harnesses. */

@@ -13,29 +13,35 @@ CampaignAggregator::CampaignAggregator(std::size_t total)
 }
 
 void
+OutcomeTally::add(const JobResult &r)
+{
+    if (r.infraFailure) {
+        ++infraFailures;
+    } else {
+        switch (r.outcome) {
+          case RunOutcome::Ok: ++ok; break;
+          case RunOutcome::TsoViolation: ++tsoViolations; break;
+          case RunOutcome::Deadlock: ++deadlocks; break;
+          case RunOutcome::Panic: ++panics; break;
+        }
+    }
+    if (!r.results.completed)
+        ++incomplete;
+    if (r.equivalenceChecked) {
+        ++equivalenceChecked;
+        if (!r.equivalenceMatch)
+            ++equivalenceMismatches;
+    }
+}
+
+void
 CampaignAggregator::record(const JobResult &r)
 {
     std::lock_guard<std::mutex> lk(_mu);
     ++_sum.done;
-    if (r.infraFailure) {
-        ++_sum.infraFailures;
-    } else {
-        switch (r.outcome) {
-          case RunOutcome::Ok: ++_sum.ok; break;
-          case RunOutcome::TsoViolation: ++_sum.tsoViolations; break;
-          case RunOutcome::Deadlock: ++_sum.deadlocks; break;
-          case RunOutcome::Panic: ++_sum.panics; break;
-        }
-    }
-    if (!r.results.completed)
-        ++_sum.incomplete;
+    _sum.add(r);
     if (r.attempts > 1)
         ++_sum.retried;
-    if (r.equivalenceChecked) {
-        ++_sum.equivalenceChecked;
-        if (!r.equivalenceMatch)
-            ++_sum.equivalenceMismatches;
-    }
 }
 
 CampaignSummary
@@ -61,25 +67,7 @@ reduceCells(const CampaignSpec &spec,
         }
         CellSummary &c = cells[it->second];
         ++c.count;
-        if (r.infraFailure) {
-            ++c.infraFailures;
-        } else {
-            switch (r.outcome) {
-              case RunOutcome::Ok: ++c.ok; break;
-              case RunOutcome::TsoViolation:
-                ++c.tsoViolations;
-                break;
-              case RunOutcome::Deadlock: ++c.deadlocks; break;
-              case RunOutcome::Panic: ++c.panics; break;
-            }
-        }
-        if (!r.results.completed)
-            ++c.incomplete;
-        if (r.equivalenceChecked) {
-            ++c.equivalenceChecked;
-            if (!r.equivalenceMatch)
-                ++c.equivalenceMismatches;
-        }
+        c.add(r);
         c.cycles.add(r.results.cycles);
         c.instructions.add(r.results.instructions);
         c.wbEntries.add(r.results.wbEntries);
@@ -270,13 +258,7 @@ writeCampaignJson(std::ostream &os, const CampaignSpec &spec,
 void
 writeCampaignCsv(std::ostream &os, const CampaignResult &result)
 {
-    os << "index,workload,mode,class,variant,mix,seedIndex,seed,"
-          "faultSeed,verdict,exitCode,attempts,completed,cycles,"
-          "instructions,loads,stores,atomics,wbEntries,"
-          "uncacheableReads,messages,leakedMessages,faultsDropped,"
-          "faultsDuplicated,faultsDelayed,tsoViolations,"
-          "retransmits,recoveredMessages,arqReissues,dedupHits,"
-          "equivalence\n";
+    os << campaignCsvHeader << '\n';
     for (const JobResult &r : result.jobs) {
         const SimResults &res = r.results;
         os << r.spec.index << ',' << r.spec.workload << ','

@@ -21,6 +21,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign_runner.hh"
@@ -49,19 +50,10 @@ struct MetricSummary
 };
 
 /** One aggregation cell (see CampaignSpec::cellKey). */
-struct CellSummary
+struct CellSummary : OutcomeTally
 {
     std::string key;
     std::size_t count = 0;
-    std::size_t ok = 0;
-    std::size_t tsoViolations = 0;
-    std::size_t deadlocks = 0;
-    std::size_t panics = 0;
-    std::size_t infraFailures = 0;
-    std::size_t incomplete = 0;
-
-    std::size_t equivalenceChecked = 0;
-    std::size_t equivalenceMismatches = 0;
 
     MetricSummary cycles;
     MetricSummary instructions;
@@ -99,6 +91,18 @@ std::vector<CellSummary> reduceCells(const CampaignSpec &spec,
  *  Byte-identical for a given spec regardless of worker count. */
 void writeCampaignJson(std::ostream &os, const CampaignSpec &spec,
                        const CampaignResult &result);
+
+/** The per-job CSV's header row (no newline). The result cache
+ *  hashes it into every key (resultSchemaFingerprint), so a column
+ *  change invalidates cached entries. */
+inline constexpr std::string_view campaignCsvHeader =
+    "index,workload,mode,class,variant,mix,seedIndex,seed,"
+    "faultSeed,verdict,exitCode,attempts,completed,cycles,"
+    "instructions,loads,stores,atomics,wbEntries,"
+    "uncacheableReads,messages,leakedMessages,faultsDropped,"
+    "faultsDuplicated,faultsDelayed,tsoViolations,"
+    "retransmits,recoveredMessages,arqReissues,dedupHits,"
+    "equivalence";
 
 /** One CSV row per job (stable header; see docs/CAMPAIGN.md). */
 void writeCampaignCsv(std::ostream &os, const CampaignResult &result);

@@ -125,17 +125,7 @@ executeOnce(const CampaignSpec &spec, const JobSpec &job,
         std::ostringstream dump;
         writeCrashReport(dump, sys, cr.verdict, cr.detail);
         res.crashJson = dump.str();
-        if (!out_dir.empty()) {
-            const std::string path =
-                out_dir + "/crash-job" +
-                std::to_string(job.index) + ".json";
-            std::ofstream f(path);
-            if (f) {
-                f << res.crashJson;
-                if (f.good())
-                    res.crashReportPath = path;
-            }
-        }
+        writeCrashSidecar(res, out_dir);
     }
     return res;
 }
@@ -198,6 +188,22 @@ struct TelemetryBoard
 };
 
 } // namespace
+
+void
+writeCrashSidecar(JobResult &res, const std::string &outDir)
+{
+    res.crashReportPath.clear();
+    if (res.crashJson.empty() || outDir.empty())
+        return;
+    const std::string path = outDir + "/crash-job" +
+                             std::to_string(res.spec.index) + ".json";
+    std::ofstream f(path);
+    if (f) {
+        f << res.crashJson;
+        if (f.good())
+            res.crashReportPath = path;
+    }
+}
 
 JobResult
 runCampaignJob(const CampaignSpec &spec, const JobSpec &job,
@@ -318,11 +324,10 @@ CampaignRunner::run()
     const bool use_cache = !_opts.cacheDir.empty();
 
     // Live telemetry: one emit closure shared by every executor
-    // (worker threads, the supervisor's frame loop, the degraded
-    // fallback), so per-job sidecar streams are byte-identical for
-    // any backend and worker count. Period resolution: explicit
-    // --telemetry-period, else the spec's obs.metrics-period, else
-    // 50k cycles.
+    // (worker threads, the supervisor's frame loop), so per-job
+    // sidecar streams are byte-identical for any backend and worker
+    // count. Period resolution: explicit --telemetry-period, else
+    // the spec's obs.metrics-period, else 50k cycles.
     TelemetryBoard board;
     TelemetryHooks tele;
     const TelemetryHooks *telep = nullptr;
@@ -390,18 +395,7 @@ CampaignRunner::run()
         if (key.empty() || !cache.lookup(key, cached))
             return false;
         cached.spec = jobs[i];
-        cached.crashReportPath.clear();
-        if (!cached.crashJson.empty() && !_opts.outDir.empty()) {
-            const std::string path =
-                _opts.outDir + "/crash-job" +
-                std::to_string(jobs[i].index) + ".json";
-            std::ofstream f(path);
-            if (f) {
-                f << cached.crashJson;
-                if (f.good())
-                    cached.crashReportPath = path;
-            }
-        }
+        writeCrashSidecar(cached, _opts.outDir);
         res = std::move(cached);
         return true;
     };
@@ -429,6 +423,7 @@ CampaignRunner::run()
         done[i] = 1;
     };
 
+    std::atomic<std::size_t> executed{0};
     auto worker = [&] {
         for (;;) {
             if (stopRequested())
@@ -442,15 +437,17 @@ CampaignRunner::run()
             busy.fetch_add(1, std::memory_order_relaxed);
             JobResult res;
             std::string key;
-            if (tryCacheFn(i, res, key))
+            if (tryCacheFn(i, res, key)) {
                 commitFn(i, std::move(res), key, true);
-            else
+            } else {
                 commitFn(i,
                          runCampaignJob(_spec, jobs[i],
                                         _opts.outDir,
                                         _opts.verifyEquivalence,
                                         telep),
                          key, false);
+                executed.fetch_add(1, std::memory_order_relaxed);
+            }
             busy.fetch_sub(1, std::memory_order_relaxed);
         }
     };
@@ -461,13 +458,11 @@ CampaignRunner::run()
     // All writes go through StderrGate, the process-wide guarded
     // writer, so a worker's watchdog dump cannot splice into the
     // middle of the status line (and vice versa).
-    std::FILE *pstream =
-        _opts.progressStream ? _opts.progressStream : stderr;
     std::thread reporter;
     std::mutex pmu;
     std::condition_variable pcv;
     if (_opts.progress && !jobs.empty()) {
-        const bool tty = isatty(fileno(pstream)) != 0;
+        const bool tty = isatty(fileno(stderr)) != 0;
         reporter = std::thread([&, tty] {
             std::size_t last_done = 0;
             const std::size_t step =
@@ -482,7 +477,7 @@ CampaignRunner::run()
                     telep ? board.progressSuffix() : "";
                 if (tty) {
                     StderrGate::writeStatus(
-                        pstream,
+                        stderr,
                         progressLine(s, busy.load(), nworkers,
                                      elapsed(), cache_hits.load(),
                                      tele_sfx)
@@ -491,7 +486,7 @@ CampaignRunner::run()
                            s.done == s.total) {
                     last_done = s.done;
                     StderrGate::writeBlock(
-                        pstream,
+                        stderr,
                         (progressLine(s, busy.load(), nworkers,
                                       elapsed(),
                                       cache_hits.load(),
@@ -501,32 +496,29 @@ CampaignRunner::run()
                 }
             }
             if (tty)
-                StderrGate::clearStatus(pstream);
+                StderrGate::clearStatus(stderr);
         });
     }
 
-    if (_opts.process.enabled) {
-        // Process-isolated backend (worker_pool.hh): execution
-        // moves into forked workers, but cache/aggregate/journal
-        // bookkeeping stays right here via the same callbacks the
-        // thread backend uses — aggregates remain byte-identical.
-        const WorkerPoolStats pst =
-            runWorkerPool(_spec, jobs, done, _opts, nworkers, busy,
-                          tryCacheFn, commitFn, telep);
-        out.workerRestarts = pst.workerRestarts;
-        out.workerCrashes = pst.workerCrashes;
-        out.jobTimeouts = pst.jobTimeouts;
-        out.jobOoms = pst.jobOoms;
-        out.quarantined = pst.quarantined;
-        out.degradedTransitions = pst.degradedTransitions;
-        out.inProcessJobs = pst.inProcessJobs;
-    } else {
+    // Process-isolated backend (worker_pool.hh): execution moves
+    // into forked workers, but cache/aggregate/journal bookkeeping
+    // stays right here via the same callbacks the thread backend
+    // uses — aggregates remain byte-identical. A pool that lost
+    // every worker hands the jobs it could not run back, and they
+    // drain on the thread backend below.
+    if (_opts.process.enabled)
+        out.supervision = runWorkerPool(jobs, done, _opts, nworkers,
+                                        busy, tryCacheFn, commitFn,
+                                        telep);
+    if (!_opts.process.enabled || out.supervision.degraded) {
         std::vector<std::thread> pool;
         pool.reserve(std::size_t(nworkers));
         for (int w = 0; w < nworkers; ++w)
             pool.emplace_back(worker);
         for (std::thread &t : pool)
             t.join();
+        if (out.supervision.degraded)
+            out.supervision.inProcessJobs = executed.load();
     }
 
     {

@@ -24,7 +24,6 @@
 #define WB_CAMPAIGN_CAMPAIGN_RUNNER_HH
 
 #include <atomic>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -37,12 +36,12 @@ namespace wb
 
 /**
  * Live-telemetry plumbing handed to job executors (thread backend,
- * worker processes, degraded fallback). When present and
- * period != 0, each job's System gets a metrics snapshot stream
- * whose lines are delivered through @c emit — tagged with the job
- * index so per-job NDJSON sidecars are deterministic for any worker
- * count. Telemetry never touches the aggregate JSON/CSV: it lives
- * beside them, like the durability counters (docs/CAMPAIGN.md).
+ * worker processes). When present and period != 0, each job's
+ * System gets a metrics snapshot stream whose lines are delivered
+ * through @c emit — tagged with the job index so per-job NDJSON
+ * sidecars are deterministic for any worker count. Telemetry never
+ * touches the aggregate JSON/CSV: it lives beside them, like the
+ * durability counters (docs/CAMPAIGN.md).
  */
 struct TelemetryHooks
 {
@@ -110,20 +109,29 @@ struct JournalHeader
     std::uint64_t jobCount = 0;
 };
 
-/** Order-independent campaign tallies (live and final). */
-struct CampaignSummary
+/** Outcome counts over a set of jobs: the campaign summary and
+ *  every aggregation cell tally the same way (add()). */
+struct OutcomeTally
 {
-    std::size_t total = 0;
-    std::size_t done = 0;
     std::size_t ok = 0;
     std::size_t tsoViolations = 0;
     std::size_t deadlocks = 0; //!< includes cycle-cap verdicts
     std::size_t panics = 0;
     std::size_t infraFailures = 0;
     std::size_t incomplete = 0; //!< jobs with !results.completed
-    std::size_t retried = 0;    //!< jobs that needed >1 attempt
     std::size_t equivalenceChecked = 0;
     std::size_t equivalenceMismatches = 0;
+
+    /** Count one finished job. */
+    void add(const JobResult &r);
+};
+
+/** Order-independent campaign tallies (live and final). */
+struct CampaignSummary : OutcomeTally
+{
+    std::size_t total = 0;
+    std::size_t done = 0;
+    std::size_t retried = 0; //!< jobs that needed >1 attempt
 
     /** Abnormal outcomes a campaign should alarm on by default. */
     std::size_t
@@ -132,6 +140,25 @@ struct CampaignSummary
         return tsoViolations + panics + infraFailures +
                equivalenceMismatches;
     }
+};
+
+/** What process-backend supervision did during one campaign
+ *  (worker_pool.hh); all zero under the thread backend. Sidecar-only
+ *  like the cache counters: it describes the host run, not the
+ *  experiment. */
+struct WorkerPoolStats
+{
+    std::size_t workerRestarts = 0;      //!< respawns performed
+    std::size_t workerCrashes = 0;       //!< abnormal worker deaths
+    std::size_t jobTimeouts = 0;         //!< deadline/heartbeat kills
+    std::size_t jobOoms = 0;             //!< jobs ending "job-oom"
+    std::size_t quarantined = 0;         //!< poison jobs recorded
+    std::size_t degradedTransitions = 0; //!< supervision gave ground
+    std::size_t inProcessJobs = 0; //!< run on the thread backend
+                                   //!< after every worker was lost
+    /** Every worker slot is gone with jobs left: the runner drains
+     *  them on the thread backend. */
+    bool degraded = false;
 };
 
 /** The whole campaign's outcome, ordered by job index. */
@@ -152,17 +179,7 @@ struct CampaignResult
     std::size_t cacheHits = 0;
     std::size_t cacheMisses = 0;
 
-    // Process-backend supervision tallies (worker_pool.hh); all
-    // zero under the thread backend. Sidecar-only for the same
-    // reason as the cache counters: they describe the host run,
-    // not the experiment.
-    std::size_t workerRestarts = 0;      //!< respawns performed
-    std::size_t workerCrashes = 0;       //!< abnormal worker deaths
-    std::size_t jobTimeouts = 0;         //!< deadline/heartbeat kills
-    std::size_t jobOoms = 0;             //!< jobs ending "job-oom"
-    std::size_t quarantined = 0;         //!< poison jobs recorded
-    std::size_t degradedTransitions = 0; //!< supervision gave ground
-    std::size_t inProcessJobs = 0;       //!< last-resort fallback
+    WorkerPoolStats supervision;
 
     /** Linear lookup by axis values; nullptr when absent. */
     const JobResult *find(const std::string &workload,
@@ -180,11 +197,6 @@ struct ProcessPoolOptions
 {
     /** Run jobs in forked worker processes instead of threads. */
     bool enabled = false;
-    /** Binary to exec as the worker ("" = /proc/self/exe, i.e.
-     *  re-exec whatever is running the supervisor). It is invoked
-     *  as `EXE --worker` with the command pipe on fd 3 and the
-     *  result pipe on fd 4. */
-    std::string exePath;
     /** Per-job wall-clock deadline enforced by the supervisor; the
      *  worker also arms RLIMIT_CPU from it so a spin that starves
      *  the supervisor still dies. 0 = no deadline. */
@@ -197,15 +209,13 @@ struct ProcessPoolOptions
      *  tolerates silence before declaring the worker wedged. */
     double heartbeatSeconds = 1.0;
     double heartbeatGraceSeconds = 30.0;
-    /** Respawn budget: per worker slot, and across the whole
-     *  campaign (-1 = workers * maxRespawnsPerWorker). Exhausting
-     *  either retires the slot; losing every slot degrades to
-     *  in-process execution. */
+    /** Respawns per worker slot; exhausting it retires the slot,
+     *  and losing every slot drains the rest on the thread
+     *  backend. */
     int maxRespawnsPerWorker = 3;
-    int respawnBudget = -1;
-    /** Exponential backoff between respawns of the same slot. */
+    /** Exponential backoff between respawns of the same slot
+     *  (capped at 5 s). */
     double backoffBaseSeconds = 0.25;
-    double backoffMaxSeconds = 5.0;
     /** A job whose execution kills this many consecutive workers
      *  is quarantined: recorded as a classified failure with a
      *  crash report and never retried. */
@@ -233,10 +243,9 @@ class CampaignRunner
          *  in-memory (JobResult::crashJson). */
         std::string outDir;
         /** Live progress line (jobs done/total, ETA, worker
-         *  occupancy) on @c progressStream. Auto-degrades to
-         *  occasional plain lines when the stream is not a tty. */
+         *  occupancy) on stderr. Auto-degrades to occasional plain
+         *  lines when stderr is not a tty. */
         bool progress = true;
-        std::FILE *progressStream = nullptr; //!< null = stderr
         /** After every faulty job that completes cleanly, re-run
          *  its fault-free twin (faults cleared, recovery off) and
          *  compare end states; a divergence is a hard failure. */
@@ -292,8 +301,8 @@ class CampaignRunner
 };
 
 /** Run one job with bounded infrastructure retry — the unit of
- *  execution shared by the thread backend, the worker processes,
- *  and the degraded in-process fallback. Never throws: simulation
+ *  execution shared by the thread backend and the worker
+ *  processes. Never throws: simulation
  *  outcomes are classified, infra failures (including bad_alloc
  *  under RLIMIT_AS, recorded as "job-oom") exhaust
  *  CampaignSpec::maxRetries and are recorded. */
@@ -301,6 +310,12 @@ JobResult runCampaignJob(const CampaignSpec &spec, const JobSpec &job,
                          const std::string &outDir,
                          bool verifyEquivalence,
                          const TelemetryHooks *telemetry = nullptr);
+
+/** Write @p res.crashJson to OUT/crash-job<N>.json (N = the job
+ *  index) and set crashReportPath on success; with no crash report
+ *  or no @p outDir the path is left empty. The one writer of crash
+ *  sidecars: executed, cache-served and quarantined jobs. */
+void writeCrashSidecar(JobResult &res, const std::string &outDir);
 
 } // namespace wb
 

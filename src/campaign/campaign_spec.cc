@@ -360,11 +360,7 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
                 out.classes.push_back(cls);
             }
         } else if (key == "network") {
-            if (value == "mesh")
-                out.network = NetworkKind::Mesh;
-            else if (value == "ideal")
-                out.network = NetworkKind::Ideal;
-            else
+            if (!parseNetworkKind(value, out.network))
                 return fail("unknown network '" + value + "'");
         } else if (key == "seeds") {
             ok = number(out.seeds, 1);

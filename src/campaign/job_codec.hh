@@ -85,10 +85,7 @@ struct WorkerInit
 struct TelemetryFrame
 {
     std::uint64_t job = ~std::uint64_t(0); //!< job index
-    std::uint64_t tick = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t wbEntries = 0;
+    MetricsSummary sum;
     std::string line; //!< one NDJSON snapshot line (no newline)
 };
 

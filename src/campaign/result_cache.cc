@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "campaign/campaign_aggregator.hh"
 #include "campaign/job_journal.hh"
 #include "sim/codec.hh"
 #include "snapshot/system_state.hh"
@@ -14,18 +15,9 @@ namespace wb
 std::uint64_t
 resultSchemaFingerprint()
 {
-    // Keep in sync with writeCampaignCsv(): any schema change must
-    // invalidate cached entries, and hashing the header text does
-    // that without a hand-maintained version number.
-    static const char header[] =
-        "index,workload,mode,class,variant,mix,seedIndex,seed,"
-        "faultSeed,verdict,exitCode,attempts,completed,cycles,"
-        "instructions,loads,stores,atomics,wbEntries,"
-        "uncacheableReads,messages,leakedMessages,faultsDropped,"
-        "faultsDuplicated,faultsDelayed,tsoViolations,"
-        "retransmits,recoveredMessages,arqReissues,dedupHits,"
-        "equivalence";
-    return fnv1a64(header, sizeof(header) - 1);
+    // Any schema change must invalidate cached entries, and hashing
+    // the CSV header does that without a hand-maintained version.
+    return fnv1a64(campaignCsvHeader.data(), campaignCsvHeader.size());
 }
 
 ResultCache::ResultCache(std::string dir) : _dir(std::move(dir)) {}

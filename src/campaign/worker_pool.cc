@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -320,15 +319,8 @@ campaignWorkerMain()
         tele.emit = [&send](std::size_t job,
                             const MetricsSummary &sum,
                             const std::string &line) {
-            TelemetryFrame t;
-            t.job = job;
-            t.tick = sum.tick;
-            t.instructions = sum.instructions;
-            t.stores = sum.stores;
-            t.wbEntries = sum.wbEntries;
-            t.line = line;
             ByteWriter bw;
-            encodeTelemetryFrame(bw, t);
+            encodeTelemetryFrame(bw, {job, sum, line});
             send(WireType::Telemetry, bw);
         };
         telep = &tele;
@@ -444,8 +436,7 @@ struct Worker
 } // namespace
 
 WorkerPoolStats
-runWorkerPool(const CampaignSpec &spec,
-              const std::vector<JobSpec> &jobs,
+runWorkerPool(const std::vector<JobSpec> &jobs,
               const std::vector<char> &done,
               const CampaignRunner::Options &opts, int nworkers,
               std::atomic<int> &busy, const PoolCacheFn &tryCache,
@@ -495,12 +486,7 @@ runWorkerPool(const CampaignSpec &spec,
     encodeWorkerInit(initw, init);
     const std::vector<unsigned char> init_bytes = initw.take();
 
-    const std::string exe =
-        P.exePath.empty() ? "/proc/self/exe" : P.exePath;
     const int per_slot = std::max(0, P.maxRespawnsPerWorker);
-    const int budget = P.respawnBudget >= 0
-                           ? P.respawnBudget
-                           : nworkers * per_slot;
     const int poison = std::max(1, P.poisonThreshold);
 
     // The supervisor must see EPIPE, not die, when it writes to a
@@ -513,9 +499,7 @@ runWorkerPool(const CampaignSpec &spec,
         std::size_t(nworkers), pending.size()));
     std::vector<Worker> w(static_cast<std::size_t>(nslots));
     std::map<std::size_t, int> consec_kills;
-    int total_respawns = 0;
     bool degraded = false;
-    bool in_process = false;
     bool draining = false;
 
     auto aliveCount = [&w] {
@@ -556,10 +540,11 @@ runWorkerPool(const CampaignSpec &spec,
             return false;
         }
         if (pid == 0) {
-            // Child: command pipe on fd 3, result pipe on fd 4.
-            // F_DUPFD clears CLOEXEC and dodges collisions with the
-            // target fds; stray stdout is rerouted to stderr so it
-            // cannot pollute the supervisor's report stream.
+            // Child: re-exec this binary as `--worker`, command pipe
+            // on fd 3, result pipe on fd 4. F_DUPFD clears CLOEXEC
+            // and dodges collisions with the target fds; stray
+            // stdout is rerouted to stderr so it cannot pollute the
+            // supervisor's report stream.
             const int in = fcntl(cmd[0], F_DUPFD, 10);
             const int out = fcntl(res[1], F_DUPFD, 10);
             ::dup2(in, 3);
@@ -567,7 +552,7 @@ runWorkerPool(const CampaignSpec &spec,
             ::dup2(2, 1);
             signal(SIGINT, SIG_DFL);
             signal(SIGTERM, SIG_DFL);
-            ::execl(exe.c_str(), exe.c_str(), "--worker",
+            ::execl("/proc/self/exe", "/proc/self/exe", "--worker",
                     static_cast<char *>(nullptr));
             _exit(127);
         }
@@ -602,17 +587,7 @@ runWorkerPool(const CampaignSpec &spec,
         std::ostringstream os;
         writeLoadFailureReport(os, verdict, detail);
         r.crashJson = os.str();
-        if (!opts.outDir.empty()) {
-            const std::string path =
-                opts.outDir + "/crash-job" +
-                std::to_string(jobs[i].index) + ".json";
-            std::ofstream cf(path);
-            if (cf) {
-                cf << r.crashJson;
-                if (cf.good())
-                    r.crashReportPath = path;
-            }
-        }
+        writeCrashSidecar(r, opts.outDir);
         commit(i, std::move(r), "", false);
         ++st.quarantined;
     };
@@ -624,14 +599,12 @@ runWorkerPool(const CampaignSpec &spec,
             wk.retired = true; // campaign is over; not a degradation
             return;
         }
-        if (wk.respawns < per_slot && total_respawns < budget) {
+        if (wk.respawns < per_slot) {
             double delay = P.backoffBaseSeconds;
             for (int k = 0; k < wk.respawns && k < 16; ++k)
                 delay *= 2;
-            if (delay > P.backoffMaxSeconds)
-                delay = P.backoffMaxSeconds;
+            delay = std::min(delay, 5.0);
             ++wk.respawns;
-            ++total_respawns;
             wk.pendingRespawn = true;
             wk.respawnAt =
                 SteadyClock::now() +
@@ -767,15 +740,9 @@ runWorkerPool(const CampaignSpec &spec,
                     const TelemetryFrame t = decodeTelemetryFrame(r);
                     wk.lastBeat = SteadyClock::now();
                     wk.lastTelemetry = wk.lastBeat;
-                    if (telemetry && telemetry->emit) {
-                        MetricsSummary sum;
-                        sum.tick = t.tick;
-                        sum.instructions = t.instructions;
-                        sum.stores = t.stores;
-                        sum.wbEntries = t.wbEntries;
-                        telemetry->emit(std::size_t(t.job), sum,
+                    if (telemetry && telemetry->emit)
+                        telemetry->emit(std::size_t(t.job), t.sum,
                                         t.line);
-                    }
                     break;
                 }
                 case WireType::JobDone: {
@@ -902,37 +869,14 @@ runWorkerPool(const CampaignSpec &spec,
             break;
 
         // Graceful degradation, last resort: every worker slot is
-        // gone and none will return, but jobs remain. Run them in
-        // this process — exactly the thread backend's execution
-        // path, so results stay bit-identical — rather than abandon
-        // a nearly-finished campaign.
+        // gone and none will return, but jobs remain. Hand them back
+        // to the runner, which drains them on the thread backend,
+        // rather than abandon a nearly-finished campaign.
         if (!draining && aliveCount() == 0 &&
             !respawnsScheduled()) {
-            if (!in_process) {
-                in_process = true;
-                ++st.degradedTransitions;
-            }
-            while (!pending.empty() && !stopRequested()) {
-                const std::size_t i = pending.front();
-                pending.pop_front();
-                if (done[i])
-                    continue;
-                JobResult res;
-                std::string key;
-                if (tryCache(i, res, key)) {
-                    commit(i, std::move(res), key, true);
-                    continue;
-                }
-                busy.fetch_add(1, std::memory_order_relaxed);
-                res = runCampaignJob(spec, jobs[i], opts.outDir,
-                                     opts.verifyEquivalence,
-                                     telemetry);
-                busy.fetch_sub(1, std::memory_order_relaxed);
-                ++st.inProcessJobs;
-                consec_kills.erase(i);
-                commit(i, std::move(res), key, false);
-            }
-            continue;
+            st.degraded = true;
+            ++st.degradedTransitions;
+            break;
         }
 
         std::vector<pollfd> fds;

@@ -28,10 +28,11 @@
  *     --resume: the quarantine record is journaled like any other
  *     result).
  *   - Dead workers are respawned with exponential backoff, bounded
- *     per slot and per campaign. When the budget runs out the pool
- *     degrades instead of failing: remaining jobs drain on the
- *     surviving workers, or — with no workers left — in-process as
- *     a last resort. Degradations are counted, not fatal.
+ *     per slot. When the budget runs out the pool degrades instead
+ *     of failing: remaining jobs drain on the surviving workers, or
+ *     — with no workers left — the pool hands them back and the
+ *     runner drains them on the thread backend. Degradations are
+ *     counted, not fatal.
  *
  * Journal appends, cache lookups/stores, and aggregation all stay
  * on the supervisor side, so resume semantics and the byte-identical
@@ -50,19 +51,6 @@
 
 namespace wb
 {
-
-/** What supervision did during one campaign (sidecar-only;
- *  mirrored into CampaignResult by the runner). */
-struct WorkerPoolStats
-{
-    std::size_t workerRestarts = 0;
-    std::size_t workerCrashes = 0;
-    std::size_t jobTimeouts = 0;
-    std::size_t jobOoms = 0;
-    std::size_t quarantined = 0;
-    std::size_t degradedTransitions = 0;
-    std::size_t inProcessJobs = 0;
-};
 
 /** Rebuild a campaign spec from its journal-header description
  *  ("builtin" name or embedded manifest text, plus the CLI
@@ -91,9 +79,11 @@ using PoolCommitFn = std::function<void(
     std::size_t, JobResult &&, const std::string &, bool)>;
 
 /** Execute every not-yet-done job on a supervised pool of worker
- *  processes. Blocks until all jobs are committed or the stop flag
- *  drained the pool. @p done marks jobs preloaded from a resume
- *  journal.
+ *  processes. Blocks until all jobs are committed, the stop flag
+ *  drained the pool, or every worker slot is gone for good; in the
+ *  last case the result is marked degraded and the caller runs the
+ *  jobs left uncommitted. @p done marks jobs preloaded from a
+ *  resume journal.
  *
  *  With @p telemetry enabled, workers stream Telemetry frames
  *  (job_codec.hh) that the supervisor routes into the hooks' emit —
@@ -103,8 +93,7 @@ using PoolCommitFn = std::function<void(
  *  snapshots for heartbeatGraceSeconds is killed and its job
  *  recorded as "job-timeout", even while the wall-clock heartbeat
  *  thread still beats. */
-WorkerPoolStats runWorkerPool(const CampaignSpec &spec,
-                              const std::vector<JobSpec> &jobs,
+WorkerPoolStats runWorkerPool(const std::vector<JobSpec> &jobs,
                               const std::vector<char> &done,
                               const CampaignRunner::Options &opts,
                               int nworkers, std::atomic<int> &busy,

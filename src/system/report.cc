@@ -26,9 +26,7 @@ writeJsonReport(std::ostream &os, const std::string &workload,
     w.field("lqSize", std::uint64_t(cfg.core.lqSize));
     w.field("sqSize", std::uint64_t(cfg.core.sqSize));
     w.field("ldtSize", std::uint64_t(cfg.core.ldtSize));
-    w.field("network", std::string(cfg.network == NetworkKind::Mesh
-                                       ? "mesh"
-                                       : "ideal"));
+    w.field("network", std::string(networkKindName(cfg.network)));
     w.field("silentSharedEvictions",
             cfg.mem.silentSharedEvictions);
     w.field("prefetchNextLine", cfg.mem.prefetchNextLine);

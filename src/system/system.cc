@@ -39,6 +39,23 @@ watchdogLine(const char *fmt, ...)
 
 } // namespace
 
+const char *
+networkKindName(NetworkKind k)
+{
+    return k == NetworkKind::Mesh ? "mesh" : "ideal";
+}
+
+bool
+parseNetworkKind(const std::string &s, NetworkKind &out)
+{
+    for (const NetworkKind k : {NetworkKind::Mesh, NetworkKind::Ideal})
+        if (s == networkKindName(k)) {
+            out = k;
+            return true;
+        }
+    return false;
+}
+
 System::System(const SystemConfig &cfg, const Workload &workload)
     : _cfg(cfg)
 {

@@ -47,6 +47,12 @@ enum class NetworkKind
     Ideal, //!< fixed latency + random jitter (adversarial tests)
 };
 
+/** "mesh" | "ideal" (wbsim --network, the manifest's network key,
+ *  the JSON report). */
+const char *networkKindName(NetworkKind k);
+/** @return false for a name networkKindName never returns. */
+bool parseNetworkKind(const std::string &s, NetworkKind &out);
+
 struct SystemConfig
 {
     int numCores = 16;

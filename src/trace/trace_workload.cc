@@ -1,7 +1,6 @@
 #include "trace/trace_workload.hh"
 
-#include "sim/bytes.hh"
-#include "system/system.hh"
+#include "snapshot/system_state.hh"
 
 namespace wb
 {
@@ -15,6 +14,10 @@ traceWorkload(const TraceFile &trace)
     for (const TraceThread &t : trace.threads)
         wl.threads.push_back(t.code);
     wl.initMem = trace.initMem;
+    if (workloadFingerprint(wl) != trace.workloadFp)
+        throw TraceMismatchError(
+            "trace header fingerprint does not match the embedded "
+            "programs — recorded by an incompatible build");
     wl.traceFingerprint = trace.contentFingerprint();
     return wl;
 }
@@ -23,22 +26,6 @@ Workload
 loadTraceWorkload(const std::string &path)
 {
     return traceWorkload(TraceFile::load(path));
-}
-
-std::uint64_t
-traceSafeStatFingerprint(const SimResults &r)
-{
-    ByteWriter w;
-    w.b(r.completed);
-    w.b(r.deadlocked);
-    w.str(r.deadlockReason);
-    w.u64(r.cycles);
-    w.u64(r.instructions);
-    w.u64(r.loads);
-    w.u64(r.stores);
-    w.u64(r.atomics);
-    w.u64(r.tsoViolations);
-    return w.checksum();
 }
 
 } // namespace wb

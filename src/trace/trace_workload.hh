@@ -23,7 +23,6 @@
 #ifndef WB_TRACE_TRACE_WORKLOAD_HH
 #define WB_TRACE_TRACE_WORKLOAD_HH
 
-#include <cstdint>
 #include <string>
 
 #include "isa/program.hh"
@@ -32,26 +31,24 @@
 namespace wb
 {
 
-struct SimResults;
+/** The trace decoded, but its recorded origin fingerprint does not
+ *  match its embedded programs: it was recorded by a build whose
+ *  fingerprint encoding differs (the `trace-mismatch` verdict). */
+class TraceMismatchError : public TraceError
+{
+  public:
+    using TraceError::TraceError;
+};
 
 /** Lower a decoded trace into a runnable Workload. The name, code
  *  and initial memory are the recorded ones; traceFingerprint is
- *  the trace's contentFingerprint() (never 0). */
+ *  the trace's contentFingerprint() (never 0). Throws
+ *  TraceMismatchError when the header's origin fingerprint does
+ *  not match the embedded programs. */
 Workload traceWorkload(const TraceFile &trace);
 
 /** Load + validate @p path and lower it; throws TraceError. */
 Workload loadTraceWorkload(const std::string &path);
-
-/**
- * Fingerprint of the trace-safe subset of a run's statistics: the
- * architectural work counts and verdicts that must be identical
- * between a recorded run and its replay under the same
- * configuration (completion/deadlock verdict, cycles, instructions,
- * loads, stores, atomics, TSO violations). Used by the equivalence
- * tests; deliberately excludes anything a future non-deterministic
- * component (e.g. wall-clock sampling) might touch.
- */
-std::uint64_t traceSafeStatFingerprint(const SimResults &r);
 
 } // namespace wb
 

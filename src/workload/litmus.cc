@@ -285,18 +285,9 @@ litmusName(LitmusKind k)
 bool
 parseLitmusName(const std::string &name, LitmusKind &kind)
 {
-    static const std::pair<const char *, LitmusKind> names[] = {
-        {"table1", LitmusKind::Table1},
-        {"table3", LitmusKind::Table3},
-        {"sb", LitmusKind::StoreBuffer},
-        {"sb-fence", LitmusKind::StoreBufferFenced},
-        {"corr", LitmusKind::CoRR},
-        {"lb", LitmusKind::LoadBuffer},
-        {"iriw", LitmusKind::Iriw},
-    };
-    for (const auto &[n, k] : names)
-        if (name == n) {
-            kind = k;
+    for (const LitmusName &l : litmusNames)
+        if (name == l.name) {
+            kind = l.kind;
             return true;
         }
     return false;

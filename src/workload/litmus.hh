@@ -49,8 +49,29 @@ enum class LitmusKind
 
 const char *litmusName(LitmusKind k);
 
-/** Map a command-line litmus name (table1, table3, sb, sb-fence,
- *  corr, lb, iriw) onto @p kind. @return false for any other name. */
+/** A command-line litmus name and its `wbsim --list` note. */
+struct LitmusName
+{
+    const char *name;
+    LitmusKind kind;
+    const char *note;
+};
+
+/** Every command-line litmus name, in `wbsim --list` order. */
+inline constexpr LitmusName litmusNames[] = {
+    {"table1", LitmusKind::Table1,
+     "paper Table 1: ld-ld reordering witness"},
+    {"table3", LitmusKind::Table3, "paper Table 3: fine-grain sharing"},
+    {"sb", LitmusKind::StoreBuffer, "store buffering (Dekker)"},
+    {"sb-fence", LitmusKind::StoreBufferFenced,
+     "store buffering with fences"},
+    {"lb", LitmusKind::LoadBuffer, "load buffering"},
+    {"corr", LitmusKind::CoRR, "coherent read-read"},
+    {"iriw", LitmusKind::Iriw, "independent reads, independent writes"},
+};
+
+/** Map a command-line litmus name (litmusNames) onto @p kind.
+ *  @return false for any other name. */
 bool parseLitmusName(const std::string &name, LitmusKind &kind);
 
 /** Build a litmus workload with @p iterations racing iterations. */

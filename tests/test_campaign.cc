@@ -367,6 +367,75 @@ TEST(CampaignRunner, CrashIsolationRecordsFaultedJobs)
     EXPECT_TRUE(checkFaultInvariants(result).empty());
 }
 
+TEST(CampaignRunner, CrashSidecarsMatchAndRehomeFromTheCache)
+{
+    // The drop mix of CrashIsolationRecordsFaultedJobs, run with an
+    // output directory and a result cache: every abnormal job's
+    // crash-job<N>.json holds exactly its crashJson, and a rerun
+    // served wholly from the cache rewrites each sidecar,
+    // byte-equal, into the new output directory.
+    CampaignSpec spec = tinySpec();
+    spec.mixes = {{"clean", ""}, {"drop", "drop=0.05:2"}};
+    spec.seeds = 3;
+    spec.watchdogCycles = 40'000;
+    spec.txnWarnCycles = 6'000;
+    spec.txnDeadlockCycles = 20'000;
+    spec.watchdogPollCycles = 256;
+    spec.teardownDrainCycles = 25'000;
+
+    const std::string root = testing::TempDir() + "wbcrash-sidecars";
+    std::filesystem::remove_all(root);
+    auto run = [&](const std::string &out) {
+        CampaignRunner::Options opts;
+        opts.jobs = 4;
+        opts.progress = false;
+        opts.outDir = root + "/" + out;
+        opts.cacheDir = root + "/cache";
+        return CampaignRunner(spec, opts).run();
+    };
+    auto slurp = [](const std::string &path) {
+        std::ifstream f(path, std::ios::binary);
+        std::stringstream ss;
+        ss << f.rdbuf();
+        return ss.str();
+    };
+    auto sidecar = [&](const std::string &out, std::size_t i) {
+        return root + "/" + out + "/crash-job" + std::to_string(i) +
+               ".json";
+    };
+
+    const CampaignResult first = run("a");
+    std::size_t abnormal = 0;
+    for (const JobResult &r : first.jobs) {
+        if (r.outcome == RunOutcome::Ok) {
+            EXPECT_TRUE(r.crashReportPath.empty());
+            continue;
+        }
+        ++abnormal;
+        EXPECT_EQ(r.crashReportPath, sidecar("a", r.spec.index));
+        EXPECT_EQ(slurp(r.crashReportPath), r.crashJson)
+            << "job " << r.spec.index;
+    }
+    ASSERT_GT(abnormal, 0u) << "drop mix never faulted";
+
+    const CampaignResult second = run("b");
+    EXPECT_EQ(second.cacheHits, spec.jobCount());
+    EXPECT_EQ(second.cacheMisses, 0u);
+    ASSERT_EQ(second.jobs.size(), first.jobs.size());
+    for (std::size_t i = 0; i < first.jobs.size(); ++i) {
+        const JobResult &r = second.jobs[i];
+        EXPECT_EQ(r.crashJson, first.jobs[i].crashJson);
+        if (r.outcome == RunOutcome::Ok) {
+            EXPECT_TRUE(r.crashReportPath.empty());
+            continue;
+        }
+        EXPECT_EQ(r.crashReportPath, sidecar("b", i));
+        EXPECT_EQ(slurp(r.crashReportPath), slurp(sidecar("a", i)))
+            << "job " << i;
+    }
+    std::filesystem::remove_all(root);
+}
+
 TEST(CampaignRunner, InfraFailuresRetryBoundedThenRecord)
 {
     CampaignSpec spec = tinySpec();

@@ -503,6 +503,9 @@ TEST(ResultCache, SchemaFingerprintIsStable)
     EXPECT_NE(resultSchemaFingerprint(), 0u);
     EXPECT_EQ(resultSchemaFingerprint(),
               resultSchemaFingerprint());
+    // The FNV of the CSV header: every cache key embeds it, so a
+    // changed value orphans every cached entry.
+    EXPECT_EQ(resultSchemaFingerprint(), 0x92ae7b818b5c065eull);
 }
 
 TEST(ResultCache, KeySeparatesJobsAndModes)

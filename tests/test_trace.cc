@@ -15,11 +15,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "isa/instr.hh"
 #include "snapshot/system_state.hh"
+#include "system/report.hh"
 #include "system/system.hh"
 #include "trace/trace_format.hh"
 #include "trace/trace_recorder.hh"
@@ -54,11 +56,11 @@ smallConfig(int cores)
 }
 
 /** Detailed-model run of @p wl with a commit recorder attached:
- *  returns the recorded trace and the run's results + end state. */
+ *  returns the recorded trace and the run's report + end state. */
 struct RecordedRun
 {
     TraceFile trace;
-    SimResults results;
+    std::string report; //!< JSON report, every stat counter included
     std::vector<std::uint64_t> regs; //!< core-major architectural
 };
 
@@ -70,8 +72,11 @@ runRecorded(const SystemConfig &cfg, const Workload &wl,
     System sys(cfg, wl);
     TraceRecorder rec(wl, source, seed);
     rec.attach(sys);
-    out.results = sys.run();
-    EXPECT_TRUE(out.results.completed) << wl.name;
+    const SimResults results = sys.run();
+    EXPECT_TRUE(results.completed) << wl.name;
+    std::ostringstream report;
+    writeJsonReport(report, wl.name, cfg, results, &sys.stats());
+    out.report = report.str();
     out.trace = rec.finalize();
     for (int c = 0; c < cfg.numCores; ++c)
         for (Reg r = 0; r < numRegs; ++r)
@@ -382,15 +387,13 @@ checkRoundTrip(const Workload &wl, const std::string &source,
     const RecordedRun orig = runRecorded(cfg, wl, source, seed);
 
     // Replay must drive the identical deterministic simulation:
-    // same verdicts, same work counts, same architectural end
-    // state...
+    // the same report, every counter included, and the same
+    // architectural end state...
     const Workload replay = traceWorkload(orig.trace);
     const RecordedRun re =
         runRecorded(cfg, replay, orig.trace.source,
                     orig.trace.seed);
-    EXPECT_EQ(traceSafeStatFingerprint(re.results),
-              traceSafeStatFingerprint(orig.results))
-        << wl.name;
+    EXPECT_EQ(re.report, orig.report) << wl.name;
     EXPECT_EQ(re.regs, orig.regs) << wl.name;
 
     // ...and re-recording the replayed run must reproduce the
@@ -456,6 +459,7 @@ TEST(TraceReplay, FunctionalTraceReplaysOnTheDetailedModel)
 // Campaign integration
 // ---------------------------------------------------------------
 
+#include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
 
 TEST(TraceCampaign, TraceAxisValidatesAndLoads)
@@ -479,6 +483,26 @@ TEST(TraceCampaign, TraceAxisValidatesAndLoads)
     spec.workloads = {"trace=does_not_exist.wbt"};
     EXPECT_NE(spec.validate().find("does not exist"),
               std::string::npos);
+
+    // A trace whose header fingerprint does not match its programs
+    // fails to load, as it does in wbsim: the job is an
+    // infrastructure failure naming the mismatch, never a clean run.
+    TraceFile bad = TraceFile::load(path);
+    bad.workloadFp ^= 1;
+    bad.save(path);
+    spec.workloads = {"trace=" + path};
+    EXPECT_EQ(spec.validate(), "");
+    EXPECT_THROW(spec.workloadFor(jobs[0]), TraceMismatchError);
+    CampaignRunner::Options opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    const CampaignResult result = CampaignRunner(spec, opts).run();
+    ASSERT_EQ(result.jobs.size(), 1u);
+    EXPECT_EQ(result.jobs[0].verdict, "infra-failure");
+    EXPECT_NE(result.jobs[0].detail.find("fingerprint does not match"),
+              std::string::npos)
+        << result.jobs[0].detail;
+    EXPECT_EQ(result.summary.infraFailures, 1u);
 
     std::remove(path.c_str());
 }

@@ -9,12 +9,12 @@
  * after killing its quota of workers, a hung job dies by deadline
  * and is classified "job-timeout", an allocation over RLIMIT_AS is
  * recorded gracefully as "job-oom", an exhausted respawn budget
- * degrades to in-process execution instead of failing, and the
+ * degrades to the thread backend instead of failing, and the
  * result cache survives true multi-process concurrent writers.
  *
  * This binary doubles as its own campaign worker: main() dispatches
  * `--worker` to campaignWorkerMain() before gtest ever runs, so the
- * supervisor's default exePath (/proc/self/exe) re-execs the test
+ * supervisor, which always re-execs /proc/self/exe, starts the test
  * executable as the worker process.
  */
 
@@ -273,10 +273,10 @@ TEST(JobCodec, TelemetryFramesRoundTripOverTheWire)
 {
     TelemetryFrame t;
     t.job = 7;
-    t.tick = 123'456;
-    t.instructions = 98'765;
-    t.stores = 4'321;
-    t.wbEntries = 17;
+    t.sum.tick = 123'456;
+    t.sum.instructions = 98'765;
+    t.sum.stores = 4'321;
+    t.sum.wbEntries = 17;
     t.line = "{\"tick\":123456,\"v\":{\"core.0.commits\":98765}}";
 
     ByteWriter w;
@@ -306,10 +306,10 @@ TEST(JobCodec, TelemetryFramesRoundTripOverTheWire)
     ByteReader r(f.payload.data(), f.payload.size());
     const TelemetryFrame back = decodeTelemetryFrame(r);
     EXPECT_EQ(back.job, t.job);
-    EXPECT_EQ(back.tick, t.tick);
-    EXPECT_EQ(back.instructions, t.instructions);
-    EXPECT_EQ(back.stores, t.stores);
-    EXPECT_EQ(back.wbEntries, t.wbEntries);
+    EXPECT_EQ(back.sum.tick, t.sum.tick);
+    EXPECT_EQ(back.sum.instructions, t.sum.instructions);
+    EXPECT_EQ(back.sum.stores, t.sum.stores);
+    EXPECT_EQ(back.sum.wbEntries, t.sum.wbEntries);
     EXPECT_EQ(back.line, t.line);
 }
 
@@ -381,9 +381,9 @@ TEST(WorkerPool, ProcessBackendMatchesThreadBackendByteForByte)
     ASSERT_EQ(procs.jobs.size(), spec.jobCount());
     EXPECT_EQ(procs.summary.done, spec.jobCount());
     expectAggregatesEqual(spec, threads, procs);
-    EXPECT_EQ(procs.workerCrashes, 0u);
-    EXPECT_EQ(procs.workerRestarts, 0u);
-    EXPECT_EQ(procs.inProcessJobs, 0u);
+    EXPECT_EQ(procs.supervision.workerCrashes, 0u);
+    EXPECT_EQ(procs.supervision.workerRestarts, 0u);
+    EXPECT_EQ(procs.supervision.inProcessJobs, 0u);
 }
 
 TEST(WorkerPool, WorkerSegfaultCostsARespawnNeverAResult)
@@ -407,9 +407,9 @@ TEST(WorkerPool, WorkerSegfaultCostsARespawnNeverAResult)
     // run's.
     EXPECT_EQ(result.summary.done, spec.jobCount());
     expectAggregatesEqual(spec, clean, result);
-    EXPECT_GE(result.workerCrashes, 1u);
-    EXPECT_GE(result.workerRestarts, 1u);
-    EXPECT_EQ(result.quarantined, 0u);
+    EXPECT_GE(result.supervision.workerCrashes, 1u);
+    EXPECT_GE(result.supervision.workerRestarts, 1u);
+    EXPECT_EQ(result.supervision.quarantined, 0u);
 }
 
 TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
@@ -425,8 +425,8 @@ TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
     // The campaign finished despite the poison job...
     ASSERT_EQ(result.jobs.size(), spec.jobCount());
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_EQ(result.quarantined, 1u);
-    EXPECT_GE(result.workerCrashes, 2u);
+    EXPECT_EQ(result.supervision.quarantined, 1u);
+    EXPECT_GE(result.supervision.workerCrashes, 2u);
 
     // ...and the poison job is a classified, journal-shaped failure
     // with a crash report, while its neighbours are untouched.
@@ -440,6 +440,11 @@ TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
               std::string::npos);
     EXPECT_TRUE(
         std::filesystem::exists(dir + "/crash-job1.json"));
+    EXPECT_EQ(bad.crashReportPath, dir + "/crash-job1.json");
+    std::ifstream sidecar(dir + "/crash-job1.json", std::ios::binary);
+    std::stringstream bytes;
+    bytes << sidecar.rdbuf();
+    EXPECT_EQ(bytes.str(), bad.crashJson);
     EXPECT_EQ(result.jobs[0].verdict, "ok");
     EXPECT_EQ(result.jobs[2].verdict, "ok");
     EXPECT_EQ(result.jobs[3].verdict, "ok");
@@ -457,8 +462,8 @@ TEST(WorkerPool, HungJobDiesByDeadlineAsJobTimeout)
     const CampaignResult result = runner.run();
 
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_GE(result.jobTimeouts, 1u);
-    EXPECT_EQ(result.quarantined, 1u);
+    EXPECT_GE(result.supervision.jobTimeouts, 1u);
+    EXPECT_EQ(result.supervision.quarantined, 1u);
     EXPECT_EQ(result.jobs[1].verdict, "job-timeout");
     EXPECT_TRUE(result.jobs[1].infraFailure);
     EXPECT_EQ(result.jobs[1].outcome, RunOutcome::Deadlock);
@@ -520,8 +525,8 @@ TEST(WorkerPool, StalledJobDiesByTelemetryHeartbeat)
     // job deadline is armed (jobTimeoutSeconds = 0): only the
     // missing telemetry snapshots can expose the stall.
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_GE(result.jobTimeouts, 1u);
-    EXPECT_EQ(result.quarantined, 1u);
+    EXPECT_GE(result.supervision.jobTimeouts, 1u);
+    EXPECT_EQ(result.supervision.quarantined, 1u);
     EXPECT_EQ(result.jobs[1].verdict, "job-timeout");
     EXPECT_TRUE(result.jobs[1].infraFailure);
     EXPECT_EQ(result.jobs[1].outcome, RunOutcome::Deadlock);
@@ -547,9 +552,9 @@ TEST(WorkerPool, OomUnderRlimitIsRecordedGracefully)
     // bad_alloc inside the worker is a classified result, not a
     // death: no kills, no respawns, every job recorded.
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_EQ(result.jobOoms, 1u);
-    EXPECT_EQ(result.workerCrashes, 0u);
-    EXPECT_EQ(result.workerRestarts, 0u);
+    EXPECT_EQ(result.supervision.jobOoms, 1u);
+    EXPECT_EQ(result.supervision.workerCrashes, 0u);
+    EXPECT_EQ(result.supervision.workerRestarts, 0u);
     EXPECT_EQ(result.jobs[1].verdict, "job-oom");
     EXPECT_TRUE(result.jobs[1].infraFailure);
     EXPECT_EQ(result.jobs[0].verdict, "ok");
@@ -568,15 +573,15 @@ TEST(WorkerPool, ExhaustedRespawnBudgetDegradesToInProcess)
     CampaignRunner runner(spec, opts);
     const CampaignResult result = runner.run();
 
-    // With no respawn budget and every worker dead, the supervisor
-    // drains the remaining jobs in-process (where the chaos hook is
-    // inert) — same report, degraded transport.
+    // With no respawn budget and every worker dead, the runner
+    // drains the remaining jobs on the thread backend (where the
+    // chaos hook is inert) — same report, degraded transport.
     EXPECT_EQ(result.summary.done, spec.jobCount());
     expectAggregatesEqual(spec, clean, result);
-    EXPECT_GE(result.degradedTransitions, 1u);
-    EXPECT_GE(result.inProcessJobs, 1u);
-    EXPECT_EQ(result.workerRestarts, 0u);
-    EXPECT_EQ(result.quarantined, 0u);
+    EXPECT_GE(result.supervision.degradedTransitions, 1u);
+    EXPECT_GE(result.supervision.inProcessJobs, 1u);
+    EXPECT_EQ(result.supervision.workerRestarts, 0u);
+    EXPECT_EQ(result.supervision.quarantined, 0u);
 }
 
 TEST(WorkerPool, StopFlagDrainsBeforeAssigningAnything)

@@ -503,20 +503,21 @@ main(int argc, char **argv)
                      "telemetry: per-job streams under %s "
                      "(metrics-jobN.ndjson / .prom)\n",
                      telemetry_dir.c_str());
+    const WorkerPoolStats &sup = result.supervision;
     if (process_backend)
         std::fprintf(stderr,
                      "supervision: %zu restart%s, %zu crash%s, "
                      "%zu timeout%s, %zu oom, %zu quarantined, "
                      "%zu degraded, %zu in-process\n",
-                     result.workerRestarts,
-                     result.workerRestarts == 1 ? "" : "s",
-                     result.workerCrashes,
-                     result.workerCrashes == 1 ? "" : "es",
-                     result.jobTimeouts,
-                     result.jobTimeouts == 1 ? "" : "s",
-                     result.jobOoms, result.quarantined,
-                     result.degradedTransitions,
-                     result.inProcessJobs);
+                     sup.workerRestarts,
+                     sup.workerRestarts == 1 ? "" : "s",
+                     sup.workerCrashes,
+                     sup.workerCrashes == 1 ? "" : "es",
+                     sup.jobTimeouts,
+                     sup.jobTimeouts == 1 ? "" : "s",
+                     sup.jobOoms, sup.quarantined,
+                     sup.degradedTransitions,
+                     sup.inProcessJobs);
     if (!out_dir.empty()) {
         std::ofstream d(out_dir + "/durability.json");
         if (d)
@@ -532,18 +533,18 @@ main(int argc, char **argv)
               << ",\n"
               << "  \"tornDropped\": " << journal_load.tornDropped
               << ",\n"
-              << "  \"workerRestarts\": " << result.workerRestarts
+              << "  \"workerRestarts\": " << sup.workerRestarts
               << ",\n"
-              << "  \"workerCrashes\": " << result.workerCrashes
+              << "  \"workerCrashes\": " << sup.workerCrashes
               << ",\n"
-              << "  \"jobTimeouts\": " << result.jobTimeouts
+              << "  \"jobTimeouts\": " << sup.jobTimeouts
               << ",\n"
-              << "  \"jobOoms\": " << result.jobOoms << ",\n"
-              << "  \"quarantined\": " << result.quarantined
+              << "  \"jobOoms\": " << sup.jobOoms << ",\n"
+              << "  \"quarantined\": " << sup.quarantined
               << ",\n"
               << "  \"degradedTransitions\": "
-              << result.degradedTransitions << ",\n"
-              << "  \"inProcessJobs\": " << result.inProcessJobs
+              << sup.degradedTransitions << ",\n"
+              << "  \"inProcessJobs\": " << sup.inProcessJobs
               << "\n}\n";
     }
 

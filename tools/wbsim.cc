@@ -228,20 +228,7 @@ listWorkloads()
     for (const auto &n : parsecNames())
         std::printf("%-14s %-9s %s\n", n.c_str(), "builtin",
                     "PARSEC 3.0 profile");
-    static const struct
-    {
-        const char *name;
-        const char *note;
-    } litmus[] = {
-        {"table1", "paper Table 1: ld-ld reordering witness"},
-        {"table3", "paper Table 3: fine-grain sharing"},
-        {"sb", "store buffering (Dekker)"},
-        {"sb-fence", "store buffering with fences"},
-        {"lb", "load buffering"},
-        {"corr", "coherent read-read"},
-        {"iriw", "independent reads, independent writes"},
-    };
-    for (const auto &l : litmus)
+    for (const LitmusName &l : litmusNames)
         std::printf("%-14s %-9s %s\n", l.name, "litmus", l.note);
     std::printf("%-14s %-9s %s\n", "trace=FILE", "trace",
                 "replay a recorded .wbt trace (docs/TRACES.md)");
@@ -318,15 +305,13 @@ main(int argc, char **argv)
             ok = parseFlag("--shards", next(), 1, 4096, shards);
         else if (a == "--network") {
             const std::string n = next();
-            if (n != "mesh" && n != "ideal") {
+            if (!parseNetworkKind(n, network)) {
                 std::fprintf(stderr,
                              "--network: '%s' is not mesh or "
                              "ideal\n",
                              n.c_str());
                 return 64;
             }
-            network = n == "ideal" ? NetworkKind::Ideal
-                                   : NetworkKind::Mesh;
         } else if (a == "--jitter") {
             // Bounded well below the watchdogs, so jitter alone can
             // never pass for a hang.
@@ -414,46 +399,30 @@ main(int argc, char **argv)
     std::string wl_source;
     std::uint64_t wl_seed = 0;
     if (is_trace) {
-        // Load + validate before anything else: hostile or damaged
-        // input is rejected up front (exit 2), and no partially
-        // decoded workload ever reaches the System.
+        // Load + validate before anything else: hostile, damaged or
+        // mismatched input is rejected up front (exit 2), and no
+        // partially decoded workload ever reaches the System.
         const std::string path = workload.substr(6);
         try {
             replay_trace = TraceFile::load(path);
+            wl = traceWorkload(replay_trace);
         } catch (const TraceError &e) {
             std::fprintf(stderr, "trace load failed: %s\n",
                          e.what());
             if (!crash_dump.empty()) {
                 std::ofstream dump(crash_dump);
                 if (dump)
-                    writeLoadFailureReport(dump, "trace-corrupt",
-                                           e.what());
+                    writeLoadFailureReport(
+                        dump,
+                        dynamic_cast<const TraceMismatchError *>(&e)
+                            ? "trace-mismatch"
+                            : "trace-corrupt",
+                        e.what());
             }
             return 2;
         }
-        wl = traceWorkload(replay_trace);
         wl_source = replay_trace.source;
         wl_seed = replay_trace.seed;
-        // Cross-check the recorded origin fingerprint against the
-        // embedded static sections: catches a trace recorded by an
-        // incompatible build whose fingerprint encoding differs.
-        Workload origin = wl;
-        origin.traceFingerprint = 0;
-        if (workloadFingerprint(origin) != replay_trace.workloadFp) {
-            const std::string detail =
-                "trace header fingerprint does not match the "
-                "embedded programs — recorded by an incompatible "
-                "build";
-            std::fprintf(stderr, "trace load failed: %s\n",
-                         detail.c_str());
-            if (!crash_dump.empty()) {
-                std::ofstream dump(crash_dump);
-                if (dump)
-                    writeLoadFailureReport(dump, "trace-mismatch",
-                                           detail);
-            }
-            return 2;
-        }
         if (!cores_set)
             cores = int(replay_trace.threads.size());
         if (cores > maxCores) {
