@@ -152,8 +152,9 @@ LLCBank::dumpState(std::ostream &os) const
            << " deferred=" << e.deferred.size()
            << " evicting=" << e.evicting << "\n";
     };
-    const_cast<CacheArray<DirEntry> &>(_array).forEach(
-        [&](Addr line, DirEntry &e) { dump_entry(line, e, false); });
+    _array.forEach([&](Addr line, const DirEntry &e) {
+        dump_entry(line, e, false);
+    });
     for (const auto &[line, e] : _evbuf)
         dump_entry(line, e, true);
     if (!_retryQueue.empty()) {
@@ -187,8 +188,9 @@ LLCBank::transientInfos(Tick now_tick) const
                               : 0);
         out.push_back(i);
     };
-    const_cast<CacheArray<DirEntry> &>(_array).forEach(
-        [&](Addr line, DirEntry &e) { consider(line, e, false); });
+    _array.forEach([&](Addr line, const DirEntry &e) {
+        consider(line, e, false);
+    });
     for (const auto &[line, e] : _evbuf)
         consider(line, e, true);
     std::sort(out.begin(), out.end(),
@@ -696,10 +698,10 @@ LLCBank::enterWritersBlock(DirEntry &e, Addr line, DirState st)
     // Serve every deferred read immediately with tear-off data and
     // hint every deferred writer: from now on reads must not wait
     // behind the blocked write (deadlock avoidance, Section 3.4).
-    std::deque<MsgPtr> keep;
+    std::vector<MsgPtr> keep;
     while (!e.deferred.empty()) {
         MsgPtr d = std::move(e.deferred.front());
-        e.deferred.pop_front();
+        e.deferred.erase(e.deferred.begin());
         auto &dm = static_cast<CohMsg &>(*d);
         if (dm.type == CohType::GetS || dm.type == CohType::GetU) {
             ++_uncacheableReads;
@@ -922,7 +924,7 @@ LLCBank::replayDeferred(Addr line)
             st != DirState::EM)
             return;
         MsgPtr m = std::move(e->deferred.front());
-        e->deferred.pop_front();
+        e->deferred.erase(e->deferred.begin());
         handleRequest(std::move(m));
     }
 }
@@ -1027,17 +1029,14 @@ LLCBank::finishEviction(Addr line)
         _memory->write(line, e->data);
         ++_memWritebacks;
     }
-    std::deque<MsgPtr> deferred = std::move(e->deferred);
+    std::vector<MsgPtr> deferred = std::move(e->deferred);
     auto it = _evbuf.find(line);
     if (it != _evbuf.end())
         _evbuf.erase(it);
     else
         _array.erase(line);
-    while (!deferred.empty()) {
-        MsgPtr m = std::move(deferred.front());
-        deferred.pop_front();
+    for (MsgPtr &m : deferred)
         handleRequest(std::move(m));
-    }
 }
 
 // ---------------------------------------------------------------

@@ -144,7 +144,10 @@ class LLCBank : public SimObject
         bool evicting = false; //!< entry lives in the eviction buffer
         Tick busySince = 0;    //!< last transition into a transient
                                //!< state (transaction age watchdog)
-        std::deque<MsgPtr> deferred;
+        /** Requests waiting for the line, oldest first. Nearly
+         *  always empty, and a vector allocates nothing while
+         *  empty. */
+        std::vector<MsgPtr> deferred;
     };
 
     // request handlers

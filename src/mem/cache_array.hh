@@ -7,6 +7,11 @@
  * the payload. Lookup and allocation never perform replacement side
  * effects themselves: the caller asks for a victim and handles the
  * eviction protocol.
+ *
+ * A set's ways are built the first time allocate() places a line in
+ * it; until then the set is a null pointer that every method treats
+ * as a set of invalid ways. A System therefore pays for the sets its
+ * run touches, not for the whole capacity (docs/PERFORMANCE.md).
  */
 
 #ifndef WB_MEM_CACHE_ARRAY_HH
@@ -14,6 +19,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mem/addr.hh"
@@ -55,7 +61,7 @@ class CacheArray
         : _assoc(assoc),
           _numSets(unsigned(size_bytes / (lineBytes * assoc))),
           _indexDivisor(index_divisor ? index_divisor : 1),
-          _ways(std::size_t(_numSets) * assoc)
+          _sets(_numSets)
     {
         if (_numSets == 0 || (_numSets & (_numSets - 1)) != 0)
             fatal("cache: number of sets (%u) must be a power of two",
@@ -106,18 +112,21 @@ class CacheArray
 
     /**
      * Allocate a line that is known to be absent. Requires a free way
-     * in the set (check with needVictim()/pickVictim() first).
+     * in the set (check with needVictim()/pickVictim() first). The
+     * returned reference stays valid until the line is erased: no
+     * allocation moves another line.
      */
     Payload &
     allocate(Addr line_addr)
     {
         assert(!find(line_addr));
+        std::unique_ptr<Way[]> &set = _sets[setIndex(line_addr)];
+        if (!set)
+            set = std::make_unique<Way[]>(_assoc);
         Way *free_way = nullptr;
-        unsigned set = setIndex(line_addr);
         for (unsigned i = 0; i < _assoc; ++i) {
-            Way &w = _ways[std::size_t(set) * _assoc + i];
-            if (!w.valid) {
-                free_way = &w;
+            if (!set[i].valid) {
+                free_way = &set[i];
                 break;
             }
         }
@@ -133,13 +142,12 @@ class CacheArray
     bool
     needVictim(Addr line_addr) const
     {
-        unsigned set =
-            const_cast<CacheArray *>(this)->setIndex(line_addr);
-        for (unsigned i = 0; i < _assoc; ++i) {
-            const Way &w = _ways[std::size_t(set) * _assoc + i];
-            if (!w.valid)
+        const Way *set = _sets[setIndex(line_addr)].get();
+        if (!set)
+            return false;
+        for (unsigned i = 0; i < _assoc; ++i)
+            if (!set[i].valid)
                 return false;
-        }
         return true;
     }
 
@@ -152,11 +160,12 @@ class CacheArray
     Addr
     pickVictim(Addr line_addr, Pred evictable) const
     {
-        unsigned set =
-            const_cast<CacheArray *>(this)->setIndex(line_addr);
+        const Way *set = _sets[setIndex(line_addr)].get();
+        if (!set)
+            return invalidAddr;
         const Way *best = nullptr;
         for (unsigned i = 0; i < _assoc; ++i) {
-            const Way &w = _ways[std::size_t(set) * _assoc + i];
+            const Way &w = set[i];
             if (!w.valid || !evictable(w.tag, w.line))
                 continue;
             if (!best || w.lru < best->lru)
@@ -174,74 +183,87 @@ class CacheArray
         w->valid = false;
     }
 
-    /** Visit every valid line: fn(lineAddr, payload&). */
+    /** Visit every valid line in slot order: fn(lineAddr, payload&). */
     template <typename Fn>
     void
     forEach(Fn fn)
     {
-        for (auto &w : _ways)
-            if (w.valid)
-                fn(w.tag, w.line);
+        eachValid(*this, [&](std::size_t, Way &w) { fn(w.tag, w.line); });
     }
 
-    /** Visit every valid line: fn(lineAddr, const payload&). */
+    /** Visit every valid line in slot order:
+     *  fn(lineAddr, const payload&). */
     template <typename Fn>
     void
     forEach(Fn fn) const
     {
-        for (const auto &w : _ways)
-            if (w.valid)
-                fn(w.tag, w.line);
+        eachValid(*this, [&](std::size_t, const Way &w) {
+            fn(w.tag, w.line);
+        });
     }
 
     std::size_t
     validLines() const
     {
         std::size_t n = 0;
-        for (const auto &w : _ways)
-            n += w.valid;
+        eachValid(*this, [&](std::size_t, const Way &) { ++n; });
         return n;
     }
 
     /** Snapshot witness: LRU clock plus every valid way in slot
-     *  order (slot index, tag, lru stamp), payload encoded by
-     *  @p fn(writer, payload). Slot order is deterministic — the
-     *  way vector layout is itself simulated state. */
+     *  order (slot index set * assoc + way, tag, lru stamp), payload
+     *  encoded by @p fn(writer, payload). Slot numbers are simulated
+     *  state: they do not depend on which sets have been built. */
     template <typename Fn>
     void
     serializeState(ByteWriter &w, Fn fn) const
     {
         w.u64(_lruClock);
         w.u64(validLines());
-        for (std::size_t i = 0; i < _ways.size(); ++i) {
-            const Way &way = _ways[i];
-            if (!way.valid)
-                continue;
-            w.u64(i);
+        eachValid(*this, [&](std::size_t slot, const Way &way) {
+            w.u64(slot);
             w.u64(way.tag);
             w.u64(way.lru);
             fn(w, way.line);
-        }
+        });
     }
 
   private:
     Way *
     findWay(Addr line_addr)
     {
-        unsigned set = setIndex(line_addr);
-        for (unsigned i = 0; i < _assoc; ++i) {
-            Way &w = _ways[std::size_t(set) * _assoc + i];
-            if (w.valid && w.tag == line_addr)
-                return &w;
-        }
+        Way *set = _sets[setIndex(line_addr)].get();
+        if (!set)
+            return nullptr;
+        for (unsigned i = 0; i < _assoc; ++i)
+            if (set[i].valid && set[i].tag == line_addr)
+                return &set[i];
         return nullptr;
+    }
+
+    /** fn(slot, way) for every valid way of every built set, in
+     *  slot order; @p self is *this, const or not. */
+    template <typename Self, typename Fn>
+    static void
+    eachValid(Self &self, Fn fn)
+    {
+        for (std::size_t s = 0; s < self._sets.size(); ++s) {
+            if (!self._sets[s])
+                continue;
+            for (unsigned i = 0; i < self._assoc; ++i)
+                if (self._sets[s][i].valid)
+                    fn(s * self._assoc + i, self._sets[s][i]);
+        }
     }
 
     unsigned _assoc;
     unsigned _numSets;
     unsigned _indexDivisor;
     unsigned _setBits = 0;
-    std::vector<Way> _ways;
+    /** One block of _assoc ways per set; null until the set's first
+     *  allocate(). Blocks are never freed or moved, so payload
+     *  references survive allocations in other sets. */
+    std::vector<std::unique_ptr<Way[]>> _sets;
     std::uint64_t _lruClock = 0;
 };
 

@@ -151,16 +151,19 @@ TEST(FaultSpec, SpecParseRoundTripFuzz)
         EXPECT_DOUBLE_EQ(again.dupProb, cfg.dupProb) << i;
         EXPECT_DOUBLE_EQ(again.reorderProb, cfg.reorderProb) << i;
         EXPECT_DOUBLE_EQ(again.dropProb, cfg.dropProb) << i;
-        if (cfg.delayProb > 0.0)
+        if (cfg.delayProb > 0.0) {
             EXPECT_EQ(again.delayMax, cfg.delayMax) << i;
-        if (cfg.dupProb > 0.0)
+        }
+        if (cfg.dupProb > 0.0) {
             EXPECT_EQ(again.dupOffsetMax, cfg.dupOffsetMax) << i;
+        }
         if (cfg.reorderProb > 0.0) {
             EXPECT_EQ(again.reorderBurst, cfg.reorderBurst) << i;
             EXPECT_EQ(again.reorderMax, cfg.reorderMax) << i;
         }
-        if (cfg.dropProb > 0.0)
+        if (cfg.dropProb > 0.0) {
             EXPECT_EQ(again.dropMax, cfg.dropMax) << i;
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 #include "mem/addr.hh"
 #include "mem/cache_array.hh"
 #include "mem/data_block.hh"
+#include "sim/bytes.hh"
 
 namespace wb
 {
@@ -114,6 +115,144 @@ TEST(CacheArray, ForEachVisitsAll)
     int sum = 0;
     c.forEach([&](Addr, int &v) { sum += v; });
     EXPECT_EQ(sum, 3);
+}
+
+namespace
+{
+
+/** Payload that counts how many of itself are alive. */
+struct Counted
+{
+    static inline int live = 0;
+    int v = 0;
+
+    Counted() { ++live; }
+    Counted(const Counted &o) : v(o.v) { ++live; }
+    Counted &operator=(const Counted &) = default;
+    ~Counted() { --live; }
+};
+
+/** A line in a different set from every line in @p taken. */
+template <typename Payload>
+Addr
+lineInNewSet(const CacheArray<Payload> &c, const std::vector<Addr> &taken)
+{
+    for (Addr a = 0;; a += lineBytes) {
+        bool fresh = true;
+        for (Addr t : taken)
+            fresh = fresh && c.setIndex(a) != c.setIndex(t);
+        if (fresh)
+            return a;
+    }
+}
+
+} // namespace
+
+// Sets are built by their first allocate(): a new array holds no
+// payloads, and a set holds assoc of them once it has held a line.
+TEST(CacheArray, SetsAreBuiltOnFirstAllocate)
+{
+    Counted::live = 0;
+    {
+        CacheArray<Counted> c(64 * 1024, 4); // 256 sets x 4 ways
+        EXPECT_EQ(Counted::live, 0);
+
+        const Addr a = 0x1000;
+        c.allocate(a).v = 1;
+        EXPECT_EQ(Counted::live, 4);
+        c.allocate(conflictingLines(c, a, 2)[1]).v = 2;
+        EXPECT_EQ(Counted::live, 4) << "same set: nothing built";
+        c.allocate(lineInNewSet(c, {a})).v = 3;
+        EXPECT_EQ(Counted::live, 8);
+        EXPECT_EQ(c.validLines(), 3u);
+    }
+    EXPECT_EQ(Counted::live, 0);
+}
+
+// A set no line was ever placed in reads as a set of invalid ways,
+// and asking about it builds nothing.
+TEST(CacheArray, UntouchedSetIsEmpty)
+{
+    Counted::live = 0;
+    CacheArray<Counted> c(1024, 2);
+    const Addr a = 0x2000;
+    EXPECT_EQ(c.find(a), nullptr);
+    EXPECT_EQ(c.findAndTouch(a), nullptr);
+    EXPECT_FALSE(c.needVictim(a));
+    EXPECT_EQ(c.pickVictim(a, [](Addr, const Counted &) {
+                  return true;
+              }),
+              invalidAddr);
+    int visited = 0;
+    c.forEach([&](Addr, Counted &) { ++visited; });
+    EXPECT_EQ(visited, 0);
+    EXPECT_EQ(c.validLines(), 0u);
+    EXPECT_EQ(Counted::live, 0);
+
+    // Lines in another set leave this one empty.
+    c.allocate(lineInNewSet(c, {a}));
+    EXPECT_EQ(c.find(a), nullptr);
+    EXPECT_FALSE(c.needVictim(a));
+}
+
+// allocate() resets the payload of a reused way.
+TEST(CacheArray, ReusedWayStartsFromDefaultPayload)
+{
+    CacheArray<Counted> c(1024, 2);
+    const auto lines = conflictingLines(c, 0x3000, 3);
+    c.allocate(lines[0]).v = 7;
+    c.allocate(lines[1]).v = 8;
+    c.erase(lines[0]);
+    EXPECT_EQ(c.allocate(lines[2]).v, 0);
+    c.erase(lines[2]);
+    EXPECT_EQ(c.allocate(lines[0]).v, 0);
+    EXPECT_EQ(c.find(lines[1])->v, 8);
+}
+
+// A payload keeps its address while other sets are built: the LLC
+// handlers hold a directory entry across allocate().
+TEST(CacheArray, PayloadAddressIsStable)
+{
+    CacheArray<int> c(16 * 1024, 2); // 128 sets
+    const Addr a = 0x4000;
+    int *p = &c.allocate(a);
+    *p = 5;
+    std::vector<Addr> taken{a};
+    while (taken.size() < c.numSets()) {
+        const Addr b = lineInNewSet(c, taken);
+        c.allocate(b);
+        taken.push_back(b);
+    }
+    EXPECT_EQ(c.find(a), p);
+    EXPECT_EQ(*p, 5);
+}
+
+// The snapshot witness numbers the line at set s, way w as
+// s * assoc + w, whichever sets have been built.
+TEST(CacheArray, SerializeNumbersSlotsBySetAndWay)
+{
+    CacheArray<int> c(1024, 2);
+    const auto lines = conflictingLines(c, 0x5040, 2);
+    const unsigned set = c.setIndex(lines[0]);
+    ASSERT_NE(set, 0u);
+    c.allocate(lines[0]) = 1;
+    c.allocate(lines[1]) = 2;
+
+    ByteWriter w;
+    c.serializeState(w, [](ByteWriter &bw, const int &v) {
+        bw.u64(std::uint64_t(v));
+    });
+    const auto bytes = w.take();
+    ByteReader r(bytes.data(), bytes.size());
+    EXPECT_EQ(r.u64(), 2u); // LRU clock
+    EXPECT_EQ(r.u64(), 2u); // valid lines
+    for (unsigned way = 0; way < 2; ++way) {
+        EXPECT_EQ(r.u64(), std::uint64_t(set) * 2 + way);
+        EXPECT_EQ(r.u64(), lines[way]);
+        EXPECT_EQ(r.u64(), way + 1u); // LRU stamp
+        EXPECT_EQ(r.u64(), way + 1u); // payload
+    }
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST(MainMemory, SparseDefaultZero)

@@ -324,6 +324,64 @@ TEST(SnapshotWitness, VerifyReportsDivergence)
     EXPECT_EQ(d.front(), wrong_payload.sections[0].name);
 }
 
+namespace
+{
+
+/** Bytes and FNV-1a (over name, then payload) of every l1-<i> and
+ *  llc-<b> section of a mid-run ocean_ncp witness under @p cfg. */
+struct CacheWitness
+{
+    std::size_t bytes = 0;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t recalls = 0; //!< Recall messages the LLC sent
+};
+
+CacheWitness
+cacheWitness(const SystemConfig &cfg)
+{
+    const Workload wl = makeBenchmark("ocean_ncp", 4, 0.05);
+    System sys(cfg, wl);
+    EXPECT_TRUE(sys.runToCycle(8001));
+    CacheWitness cw;
+    for (const SnapshotSection &s :
+         buildSnapshot(sys, workloadFingerprint(wl)).sections) {
+        if (s.name.rfind("l1-", 0) != 0 &&
+            s.name.rfind("llc-", 0) != 0)
+            continue;
+        cw.bytes += s.payload.size();
+        cw.hash = fnv1a64(s.name, cw.hash);
+        cw.hash = fnv1a64(s.payload.data(), s.payload.size(), cw.hash);
+    }
+    cw.recalls = sys.stats().sum("llc.*.recalls");
+    return cw;
+}
+
+} // namespace
+
+// The cache arrays' witness bytes (slot numbering, tags, LRU stamps,
+// payloads) are pinned, so a change to how the arrays store their
+// lines cannot move them: snapshots written by an older build must
+// keep verifying.
+TEST(SnapshotWitness, CacheSectionsArePinned)
+{
+    const CacheWitness dflt = cacheWitness(litmusConfig());
+    EXPECT_EQ(dflt.bytes, 222632u);
+    EXPECT_EQ(dflt.hash, 0x7b315db4fc89f197ULL);
+
+    // Small enough that victims, the eviction buffer and reused ways
+    // all reach the pinned bytes.
+    SystemConfig small = litmusConfig();
+    small.mem.llcBankSize = 8 * 1024;
+    small.mem.llcEvictionBuffer = 2;
+    small.mem.l2Size = 8 * 1024;
+    small.mem.l1Size = 4 * 1024;
+    const CacheWitness tight = cacheWitness(small);
+    EXPECT_EQ(tight.bytes, 172193u);
+    EXPECT_EQ(tight.hash, 0x06ce75075e9a730eULL);
+    EXPECT_GT(tight.recalls, 0u) << "no victim went through the "
+                                    "eviction buffer";
+}
+
 TEST(SnapshotRestore, LitmusAtSeveralTicks)
 {
     const SystemConfig cfg = litmusConfig();
