@@ -97,6 +97,7 @@ L1Controller::scheduleHit(InstSeqNum seq, Addr addr, Tick lat,
                           LoadSource src)
 {
     eventQueue().scheduleIn(lat, [this, seq, addr, src]() {
+        ++_stateGen;
         // Re-validate: the line may have been invalidated while the
         // access was in flight; restart the access in that case so
         // the load can never bind a value that bypassed an
@@ -133,6 +134,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
         if (_core->isLoadOrdered(seq))
             return issueGetU(seq, addr);
         _wbWaiters[line].push_back(WaitingLoad{seq, addr});
+        ++_stateGen;
         return true;
     }
 
@@ -148,6 +150,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                                      : _cfg.l2HitLatency,
                     in_l1 ? LoadSource::CacheHitL1
                           : LoadSource::CacheHitL2);
+        ++_stateGen;
         return true;
     }
 
@@ -164,6 +167,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             // 1-cycle window cancels the pending fill, and binding
             // the stale copy then would escape the LQ query.
             eventQueue().scheduleIn(1, [this, seq, addr]() {
+                ++_stateGen;
                 const Addr l = lineOf(addr);
                 auto mit = _mshrs.find(l);
                 if (mit != _mshrs.end() &&
@@ -178,6 +182,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                     _loadRetryQ.push_back(WaitingLoad{seq, addr});
                 }
             });
+            ++_stateGen;
             return true;
         }
         if (m.kind == Mshr::Kind::Write && m.blocked &&
@@ -186,6 +191,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             return issueGetU(seq, addr);
         }
         m.loads.push_back(WaitingLoad{seq, addr});
+        ++_stateGen;
         return true;
     }
 
@@ -210,6 +216,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
     });
     if (_cfg.prefetchNextLine)
         maybePrefetch(line + lineBytes);
+    ++_stateGen;
     return true;
 }
 
@@ -245,6 +252,7 @@ L1Controller::issueGetU(InstSeqNum seq, Addr addr)
 {
     if (_sosMshr)
         return false; // previous bypass still in flight; retry
+    ++_stateGen;
     _sosMshr.emplace();
     _sosMshr->kind = Mshr::Kind::Unc;
     _sosMshr->line = lineOf(addr);
@@ -262,8 +270,9 @@ L1Controller::loadBecameSoS(InstSeqNum seq, Addr addr)
 {
     const Addr line = lineOf(addr);
 
-    // Called (possibly repeatedly) by the core while its SoS load is
-    // parked; idempotent. Only unpark when a bypass actually issues.
+    // Called again by the core while its SoS load stays parked, each
+    // time either generation has changed; idempotent. Only unpark
+    // when a bypass actually issues.
     if (_sosMshr && !_sosMshr->loads.empty() &&
         _sosMshr->loads.front().seq == seq)
         return; // bypass already in flight
@@ -278,7 +287,7 @@ L1Controller::loadBecameSoS(InstSeqNum seq, Addr addr)
                                 });
         if (pos != v.end()) {
             if (!issueGetU(seq, addr))
-                return; // reserved MSHR busy; retried next cycle
+                return; // reserved MSHR busy; retried once it frees
             v.erase(pos);
             if (v.empty())
                 _wbWaiters.erase(wit);
@@ -339,6 +348,7 @@ L1Controller::requestWritePermission(Addr line)
     if (_mshrs.size() >= _cfg.numMshrs)
         return; // caller polls
 
+    ++_stateGen;
     Mshr &m = _mshrs[line];
     m.kind = Mshr::Kind::Write;
     m.line = line;
@@ -363,6 +373,7 @@ L1Controller::performStore(Addr addr, std::uint64_t value)
     PrivLine *pl = _array.findAndTouch(line);
     assert(pl && (pl->st == PState::E || pl->st == PState::M) &&
            "performStore without write permission");
+    ++_stateGen;
     pl->st = PState::M;
     touchL1(line);
     const Version ver = pl->data.readVersion(addr) + 1;
@@ -381,6 +392,7 @@ L1Controller::performAtomic(
     PrivLine *pl = _array.findAndTouch(line);
     assert(pl && (pl->st == PState::E || pl->st == PState::M) &&
            "performAtomic without write permission");
+    ++_stateGen;
     pl->st = PState::M;
     touchL1(line);
     const std::uint64_t old = pl->data.readWord(addr);
@@ -497,9 +509,12 @@ L1Controller::tryFill(Mshr &m)
 void
 L1Controller::tick()
 {
-    if (_recovery.enabled && now() % _recovery.pollCycles == 0)
+    if (_recovery.enabled && now() % _recovery.pollCycles == 0) {
+        ++_stateGen;
         recoveryScan();
+    }
     if (!_loadRetryQ.empty()) {
+        ++_stateGen;
         std::vector<WaitingLoad> again;
         for (const WaitingLoad &wl : _loadRetryQ)
             if (!issueLoad(wl.seq, wl.addr))
@@ -508,6 +523,7 @@ L1Controller::tick()
     }
     if (_retryFills.empty())
         return;
+    ++_stateGen;
     std::vector<Addr> again;
     for (Addr line : _retryFills) {
         auto it = _mshrs.find(line);
@@ -647,6 +663,7 @@ void
 L1Controller::handleMessage(MsgPtr msg)
 {
     auto &m = static_cast<CohMsg &>(*msg);
+    ++_stateGen;
     if (_recovery.enabled && !_dedup.accept(m.src, m.seq)) {
         // A duplicated delivery (fault-injected copy, or a transport
         // retransmission racing its original): provably idempotent —

@@ -96,8 +96,11 @@ class L1Controller : public SimObject
      *
      * On a hit the value binds after the L1/L2 hit latency via
      * CoreMemIf::loadResponse. On a miss the load joins (or creates)
-     * an MSHR. @return false if no resource was available; the core
-     * must retry next cycle.
+     * an MSHR. @return false if no resource was available. A refusal
+     * only counts a miss: it changes no state and bumps no
+     * generation, so the core calls again only after stateGen() or
+     * its own generation has changed, and counts the refusals of
+     * the cycles in between through countRefusedLoads().
      */
     bool issueLoad(InstSeqNum seq, Addr addr);
 
@@ -105,16 +108,34 @@ class L1Controller : public SimObject
      * The load became the SoS load. Re-drives a load that is parked
      * behind a blocked write MSHR, a private writeback, or a
      * tear-off retry, using the reserved uncacheable path when
-     * needed (Section 3.5.2).
+     * needed (Section 3.5.2). Idempotent; the core calls again only
+     * after stateGen() or its own generation has changed.
      */
     void loadBecameSoS(InstSeqNum seq, Addr addr);
+
+    /**
+     * Generation of the state the core's polls (issueLoad,
+     * loadBecameSoS, hasWritePermission, requestWritePermission)
+     * read: the MSHRs, the reserved SoS entry, the array, the
+     * writeback buffer and its waiters. Every entry point that can
+     * write it bumps it; a refused call does not.
+     */
+    std::uint64_t stateGen() const { return _stateGen; }
+
+    /** Misses counted so far, refused issueLoad calls included. */
+    std::uint64_t missCount() const { return _misses.value(); }
+
+    /** Count @p n refused issueLoad calls the core skipped because
+     *  neither generation changed since one that was refused. */
+    void countRefusedLoads(std::uint64_t n) { _misses += n; }
 
     // ---------------- store path ----------------
 
     /**
      * Ask for write permission for @p line (store prefetch, or the
      * store at the head of the store buffer). Idempotent; the store
-     * buffer polls hasWritePermission() until granted.
+     * buffer asks again, and rechecks hasWritePermission(), only
+     * after stateGen() or the core's generation has changed.
      */
     void requestWritePermission(Addr line);
 
@@ -370,6 +391,8 @@ class L1Controller : public SimObject
     /** Accepted loads whose internal re-issue failed transiently
      *  (resources full); retried every cycle until re-accepted. */
     std::vector<WaitingLoad> _loadRetryQ;
+    /** See stateGen(). Derived state: not in the snapshot witness. */
+    std::uint64_t _stateGen = 0;
 
     // stats
     Counter &_hitsL1;

@@ -124,17 +124,17 @@ Core::tick()
 {
     ++_cycles;
     if (_halted) {
-        drainStoreBuffer();
+        pollL1(_drainIdle, &Core::drainStoreBuffer);
         return;
     }
     const std::uint64_t commits_before = _commits;
     commit();
     driveFence();
     driveAtomic();
-    drainStoreBuffer();
+    pollL1(_drainIdle, &Core::drainStoreBuffer);
     issueFromIq();
-    memIssue();
-    driveSoS();
+    pollL1(_memIssueIdle, &Core::memIssue);
+    pollL1(_sosIdle, &Core::driveSoS);
     fetchAndDispatch();
 
     if (_commits == commits_before && !_halted) {
@@ -148,6 +148,21 @@ Core::tick()
         else
             ++_stallOther;
     }
+}
+
+void
+Core::pollL1(IdleStamp &stamp, void (Core::*poll)())
+{
+    const std::uint64_t l1_gen = _l1->stateGen();
+    if (stamp.coreGen == _commitGen && stamp.l1Gen == l1_gen) {
+        _l1->countRefusedLoads(stamp.refusals);
+        return;
+    }
+    const std::uint64_t core_gen = _commitGen;
+    const std::uint64_t misses = _l1->missCount();
+    (this->*poll)();
+    if (_commitGen == core_gen && _l1->stateGen() == l1_gen)
+        stamp = IdleStamp{core_gen, l1_gen, _l1->missCount() - misses};
 }
 
 // ---------------------------------------------------------------
@@ -361,6 +376,7 @@ Core::execute(InstSeqNum seq)
             assert(sq);
             sq->addr = e->addr;
             sq->addrReady = true;
+            _sqWords.add(sq->addr);
             if (op == Opcode::St)
                 e->executed = true;
             // Memory-dependence violation: a younger load already
@@ -424,30 +440,33 @@ Core::memIssue()
 
         // Store-to-load forwarding / memory-dependence stall: find
         // the youngest older store to the same word (descending
-        // walk from the first SQ entry at or past this load).
+        // walk from the first SQ entry at or past this load). The
+        // walk can only find one if _sqWords may hold the word.
         bool stalled = false;
         bool forwarded = false;
-        for (auto sit = _sq.lowerBound(seq); sit != _sq.begin();) {
-            --sit;
-            const SqEntry &sq = sit->second;
-            if (!sq.addrReady || sq.addr != lq.addr)
-                continue;
-            if (sq.isAtomic) {
-                // The atomic has not performed (it would have left
-                // the SQ); its value is unknown: stall.
-                stalled = true;
+        if (_sqWords.mayHold(lq.addr)) {
+            for (auto sit = _sq.lowerBound(seq); sit != _sq.begin();) {
+                --sit;
+                const SqEntry &sq = sit->second;
+                if (!sq.addrReady || sq.addr != lq.addr)
+                    continue;
+                if (sq.isAtomic) {
+                    // The atomic has not performed (it would have left
+                    // the SQ); its value is unknown: stall.
+                    stalled = true;
+                    break;
+                }
+                RobEntry *prod = robFind(sit->first);
+                assert(prod);
+                if (prod->srcReady[1]) {
+                    bindLoad(seq, lq, prod->srcVal[1], 0, true);
+                    ++_forwardedLoads;
+                    forwarded = true;
+                } else {
+                    stalled = true; // match without data yet
+                }
                 break;
             }
-            RobEntry *prod = robFind(sit->first);
-            assert(prod);
-            if (prod->srcReady[1]) {
-                bindLoad(seq, lq, prod->srcVal[1], 0, true);
-                ++_forwardedLoads;
-                forwarded = true;
-            } else {
-                stalled = true; // match without data yet
-            }
-            break;
         }
         if (forwarded) {
             --ports;
@@ -458,10 +477,12 @@ Core::memIssue()
 
         // Committed stores awaiting the cache: forward from the SB.
         const SbEntry *sb_hit = nullptr;
-        for (auto it = _sb.rbegin(); it != _sb.rend(); ++it) {
-            if (it->addr == lq.addr) {
-                sb_hit = &*it;
-                break;
+        if (_sbWords.mayHold(lq.addr)) {
+            for (auto it = _sb.rbegin(); it != _sb.rend(); ++it) {
+                if (it->addr == lq.addr) {
+                    sb_hit = &*it;
+                    break;
+                }
             }
         }
         if (sb_hit) {
@@ -482,6 +503,7 @@ Core::memIssue()
 
         if (_l1->issueLoad(seq, lq.addr)) {
             lq.issued = true;
+            ++_commitGen;
             --ports;
         }
     }
@@ -569,6 +591,7 @@ Core::loadMustRetry(InstSeqNum seq, Addr addr)
         return;
     lq->mustRetry = true;
     lq->issued = false;
+    ++_commitGen;
 }
 
 void
@@ -648,6 +671,7 @@ Core::driveSoS()
         if (_l1->issueLoad(_frontier, lq.addr)) {
             lq.mustRetry = false;
             lq.issued = true;
+            ++_commitGen;
         }
         return;
     }
@@ -671,6 +695,7 @@ Core::drainStoreBuffer()
                "store buffer drained out of program order");
         _lastDrainedStore = head.seq;
         _l1->performStore(head.addr, head.data);
+        _sbWords.remove(head.addr);
         _sb.pop_front();
         ++_commitGen;
     } else {
@@ -896,16 +921,15 @@ Core::retireEntry(RobEntry &e)
     }
     if (isLoad(op) || isAtomic(op))
         _lq.erase(e.seq);
+    if (isStore(op) || isAtomic(op))
+        sqErase(e.seq);
     if (isStore(op)) {
         _sb.push_back(SbEntry{e.seq, e.addr, e.srcVal[1]});
+        _sbWords.add(e.addr);
         ++_storesCommitted;
     }
-    if (isAtomic(op)) {
-        _sq.erase(e.seq);
+    if (isAtomic(op))
         ++_atomicsCommitted;
-    }
-    if (isStore(op))
-        _sq.erase(e.seq);
     ++_commitGen;
     ++_commits;
     ++_committed;
@@ -914,6 +938,17 @@ Core::retireEntry(RobEntry &e)
     if (_commitHook)
         _commitHook(e.seq, e.pc, e.in,
                     isMem(op) ? e.addr : invalidAddr);
+}
+
+void
+Core::sqErase(InstSeqNum seq)
+{
+    const SqEntry *sq = _sq.find(seq);
+    if (!sq)
+        return;
+    if (sq->addrReady)
+        _sqWords.remove(sq->addr);
+    _sq.erase(seq);
 }
 
 // ---------------------------------------------------------------
@@ -948,7 +983,7 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
             _lq.erase(seq);
         }
         _pendingChecks.erase(seq);
-        _sq.erase(seq);
+        sqErase(seq);
         _fences.erase(seq);
         _rob.erase(seq);
         ++_squashedInstrs;
@@ -1073,6 +1108,7 @@ Core::coherenceInvalidation(Addr line)
     auto it = _locks.find(line);
     if (it != _locks.end() && it->second.count > 0) {
         it->second.owed = true;
+        ++_commitGen;
         ++_lockdownsSeen;
         // Set the S bits (stats/introspection; the owed flag is the
         // authoritative state).

@@ -26,6 +26,7 @@
 #define WB_CORE_CORE_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -41,6 +42,7 @@
 #include "core/config.hh"
 #include "core/seq_table.hh"
 #include "isa/program.hh"
+#include "mem/addr.hh"
 #include "sim/sim_object.hh"
 
 namespace wb
@@ -85,6 +87,35 @@ class BranchPredictor
         return std::size_t(pc) % _table.size();
     }
     std::vector<std::uint8_t> _table;
+};
+
+/**
+ * Counting filter over word addresses: how many entries of a store
+ * structure hold a word in each of 1024 slots (word number mod 1024,
+ * so words 8 KiB apart share a slot). A zero slot proves no entry
+ * holds the word; a nonzero one only says a walk may find it.
+ */
+class WordFilter
+{
+  public:
+    bool mayHold(Addr word) const { return _count[slot(word)] != 0; }
+    void add(Addr word) { ++_count[slot(word)]; }
+
+    void
+    remove(Addr word)
+    {
+        std::uint32_t &c = _count[slot(word)];
+        assert(c > 0 && "word filter slot underflow");
+        --c;
+    }
+
+  private:
+    static constexpr std::size_t slots = 1024;
+    static std::size_t slot(Addr word)
+    {
+        return std::size_t(word / wordBytes) % slots;
+    }
+    std::array<std::uint32_t, slots> _count{};
 };
 
 /** The out-of-order core. */
@@ -256,9 +287,25 @@ class Core : public SimObject, public CoreMemIf
     void commit();
     void driveSoS();
 
+    /** An idle poll's view: the generations it ran at and the
+     *  issueLoad refusals (misses) it made. */
+    struct IdleStamp
+    {
+        std::uint64_t coreGen = 0; //!< never matches: _commitGen >= 1
+        std::uint64_t l1Gen = 0;
+        std::uint64_t refusals = 0;
+    };
+    /** Run @p poll unless neither generation changed since it last
+     *  ran idle; a skipped cycle counts that run's refusals. */
+    void pollL1(IdleStamp &stamp, void (Core::*poll)());
+
     // commit helpers
     bool commitOne(RobEntry &e);
     void retireEntry(RobEntry &e);
+
+    /** Drop @p seq from the SQ, and its word from _sqWords if it had
+     *  its address. */
+    void sqErase(InstSeqNum seq);
 
     // squash machinery
     void squashFrom(InstSeqNum first_bad, int new_pc,
@@ -318,12 +365,36 @@ class Core : public SimObject, public CoreMemIf
     std::map<InstSeqNum, PendingCheck> _pendingChecks;
     InstSeqNum _frontier = invalidSeqNum; //!< oldest non-performed ld
 
-    /** Generation of the commit scan's inputs: every write to one
-     *  bumps it, a retire too, so commit() skips while it still
-     *  equals the value its last (idle) scan started at. The inputs
-     *  and write sites are listed in docs/PERFORMANCE.md. */
+    /** Generation of the core state that commit and the L1 polls
+     *  read: every write to one bumps it, a retire too, so commit()
+     *  skips while it still equals the value its last (idle) scan
+     *  started at. The inputs and write sites are listed in
+     *  docs/PERFORMANCE.md. */
     std::uint64_t _commitGen = 1;
     std::uint64_t _scannedGen = 0;
+
+    /**
+     * Idle stamps of the three L1 polls (drainStoreBuffer, memIssue,
+     * driveSoS): a poll that changed neither _commitGen nor the L1's
+     * stateGen() records both, and is skipped while both still
+     * match. That is exact because a poll's inputs are core state
+     * under _commitGen and L1 state under stateGen(), and an idle
+     * run's only side effects are refused issueLoad calls, which
+     * change nothing but the L1's miss count and do not read now(),
+     * and memIssue dropping dead _loadCands entries. So a skipped
+     * cycle would repeat the stamped run, and it adds the stamped
+     * refusals to the miss count in bulk. Derived state like
+     * _commitGen: not in the snapshot witness.
+     */
+    IdleStamp _drainIdle;
+    IdleStamp _memIssueIdle;
+    IdleStamp _sosIdle;
+
+    /** Words of the address-ready SQ entries (stores and atomics)
+     *  and of the SB entries: memIssue walks a queue for a load only
+     *  when its filter may hold the load's word. Derived state. */
+    WordFilter _sqWords;
+    WordFilter _sbWords;
 
     /** Pending (non-executed) fences, oldest first. */
     std::set<InstSeqNum> _fences;

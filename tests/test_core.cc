@@ -75,6 +75,73 @@ TEST(Core, ForwardingPicksYoungestMatch)
     EXPECT_EQ(sys.core(0).regValue(4), 2u);
 }
 
+TEST(Core, StoreToAliasingWordDoesNotForward)
+{
+    // The store and the load are 8 KiB apart, so they share a slot of
+    // the core's store-word filter (1024 slots over word numbers).
+    // The slot only tells the load to walk the SQ and SB: the walk
+    // finds no matching word, and the load reads memory.
+    const Addr store_addr = layout::sharedBase;
+    const Addr load_addr = layout::sharedBase + 8 * 1024;
+    ProgramBuilder b;
+    b.li(1, std::int64_t(store_addr));
+    b.li(2, std::int64_t(load_addr));
+    b.li(3, 4242);
+    b.st(1, 3);
+    b.ld(4, 2);
+    b.halt();
+    Workload wl;
+    wl.threads.push_back(b.take());
+    wl.initMem.emplace_back(load_addr, 99);
+    for (CommitMode mode : {CommitMode::InOrder, CommitMode::OooWB}) {
+        SCOPED_TRACE(commitModeName(mode));
+        System sys(cfg1(mode), wl);
+        SimResults r = sys.run();
+        ASSERT_TRUE(r.completed);
+        EXPECT_EQ(sys.core(0).regValue(4), 99u);
+        EXPECT_EQ(stat(sys, "core.0.forwardedLoads"), 0u);
+        EXPECT_EQ(sys.peekCoherent(store_addr), 4242u);
+    }
+}
+
+TEST(Core, SquashedStoreDoesNotForward)
+{
+    // The bne depends on a cache-missing load and is predicted not
+    // taken, so the store after it executes on the wrong path. The
+    // squash removes it; the correct-path load of the same word must
+    // read memory, not the squashed store's value.
+    const Addr flag = layout::sharedBase;
+    const Addr word = layout::sharedBase + 0x1000;
+    ProgramBuilder b;
+    b.li(1, std::int64_t(flag));
+    b.li(2, std::int64_t(word));
+    b.li(3, 555);
+    b.li(6, 0);
+    auto skip = b.newLabel();
+    b.ld(4, 1);          // cache miss: 1
+    b.bne(4, 6, skip);   // taken, predicted not taken
+    b.st(2, 3);          // wrong path only
+    b.bind(skip);
+    b.ld(5, 2);          // must read 77
+    b.halt();
+    Workload wl;
+    wl.threads.push_back(b.take());
+    wl.initMem.emplace_back(flag, 1);
+    wl.initMem.emplace_back(word, 77);
+    for (CommitMode mode : {CommitMode::InOrder, CommitMode::OooWB}) {
+        SCOPED_TRACE(commitModeName(mode));
+        System sys(cfg1(mode), wl);
+        SimResults r = sys.run();
+        ASSERT_TRUE(r.completed);
+        EXPECT_GE(stat(sys, "core.0.squashBranch"), 1u);
+        // Only the wrong-path copy of the load forwarded: the store
+        // had its address in the SQ before the squash.
+        EXPECT_EQ(stat(sys, "core.0.forwardedLoads"), 1u);
+        EXPECT_EQ(sys.core(0).regValue(5), 77u);
+        EXPECT_EQ(sys.peekCoherent(word), 77u);
+    }
+}
+
 TEST(Core, MemoryDependenceSpeculationRepairs)
 {
     // The store's address depends on a cache-missing load, so the

@@ -189,4 +189,54 @@ TEST(Report, EveryCoreModeIsPinned)
     }
 }
 
+TEST(Report, MemoryConfigsArePinned)
+{
+    // Memory configurations no wbperf or perfbench cell runs: MSHRs
+    // that refuse loads every cycle and a busy reserved SoS entry
+    // (two MSHRs, one MSHR), next-line prefetch, and PutS evictions
+    // that query the core (small caches, non-silent S evictions).
+    SystemConfig mesh;
+    mesh.numCores = 16;
+    mesh.core = makeCoreConfig(CoreClass::HSW);
+    mesh.setMode(CommitMode::OooWB);
+    const Workload fft = makeBenchmark("fft", 16, 0.02);
+
+    SystemConfig ideal;
+    ideal.numCores = 4;
+    ideal.network = NetworkKind::Ideal;
+    ideal.ideal.numNodes = 4;
+    ideal.ideal.baseLatency = 8;
+    ideal.ideal.jitter = 12;
+    ideal.setMode(CommitMode::OooWB);
+    const Workload table1 = makeLitmus(LitmusKind::Table1, 300);
+
+    auto hash = [](const SystemConfig &cfg, const Workload &wl) {
+        System sys(cfg, wl);
+        const SimResults r = sys.run();
+        EXPECT_TRUE(r.completed);
+        EXPECT_EQ(r.tsoViolations, 0u);
+        std::ostringstream os;
+        writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+        return fnv1a64(os.str());
+    };
+
+    SystemConfig two_mshrs = mesh;
+    two_mshrs.mem.numMshrs = 2;
+    EXPECT_EQ(hash(two_mshrs, fft), 0xc874ab402094b466ULL);
+
+    SystemConfig prefetch = mesh;
+    prefetch.mem.prefetchNextLine = true;
+    EXPECT_EQ(hash(prefetch, fft), 0xe1ee0a070bd18d1eULL);
+
+    SystemConfig puts = mesh;
+    puts.mem.silentSharedEvictions = false;
+    puts.mem.l2Size = 8 * 1024;
+    puts.mem.l1Size = 4 * 1024;
+    EXPECT_EQ(hash(puts, fft), 0x418dd08235ca8112ULL);
+
+    SystemConfig one_mshr = ideal;
+    one_mshr.mem.numMshrs = 1;
+    EXPECT_EQ(hash(one_mshr, table1), 0xe67f2bd9e9c1dfceULL);
+}
+
 } // namespace wb
