@@ -6,6 +6,7 @@
 
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
+#include "sim/callback.hh"
 
 namespace wb
 {
@@ -21,7 +22,86 @@ routeArg(const NetMsg &msg)
            std::uint64_t(std::uint32_t(msg.dst));
 }
 
+/** Low (per-destination count) bits of a composite ledger id. */
+constexpr std::uint64_t lowIdMask = (std::uint64_t(1) << 48) - 1;
+
 } // namespace
+
+Network::InFlightMsg *
+Network::DstLedger::find(std::uint64_t id)
+{
+    const std::uint64_t low = id & lowIdMask;
+    if (low >= oldest && low <= nextId) {
+        InFlightMsg &e = slot(low);
+        if (e.id == id)
+            return &e;
+    }
+    if (dropped.empty())
+        return nullptr;
+    auto it = dropped.find(id);
+    return it == dropped.end() ? nullptr : &it->second;
+}
+
+void
+Network::DstLedger::add(const InFlightMsg &e)
+{
+    // The ring spans ids [oldest, nextId]; a dropped entry leaves a
+    // tombstone in its slot so the span stays contiguous.
+    if (nextId - oldest + 1 > ring.size()) {
+        std::vector<InFlightMsg> bigger(
+            std::max<std::size_t>(16, 2 * ring.size()));
+        for (std::uint64_t low = oldest; low < nextId; ++low)
+            bigger[low & (bigger.size() - 1)] = slot(low);
+        ring.swap(bigger);
+    }
+    if (e.dropped) {
+        slot(nextId) = InFlightMsg{};
+        dropped.emplace(e.id, e);
+    } else {
+        slot(nextId) = e;
+        ++live;
+    }
+    trim();
+}
+
+void
+Network::DstLedger::retire(InFlightMsg &e)
+{
+    if (e.dropped) {
+        setRetxPending(e, false);
+        const std::uint64_t id = e.id;
+        dropped.erase(id);
+        return;
+    }
+    e.id = 0;
+    --live;
+    trim();
+}
+
+void
+Network::DstLedger::setRetxPending(InFlightMsg &e, bool on)
+{
+    if (e.retxPending != on)
+        on ? ++retxPending : --retxPending;
+    e.retxPending = on;
+}
+
+template <typename F>
+void
+Network::DstLedger::forEach(F &&f) const
+{
+    auto d = dropped.begin();
+    for (std::uint64_t low = oldest; low <= nextId; ++low) {
+        const InFlightMsg &e = ring[low & (ring.size() - 1)];
+        if (e.id == 0)
+            continue;
+        for (; d != dropped.end() && d->first < e.id; ++d)
+            f(d->second);
+        f(e);
+    }
+    for (; d != dropped.end(); ++d)
+        f(d->second);
+}
 
 Network::Network(std::string name, EventQueue *eq,
                  StatRegistry *stats, int num_nodes)
@@ -85,11 +165,10 @@ void
 Network::markRecovered(std::uint64_t id)
 {
     DstLedger &led = _ledgers[std::size_t(id >> 48)];
-    auto it = led.entries.find(id);
-    if (it == led.entries.end())
-        return;
-    ++_recovered;
-    led.entries.erase(it);
+    if (InFlightMsg *e = led.find(id)) {
+        ++_recovered;
+        led.retire(*e);
+    }
 }
 
 std::size_t
@@ -97,23 +176,27 @@ Network::inFlight() const
 {
     std::size_t n = 0;
     for (const DstLedger &led : _ledgers)
-        for (const auto &[id, e] : led.entries)
-            if (!e.dropped || e.retxPending)
-                ++n;
+        n += led.live + led.retxPending;
+    return n;
+}
+
+std::size_t
+Network::undeliveredCount() const
+{
+    std::size_t n = 0;
+    for (const DstLedger &led : _ledgers)
+        n += led.size();
     return n;
 }
 
 std::vector<Network::InFlightMsg>
 Network::undelivered() const
 {
+    // Ledgers are indexed by destination, the id's high bits, so
+    // visiting them in order keeps the ids ascending.
     std::vector<InFlightMsg> out;
     for (const DstLedger &led : _ledgers)
-        for (const auto &[id, e] : led.entries)
-            out.push_back(e);
-    std::sort(out.begin(), out.end(),
-              [](const InFlightMsg &a, const InFlightMsg &b) {
-                  return a.id < b.id;
-              });
+        led.forEach([&](const InFlightMsg &e) { out.push_back(e); });
     return out;
 }
 
@@ -123,22 +206,18 @@ Network::recordLedger(const NetMsg &msg, Tick snow, bool dropped)
     DstLedger &led = _ledgers[std::size_t(msg.dst)];
     const std::uint64_t id =
         (std::uint64_t(std::uint16_t(msg.dst)) << 48) | ++led.nextId;
-    InFlightMsg &e = led.entries[id];
-    e.id = id;
-    e.kind = msg.kind();
-    e.src = msg.src;
-    e.dst = msg.dst;
-    e.vnet = int(msg.vnet);
-    e.addr = msg.debugAddr();
-    e.injectedAt = snow;
-    e.dropped = dropped;
+    led.add(InFlightMsg{id, msg.kind(), msg.src, msg.dst,
+                        int(msg.vnet), msg.debugAddr(), snow, dropped,
+                        false});
     return id;
 }
 
 void
-Network::inboxInsert(int dst, Tick at, InboxEntry entry)
+Network::inboxInsert(int dst, InboxEntry entry)
 {
-    _inbox[std::size_t(dst)][at].push_back(std::move(entry));
+    std::vector<InboxEntry> &box = _inbox[std::size_t(dst)];
+    box.push_back(std::move(entry));
+    std::push_heap(box.begin(), box.end(), ArrivesAfter{});
 }
 
 void
@@ -212,13 +291,13 @@ Network::place(Tick snow, MsgPtr msg, Tick latency)
     if (d.duplicate) {
         ++_faultDuplicated;
         const std::uint64_t dup_id = recordLedger(m, snow, false);
-        inboxInsert(m.dst, arrival + d.extraDelay + d.dupOffset,
-                    InboxEntry{snow, m.seq, m.src, 1, dup_id, msg});
+        inboxInsert(m.dst,
+                    InboxEntry{arrival + d.extraDelay + d.dupOffset,
+                               snow, m.seq, m.src, 1, dup_id, msg});
     }
     const std::uint64_t id = recordLedger(m, snow, false);
-    inboxInsert(m.dst, arrival + d.extraDelay,
-                InboxEntry{snow, m.seq, m.src, 0, id,
-                           std::move(msg)});
+    inboxInsert(m.dst, InboxEntry{arrival + d.extraDelay, snow, m.seq,
+                                  m.src, 0, id, std::move(msg)});
 }
 
 void
@@ -230,12 +309,11 @@ Network::commitSends()
     // program order, so the processing order — and with it every
     // fault draw, link claim, jitter draw, and ledger id — is
     // independent of how sources were interleaved across threads.
-    std::vector<PendingSend> batch;
     for (auto &ring : _rings)
         ring->drain([&](PendingSend &&p) {
-            batch.push_back(std::move(p));
+            _batch.push_back(std::move(p));
         });
-    std::sort(batch.begin(), batch.end(),
+    std::sort(_batch.begin(), _batch.end(),
               [](const PendingSend &a, const PendingSend &b) {
                   if (a.snow != b.snow)
                       return a.snow < b.snow;
@@ -243,8 +321,9 @@ Network::commitSends()
                       return a.msg->src < b.msg->src;
                   return a.msg->seq < b.msg->seq;
               });
-    for (PendingSend &p : batch)
+    for (PendingSend &p : _batch)
         commitOne(p.snow, std::move(p.msg));
+    _batch.clear();
 
     // Fold the per-node delivery-statistic deltas into the shared
     // counters in node order (partition-independent).
@@ -263,9 +342,9 @@ Network::scheduleRetransmit(std::uint64_t id, MsgPtr msg,
                             Tick latency, unsigned attempt)
 {
     DstLedger &led = _ledgers[std::size_t(id >> 48)];
-    auto it = led.entries.find(id);
-    assert(it != led.entries.end());
-    it->second.retxPending = true;
+    InFlightMsg *e = led.find(id);
+    assert(e && e->dropped);
+    led.setRetxPending(*e, true);
     const Tick backoff = RecoveryConfig::backoff(
         _recovery.retransmitBaseCycles, attempt);
     _retxBackoff.sample(backoff);
@@ -273,8 +352,8 @@ Network::scheduleRetransmit(std::uint64_t id, MsgPtr msg,
         now() + backoff,
         [this, id, latency, attempt, m = std::move(msg)]() mutable {
             DstLedger &dl = _ledgers[std::size_t(id >> 48)];
-            auto lit = dl.entries.find(id);
-            if (lit == dl.entries.end())
+            InFlightMsg *entry = dl.find(id);
+            if (!entry)
                 return; // entry already resolved
             ++_retransmits;
             WB_EVENT(recorder(), now(), EvKind::NetRetransmit,
@@ -298,7 +377,7 @@ Network::scheduleRetransmit(std::uint64_t id, MsgPtr msg,
                     // Budget exhausted: surrender the entry to the
                     // leak check (classified verdict, never a
                     // silent hang).
-                    lit->second.retxPending = false;
+                    dl.setRetxPending(*entry, false);
                 }
                 return;
             }
@@ -308,27 +387,24 @@ Network::scheduleRetransmit(std::uint64_t id, MsgPtr msg,
             const std::uint8_t copy = std::uint8_t(
                 2 + (attempt < 253u ? attempt : 253u));
             const int dst = m->dst;
-            const Tick at = fired + latency + d.extraDelay;
-            inboxInsert(dst, at,
-                        InboxEntry{fired, m->seq, m->src, copy, id,
-                                   std::move(m)});
+            inboxInsert(dst, InboxEntry{fired + latency + d.extraDelay,
+                                        fired, m->seq, m->src, copy,
+                                        id, std::move(m)});
         },
         EventPriority::Delivery);
 }
 
 void
-Network::accountDelivery(const InboxEntry &e, Tick at)
+Network::accountDelivery(std::uint64_t id, const NetMsg &msg, Tick at)
 {
-    const NetMsg &msg = *e.msg;
     WB_EVENT(recorder(), at, EvKind::NetDeliver, EvUnit::VNet,
              int(msg.vnet), Addr(msg.debugAddr()), routeArg(msg));
 
     DstLedger &led = _ledgers[std::size_t(msg.dst)];
-    auto it = led.entries.find(e.id);
-    if (it != led.entries.end()) {
-        if (it->second.dropped)
+    if (InFlightMsg *e = led.find(id)) {
+        if (e->dropped)
             ++_recovered; // a retransmission landed (single-shard)
-        led.entries.erase(it);
+        led.retire(*e);
     }
 
     // Delivery-order statistics (always on): duplicated deliveries
@@ -356,40 +432,30 @@ Network::accountDelivery(const InboxEntry &e, Tick at)
 void
 Network::scheduleDeliveries(int node, Tick t, EventQueue &eq)
 {
-    Inbox &box = _inbox[std::size_t(node)];
+    std::vector<InboxEntry> &box = _inbox[std::size_t(node)];
     if (box.empty())
         return;
-    assert(box.begin()->first >= t && "missed a delivery tick");
-    auto it = box.begin();
-    if (it->first != t)
+    assert(box.front().at >= t && "missed a delivery tick");
+    if (box.front().at != t)
         return;
-    std::vector<InboxEntry> entries = std::move(it->second);
-    box.erase(it);
-
-    // Canonical within-tick delivery order.
-    std::sort(entries.begin(), entries.end(),
-              [](const InboxEntry &a, const InboxEntry &b) {
-                  if (a.snow != b.snow)
-                      return a.snow < b.snow;
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  if (a.seq != b.seq)
-                      return a.seq < b.seq;
-                  return a.copy < b.copy;
-              });
 
     assert(_handlers[std::size_t(node)] &&
            "destination node has no handler");
     Handler *handler = &_handlers[std::size_t(node)];
-    for (InboxEntry &e : entries) {
-        eq.schedule(
-            t,
-            [this, handler, t, ent = std::move(e)]() mutable {
-                accountDelivery(ent, t);
-                (*handler)(std::move(ent.msg));
-            },
-            EventPriority::Delivery);
-    }
+    // The heap pops this tick's arrivals in canonical order.
+    do {
+        std::pop_heap(box.begin(), box.end(), ArrivesAfter{});
+        InboxEntry &e = box.back();
+        auto deliver = [this, handler, t, id = e.id,
+                        msg = std::move(e.msg)]() mutable {
+            accountDelivery(id, *msg, t);
+            (*handler)(std::move(msg));
+        };
+        static_assert(InlineCallback::fitsInline<decltype(deliver)>,
+                      "a delivery event must not allocate");
+        eq.schedule(t, std::move(deliver), EventPriority::Delivery);
+        box.pop_back();
+    } while (!box.empty() && box.front().at == t);
 }
 
 void
@@ -404,9 +470,9 @@ Tick
 Network::nextArrivalTick() const
 {
     Tick t = maxTick;
-    for (const Inbox &box : _inbox)
-        if (!box.empty() && box.begin()->first < t)
-            t = box.begin()->first;
+    for (const std::vector<InboxEntry> &box : _inbox)
+        if (!box.empty() && box.front().at < t)
+            t = box.front().at;
     return t;
 }
 
@@ -429,17 +495,13 @@ Network::drain(EventQueue &eq, Tick limit)
 void
 Network::serializeState(ByteWriter &w) const
 {
-    // Per-destination ledger slices, each already in ascending
-    // composite-id order (std::map).
-    std::size_t total = 0;
-    for (const DstLedger &led : _ledgers) {
+    // Per-destination ledger slices in ascending composite-id order.
+    for (const DstLedger &led : _ledgers)
         w.u64(led.nextId);
-        total += led.entries.size();
-    }
-    w.u64(total);
+    w.u64(undeliveredCount());
     for (const DstLedger &led : _ledgers) {
-        for (const auto &[id, e] : led.entries) {
-            w.u64(id);
+        led.forEach([&](const InFlightMsg &e) {
+            w.u64(e.id);
             w.str(e.kind);
             w.i64(e.src);
             w.i64(e.dst);
@@ -448,7 +510,7 @@ Network::serializeState(ByteWriter &w) const
             w.u64(e.injectedAt);
             w.b(e.dropped);
             w.b(e.retxPending);
-        }
+        });
     }
     w.u64(_srcSeq.size());
     for (std::uint64_t s : _srcSeq)
@@ -458,29 +520,33 @@ Network::serializeState(ByteWriter &w) const
         w.u64(s);
     for (const DedupFilter &f : _dedup)
         f.serializeState(w);
-    // Pending inbox arrivals (canonical order within each bucket).
-    for (const Inbox &box : _inbox) {
-        w.u64(box.size());
-        for (const auto &[at, vec] : box) {
+    // Pending inbox arrivals, grouped by arrival tick, in canonical
+    // order.
+    std::vector<const InboxEntry *> sorted;
+    for (const std::vector<InboxEntry> &box : _inbox) {
+        sorted.clear();
+        for (const InboxEntry &e : box)
+            sorted.push_back(&e);
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const InboxEntry *a, const InboxEntry *b) {
+                      return ArrivesAfter{}(*b, *a);
+                  });
+        std::uint64_t ticks = 0;
+        for (std::size_t i = 0; i < sorted.size(); ++i)
+            ticks += i == 0 || sorted[i]->at != sorted[i - 1]->at;
+        w.u64(ticks);
+        for (std::size_t i = 0, end = 0; i < sorted.size(); i = end) {
+            const Tick at = sorted[i]->at;
+            while (end < sorted.size() && sorted[end]->at == at)
+                ++end;
             w.u64(at);
-            w.u64(vec.size());
-            std::vector<InboxEntry> sorted = vec;
-            std::sort(sorted.begin(), sorted.end(),
-                      [](const InboxEntry &a, const InboxEntry &b) {
-                          if (a.snow != b.snow)
-                              return a.snow < b.snow;
-                          if (a.src != b.src)
-                              return a.src < b.src;
-                          if (a.seq != b.seq)
-                              return a.seq < b.seq;
-                          return a.copy < b.copy;
-                      });
-            for (const InboxEntry &e : sorted) {
-                w.u64(e.snow);
-                w.u64(e.seq);
-                w.i64(e.src);
-                w.u8(e.copy);
-                w.u64(e.id);
+            w.u64(end - i);
+            for (std::size_t k = i; k < end; ++k) {
+                w.u64(sorted[k]->snow);
+                w.u64(sorted[k]->seq);
+                w.i64(sorted[k]->src);
+                w.u8(sorted[k]->copy);
+                w.u64(sorted[k]->id);
             }
         }
     }

@@ -15,8 +15,8 @@
  * epoch-barrier phase — drains every ring, orders the batch by the
  * canonical (send-tick, source, sequence) key, applies fault
  * decisions and route/contention modelling in that order, and places
- * arrivals into per-destination inboxes keyed by arrival tick. Each
- * shard then drains its own nodes' inbox buckets tick by tick via
+ * arrivals into per-destination inboxes ordered by arrival tick. Each
+ * shard then drains its own nodes' inboxes tick by tick via
  * scheduleDeliveries(). Because the canonical order is a pure
  * function of per-source program order, delivery outcomes are
  * independent of both the host-thread schedule and the shard count.
@@ -38,10 +38,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "recovery/recovery.hh"
-#include "sim/arena.hh"
 #include "sim/bytes.hh"
 #include "sim/fault.hh"
 #include "sim/sim_object.hh"
@@ -156,10 +156,11 @@ class Network : public SimObject
     void commitSends();
 
     /**
-     * Shard phase: move node @p node's inbox bucket for tick @p t —
-     * if any — into @p eq as Delivery-lane events, in canonical
-     * order. Call once per owned node per tick, before draining the
-     * queue at @p t. Only the thread owning @p node may call this.
+     * Shard phase: move node @p node's inbox arrivals for tick
+     * @p t — if any — into @p eq as Delivery-lane events, in
+     * canonical order. Call once per owned node per tick, before
+     * draining the queue at @p t. Only the thread owning @p node
+     * may call this.
      */
     void scheduleDeliveries(int node, Tick t, EventQueue &eq);
 
@@ -205,8 +206,11 @@ class Network : public SimObject
     /** Messages injected but not yet delivered. Excludes drops —
      *  except dropped messages a retransmission is still chasing,
      *  which the drain loop must keep waiting for. Serial phase
-     *  only. */
+     *  only; O(nodes). */
     std::size_t inFlight() const;
+
+    /** undelivered().size() without building the list. */
+    std::size_t undeliveredCount() const;
 
     /** In-flight message-ledger gauge for live telemetry. */
     void registerMetrics(MetricsRegistry &metrics) override;
@@ -278,11 +282,12 @@ class Network : public SimObject
     };
 
     /** One pending arrival in a destination inbox. The canonical
-     *  delivery order within an arrival tick is (snow, src, seq,
-     *  copy); `copy` disambiguates fault duplicates (1) and
-     *  retransmission attempts (2 + attempt) from originals (0). */
+     *  delivery order is (arrival tick, snow, src, seq, copy);
+     *  `copy` disambiguates fault duplicates (1) and retransmission
+     *  attempts (2 + attempt) from originals (0). */
     struct InboxEntry
     {
+        Tick at = 0;
         Tick snow = 0;
         std::uint64_t seq = 0;
         int src = -1;
@@ -291,20 +296,66 @@ class Network : public SimObject
         MsgPtr msg;
     };
 
-    /** Arrival-tick buckets for one destination node. Owned by the
-     *  node's shard during an epoch; written by the commit phase
-     *  between epochs. */
-    using Inbox = std::map<Tick, std::vector<InboxEntry>>;
+    /** The one inbox comparator: true when @p a is delivered after
+     *  @p b. As a heap order it keeps the next delivery on top. */
+    struct ArrivesAfter
+    {
+        bool
+        operator()(const InboxEntry &a, const InboxEntry &b) const
+        {
+            return std::tie(a.at, a.snow, a.src, a.seq, a.copy) >
+                   std::tie(b.at, b.snow, b.src, b.seq, b.copy);
+        }
+    };
 
-    /** Per-destination ledger slice: entries keyed by composite id,
-     *  counter for the low id bits. */
+    /** Per-destination ledger slice. Ids rise monotonically per
+     *  destination, so non-dropped entries live in a ring slotted by
+     *  their low id bits: ids [oldest, nextId] occupy the slots, a
+     *  delivered entry becomes a tombstone (id 0) and tombstones are
+     *  trimmed from the oldest end. Dropped entries (fault runs only)
+     *  live in the ordered side table instead, so a drop that is
+     *  never delivered does not pin the ring's oldest end. */
     struct DstLedger
     {
-        std::map<std::uint64_t, InFlightMsg, std::less<std::uint64_t>,
-                 ArenaAllocator<std::pair<const std::uint64_t,
-                                          InFlightMsg>>>
-            entries;
-        std::uint64_t nextId = 0;
+        std::vector<InFlightMsg> ring; //!< size 0 or a power of two
+        std::uint64_t oldest = 1;      //!< low id of the oldest slot
+        std::uint64_t nextId = 0;      //!< low id last issued
+        std::size_t live = 0;          //!< non-tombstone ring slots
+        std::size_t retxPending = 0;   //!< side entries being retried
+        std::map<std::uint64_t, InFlightMsg> dropped;
+
+        /** Ledger entry @p id, nullptr once retired. */
+        InFlightMsg *find(std::uint64_t id);
+
+        /** Store entry @p e under the id just issued (nextId). */
+        void add(const InFlightMsg &e);
+
+        /** Remove the entry @p e points at (from find()). */
+        void retire(InFlightMsg &e);
+
+        /** Set a dropped entry's `retxPending`, keeping the count. */
+        void setRetxPending(InFlightMsg &e, bool on);
+
+        /** Entries not yet delivered, dropped ones included. */
+        std::size_t size() const { return live + dropped.size(); }
+
+        /** Call @p f on every entry in ascending id order. */
+        template <typename F> void forEach(F &&f) const;
+
+      private:
+        InFlightMsg &
+        slot(std::uint64_t low)
+        {
+            return ring[low & (ring.size() - 1)];
+        }
+
+        /** Advance `oldest` past tombstones. */
+        void
+        trim()
+        {
+            while (oldest <= nextId && slot(oldest).id == 0)
+                ++oldest;
+        }
     };
 
     /** Delivery statistics accumulated on the destination shard's
@@ -320,13 +371,13 @@ class Network : public SimObject
     std::uint64_t recordLedger(const NetMsg &msg, Tick snow,
                                bool dropped);
 
-    /** Insert an arrival into @p dst's inbox at tick @p at. */
-    void inboxInsert(int dst, Tick at, InboxEntry entry);
+    /** Insert an arrival into @p dst's inbox. */
+    void inboxInsert(int dst, InboxEntry entry);
 
-    /** Retire the ledger entry and update the duplicate /
-     *  out-of-order delivery statistics as the entry arrives at
-     *  tick @p at (destination shard's thread). */
-    void accountDelivery(const InboxEntry &e, Tick at);
+    /** Retire ledger entry @p id and update the duplicate /
+     *  out-of-order delivery statistics as @p msg arrives at tick
+     *  @p at (destination shard's thread). */
+    void accountDelivery(std::uint64_t id, const NetMsg &msg, Tick at);
 
     /** Account traffic for a cross-node message travelling @p hops
      *  hops (commit phase — touches shared counters). */
@@ -363,7 +414,11 @@ class Network : public SimObject
      *  consumer = the serial commit phase. unique_ptr because the
      *  ring is address-stable/non-movable. */
     std::vector<std::unique_ptr<SpscQueue<PendingSend>>> _rings;
-    std::vector<Inbox> _inbox;            //!< per destination node
+    std::vector<PendingSend> _batch;      //!< commitSends scratch
+    /** Per destination node: a binary heap on ArrivesAfter. Owned by
+     *  the node's shard during an epoch; written by the commit phase
+     *  between epochs. */
+    std::vector<std::vector<InboxEntry>> _inbox;
     std::vector<DstLedger> _ledgers;      //!< per destination node
     std::vector<NodeDelta> _deltas;       //!< per destination node
     std::vector<std::uint64_t> _srcSeq;   //!< per-source stamps

@@ -32,9 +32,8 @@
 #define WB_RECOVERY_RECOVERY_HH
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/bytes.hh"
@@ -96,6 +95,12 @@ struct RecoveryConfig
  * duplicate older than the window would be wrongly accepted, but
  * fault duplicates arrive within dupOffsetMax (tens of cycles) of
  * the original, far inside the window.
+ *
+ * Each source's window is an ascending vector, so its back is the
+ * highest sequence number seen: numbers are stamped in send order,
+ * a new one almost always lands at the back, and pruning erases a
+ * prefix. A source's window exists (is non-empty) from its first
+ * stamped delivery on.
  */
 class DedupFilter
 {
@@ -106,36 +111,40 @@ class DedupFilter
     {
         if (seq == 0)
             return true;
-        Window &w = _bySrc[src];
-        if (!w.seen.insert(seq).second)
-            return false;
-        w.maxSeen = std::max(w.maxSeen, seq);
-        if (w.seen.size() > kPruneAbove)
-            prune(w);
+        assert(src >= 0);
+        if (std::size_t(src) >= _bySrc.size())
+            _bySrc.resize(std::size_t(src) + 1);
+        std::vector<std::uint64_t> &seen = _bySrc[std::size_t(src)];
+        if (seen.empty() || seq > seen.back()) {
+            seen.push_back(seq);
+        } else {
+            auto it = std::lower_bound(seen.begin(), seen.end(), seq);
+            if (*it == seq)
+                return false;
+            seen.insert(it, seq);
+        }
+        if (seen.size() > kPruneAbove)
+            prune(seen);
         return true;
     }
 
     /** Snapshot witness: every window, sources ascending, seen
-     *  sequence numbers ascending — a deterministic byte encoding
-     *  of the unordered containers. */
+     *  sequence numbers ascending. */
     void
     serializeState(ByteWriter &w) const
     {
-        std::vector<int> srcs;
-        srcs.reserve(_bySrc.size());
-        for (const auto &[src, win] : _bySrc)
-            srcs.push_back(src);
-        std::sort(srcs.begin(), srcs.end());
-        w.u32(static_cast<std::uint32_t>(srcs.size()));
-        for (int src : srcs) {
-            const Window &win = _bySrc.at(src);
-            w.i64(src);
-            w.u64(win.maxSeen);
-            std::vector<std::uint64_t> seqs(win.seen.begin(),
-                                            win.seen.end());
-            std::sort(seqs.begin(), seqs.end());
-            w.u32(static_cast<std::uint32_t>(seqs.size()));
-            for (std::uint64_t s : seqs)
+        std::uint32_t present = 0;
+        for (const std::vector<std::uint64_t> &seen : _bySrc)
+            present += !seen.empty();
+        w.u32(present);
+        for (std::size_t src = 0; src < _bySrc.size(); ++src) {
+            const std::vector<std::uint64_t> &seen = _bySrc[src];
+            if (seen.empty())
+                continue;
+            w.i64(std::int64_t(src));
+            w.u64(seen.back());
+            w.u32(static_cast<std::uint32_t>(seen.size()));
+            for (std::uint64_t s : seen)
                 w.u64(s);
         }
     }
@@ -144,22 +153,18 @@ class DedupFilter
     static constexpr std::size_t kPruneAbove = 8'192;
     static constexpr std::uint64_t kWindow = 4'096;
 
-    struct Window
-    {
-        std::uint64_t maxSeen = 0;
-        std::unordered_set<std::uint64_t> seen;
-    };
-
     static void
-    prune(Window &w)
+    prune(std::vector<std::uint64_t> &seen)
     {
+        const std::uint64_t max_seen = seen.back();
         const std::uint64_t floor =
-            w.maxSeen > kWindow ? w.maxSeen - kWindow : 0;
-        for (auto it = w.seen.begin(); it != w.seen.end();)
-            it = *it < floor ? w.seen.erase(it) : std::next(it);
+            max_seen > kWindow ? max_seen - kWindow : 0;
+        seen.erase(seen.begin(),
+                   std::lower_bound(seen.begin(), seen.end(), floor));
     }
 
-    std::unordered_map<int, Window> _bySrc;
+    /** Seen sequence numbers per source node, ascending. */
+    std::vector<std::vector<std::uint64_t>> _bySrc;
 };
 
 } // namespace wb

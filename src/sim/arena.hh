@@ -2,7 +2,7 @@
  * @file
  * Slab/freelist arena for the simulator's hot fixed-size
  * allocations: coherence/network message objects (one allocation
- * per hop via allocate_shared) and the network ledger's map nodes.
+ * per hop via allocate_shared).
  *
  * SlabPool<T> hands out raw storage for exactly one T from 64-entry
  * slabs threaded by a freelist; ArenaAllocator<T> adapts it to the

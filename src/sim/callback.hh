@@ -4,13 +4,12 @@
  *
  * std::function's small-buffer optimisation (16 bytes in libstdc++)
  * is too small for the simulator's hottest closures — a network
- * delivery event captures this + handler + ledger id + a shared_ptr
- * (~40 bytes) — so every delivery paid a heap allocation just to
- * store its callback. InlineCallback widens the inline buffer to 64
- * bytes, which covers every closure the simulator schedules; the
- * whole callback then lives inside the EventQueue's pool-allocated
- * event node. Oversized callables still work (heap fallback), they
- * are just not free.
+ * delivery event captures this + handler + tick + ledger id + a
+ * shared_ptr (48 bytes) — so every delivery paid a heap allocation
+ * just to store its callback. InlineCallback widens the inline
+ * buffer to 64 bytes; a callback that fits lives inside the
+ * EventQueue's pool-allocated event node. Oversized callables still
+ * work (heap fallback), they are just not free.
  *
  * Move-only on purpose: event callbacks are scheduled once and fired
  * once, and dropping copyability lets captures hold move-only state.
@@ -37,12 +36,6 @@ class InlineCallback
         void (*relocate)(void *dst, void *src);
         void (*destroy)(void *);
     };
-
-    template <typename F>
-    static constexpr bool fitsInline =
-        sizeof(F) <= bufSize &&
-        alignof(F) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<F>;
 
     template <typename F>
     struct InlineOps
@@ -73,6 +66,14 @@ class InlineCallback
     };
 
   public:
+    /** Whether a callable of type F is stored without a heap
+     *  allocation. */
+    template <typename F>
+    static constexpr bool fitsInline =
+        sizeof(F) <= bufSize &&
+        alignof(F) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<F>;
+
     InlineCallback() = default;
     InlineCallback(std::nullptr_t) {}
 

@@ -580,9 +580,9 @@ System::quiescent() const
 bool
 System::cleanTeardown(std::string *why) const
 {
-    const auto leaked = _net->undelivered();
-    if (!leaked.empty()) {
+    if (_net->undeliveredCount() != 0) {
         if (why) {
+            const auto leaked = _net->undelivered();
             char buf[128];
             const auto &m = leaked.front();
             std::snprintf(buf, sizeof(buf),
@@ -710,7 +710,7 @@ System::snapshot() const
         if (f.stat)
             r.*f.count = _stats.sum(f.stat);
     r.cycles = _cycle;
-    r.leakedMessages = _net->undelivered().size();
+    r.leakedMessages = _net->undeliveredCount();
     r.recoveryEnabled = _cfg.recovery.enabled;
     for (int v = 0; v < numVNets; ++v) {
         r.dupDelivered[std::size_t(v)] = _net->dupDelivered(v);

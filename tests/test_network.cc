@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "network/ideal.hh"
@@ -154,6 +155,102 @@ TEST(Ideal, JitterReordersMessages)
         if (order[i] < order[i - 1])
             reordered = true;
     EXPECT_TRUE(reordered) << "jittered network never reordered";
+}
+
+// While jitter delivers a batch out of order, the ledger lists
+// exactly the undelivered messages, in ascending id order.
+TEST(Ideal, LedgerListsUndeliveredIdsInOrder)
+{
+    EventQueue eq;
+    StatRegistry st;
+    IdealNetworkConfig cfg;
+    cfg.numNodes = 2;
+    cfg.baseLatency = 5;
+    cfg.jitter = 20;
+    cfg.seed = 3;
+    IdealNetwork net("net", &eq, &st, cfg);
+    std::set<std::uint64_t> delivered; // seqs
+    net.registerNode(1, [&](MsgPtr m) { delivered.insert(m->seq); });
+    const std::uint64_t sent = 20;
+    for (std::uint64_t i = 0; i < sent; ++i)
+        net.send(mkMsg(0, 1), 0);
+    net.drain(eq, 15);
+
+    // Node 1's n-th message has id (1 << 48) | n, and it is node 0's
+    // n-th send, seq n.
+    std::vector<std::uint64_t> missing; // seqs
+    for (std::uint64_t seq = 1; seq <= sent; ++seq)
+        if (!delivered.count(seq))
+            missing.push_back(seq);
+    ASSERT_FALSE(missing.empty());
+    ASSERT_FALSE(delivered.empty());
+    ASSERT_LT(missing.front(), *delivered.rbegin())
+        << "the delivered part must overtake an undelivered message";
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t seq : missing)
+        want.push_back((std::uint64_t(1) << 48) | seq);
+    std::vector<std::uint64_t> ids;
+    for (const Network::InFlightMsg &m : net.undelivered())
+        ids.push_back(m.id);
+    EXPECT_EQ(ids, want);
+    EXPECT_EQ(net.inFlight(), want.size());
+
+    net.drain(eq);
+    EXPECT_EQ(delivered.size(), sent);
+    EXPECT_TRUE(net.undelivered().empty());
+    EXPECT_EQ(net.inFlight(), 0u);
+}
+
+// A dropped message stays in the ledger. Without recovery nothing
+// will deliver it, so it is not in flight; with recovery armed a
+// dropped response is in flight until its retransmission lands and
+// retires the entry.
+TEST(Ideal, DroppedMessagesInTheLedger)
+{
+    FaultConfig fc;
+    fc.dropProb = 1.0;
+    fc.dropMax = 2; // the first two sends
+    for (const bool armed : {false, true}) {
+        SCOPED_TRACE(armed ? "recovery" : "no recovery");
+        EventQueue eq;
+        StatRegistry st;
+        IdealNetworkConfig cfg;
+        cfg.numNodes = 2;
+        IdealNetwork net("net", &eq, &st, cfg);
+        FaultInjector faults(fc);
+        net.setFaultInjector(&faults);
+        RecoveryConfig rc;
+        rc.enabled = armed;
+        net.setRecovery(rc);
+        int delivered = 0;
+        net.registerNode(1, [&](MsgPtr) { ++delivered; });
+        for (int i = 0; i < 4; ++i)
+            net.send(mkMsg(0, 1, VNet::Response), 0);
+        net.commitSends();
+
+        const auto ledger = net.undelivered();
+        ASSERT_EQ(ledger.size(), 4u);
+        for (std::size_t i = 0; i < ledger.size(); ++i) {
+            EXPECT_EQ(ledger[i].dropped, i < 2);
+            EXPECT_EQ(ledger[i].retxPending, armed && i < 2);
+        }
+        EXPECT_EQ(net.inFlight(), armed ? 4u : 2u);
+
+        net.drain(eq);
+        if (armed) {
+            EXPECT_EQ(delivered, 4);
+            EXPECT_TRUE(net.undelivered().empty());
+            EXPECT_EQ(net.retransmits(), 2u);
+            EXPECT_EQ(net.recovered(), 2u);
+        } else {
+            EXPECT_EQ(delivered, 2);
+            const auto left = net.undelivered();
+            ASSERT_EQ(left.size(), 2u);
+            EXPECT_EQ(left[0].id, ledger[0].id);
+            EXPECT_EQ(left[1].id, ledger[1].id);
+        }
+        EXPECT_EQ(net.inFlight(), 0u);
+    }
 }
 
 TEST(Ideal, NoJitterKeepsOrder)

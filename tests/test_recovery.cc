@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign_aggregator.hh"
 #include "campaign/campaign_runner.hh"
@@ -101,6 +103,66 @@ TEST(DedupFilterTest, AcceptsOncePerSourceSequence)
     // seq 0 = never stamped (bypassed the network): always passes.
     EXPECT_TRUE(f.accept(1, 0));
     EXPECT_TRUE(f.accept(1, 0));
+}
+
+// Past 8,192 seqs from one source the window forgets exactly the
+// seqs below maxSeen - 4,096: one below that floor is accepted again,
+// one at the floor is still a duplicate.
+TEST(DedupFilterTest, PruningKeepsExactlyTheWindow)
+{
+    DedupFilter f;
+    for (std::uint64_t s = 1; s <= 8'193; ++s)
+        ASSERT_TRUE(f.accept(3, s));
+    EXPECT_TRUE(f.accept(3, 8'193 - 4'096 - 1));
+    EXPECT_FALSE(f.accept(3, 8'193 - 4'096));
+    EXPECT_FALSE(f.accept(3, 8'193));
+    // Pruning one source leaves the others alone.
+    EXPECT_TRUE(f.accept(4, 1));
+    EXPECT_FALSE(f.accept(4, 1));
+}
+
+TEST(DedupFilterTest, LateSeqIsRejectedOnItsSecondArrival)
+{
+    DedupFilter f;
+    EXPECT_TRUE(f.accept(0, 10));
+    EXPECT_TRUE(f.accept(0, 7)); // overtaken by 10
+    EXPECT_TRUE(f.accept(0, 12));
+    EXPECT_TRUE(f.accept(0, 9));
+    EXPECT_FALSE(f.accept(0, 7));
+    EXPECT_FALSE(f.accept(0, 9));
+    EXPECT_FALSE(f.accept(0, 10));
+    EXPECT_TRUE(f.accept(0, 11));
+}
+
+// The witness lists sources ascending and each source's seqs
+// ascending, whatever order they arrived in. A source that only sent
+// unstamped messages has no window.
+TEST(DedupFilterTest, WitnessBytesArePinned)
+{
+    DedupFilter f;
+    f.accept(9, 0);
+    f.accept(5, 9);
+    f.accept(5, 4);
+    f.accept(2, 7);
+    f.accept(0, 3);
+    f.accept(0, 1);
+    ByteWriter got;
+    f.serializeState(got);
+
+    ByteWriter want;
+    want.u32(3);
+    for (const auto &[src, seqs] :
+         {std::pair<int, std::vector<std::uint64_t>>{0, {1, 3}},
+          {2, {7}},
+          {5, {4, 9}}}) {
+        want.i64(src);
+        want.u64(seqs.back());
+        want.u32(std::uint32_t(seqs.size()));
+        for (std::uint64_t s : seqs)
+            want.u64(s);
+    }
+    EXPECT_EQ(got.buffer(), want.buffer());
+    EXPECT_EQ(got.size(), 104u);
 }
 
 TEST(Recovery, DropsHealWithinBudget)

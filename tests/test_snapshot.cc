@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -327,12 +328,32 @@ TEST(SnapshotWitness, VerifyReportsDivergence)
 namespace
 {
 
-/** Bytes and FNV-1a (over name, then payload) of every l1-<i> and
- *  llc-<b> section of a mid-run ocean_ncp witness under @p cfg. */
-struct CacheWitness
+/** Bytes and FNV-1a (over name, then payload) of some witness
+ *  sections. */
+struct SectionsHash
 {
     std::size_t bytes = 0;
     std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+    void
+    add(const SnapshotSection &s)
+    {
+        bytes += s.payload.size();
+        hash = fnv1a64(s.name, hash);
+        hash = fnv1a64(s.payload.data(), s.payload.size(), hash);
+    }
+};
+
+bool
+isCacheSection(const std::string &name)
+{
+    return name.rfind("l1-", 0) == 0 || name.rfind("llc-", 0) == 0;
+}
+
+/** The l1-<i> and llc-<b> sections of a mid-run ocean_ncp witness
+ *  under @p cfg. */
+struct CacheWitness : SectionsHash
+{
     std::uint64_t recalls = 0; //!< Recall messages the LLC sent
 };
 
@@ -344,14 +365,9 @@ cacheWitness(const SystemConfig &cfg)
     EXPECT_TRUE(sys.runToCycle(8001));
     CacheWitness cw;
     for (const SnapshotSection &s :
-         buildSnapshot(sys, workloadFingerprint(wl)).sections) {
-        if (s.name.rfind("l1-", 0) != 0 &&
-            s.name.rfind("llc-", 0) != 0)
-            continue;
-        cw.bytes += s.payload.size();
-        cw.hash = fnv1a64(s.name, cw.hash);
-        cw.hash = fnv1a64(s.payload.data(), s.payload.size(), cw.hash);
-    }
+         buildSnapshot(sys, workloadFingerprint(wl)).sections)
+        if (isCacheSection(s.name))
+            cw.add(s);
     cw.recalls = sys.stats().sum("llc.*.recalls");
     return cw;
 }
@@ -380,6 +396,119 @@ TEST(SnapshotWitness, CacheSectionsArePinned)
     EXPECT_EQ(tight.hash, 0x06ce75075e9a730eULL);
     EXPECT_GT(tight.recalls, 0u) << "no victim went through the "
                                     "eviction buffer";
+}
+
+namespace
+{
+
+/** The most arrivals a network witness holds for one (node, tick)
+ *  inbox slot. Walks the section's layout: ledger, sequence stamps,
+ *  delivery horizons, dedup windows, then the inboxes. */
+std::uint64_t
+maxArrivalsAtOneTick(const std::vector<unsigned char> &payload,
+                     int nodes)
+{
+    ByteReader r(payload.data(), payload.size());
+    for (int i = 0; i < nodes; ++i)
+        r.u64(); // next ledger id
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+        r.u64();
+        r.str();
+        r.i64();
+        r.i64();
+        r.i64();
+        r.u64();
+        r.u64();
+        r.b();
+        r.b();
+    }
+    for (int table = 0; table < 2; ++table)
+        for (std::uint64_t n = r.u64(); n > 0; --n)
+            r.u64();
+    for (int i = 0; i < nodes; ++i) {
+        for (std::uint32_t src = r.u32(); src > 0; --src) {
+            r.i64();
+            r.u64();
+            for (std::uint32_t n = r.u32(); n > 0; --n)
+                r.u64();
+        }
+    }
+    std::uint64_t most = 0;
+    for (int i = 0; i < nodes; ++i) {
+        for (std::uint64_t ticks = r.u64(); ticks > 0; --ticks) {
+            r.u64();
+            std::uint64_t n = r.u64();
+            most = std::max(most, n);
+            for (; n > 0; --n) {
+                r.u64();
+                r.u64();
+                r.i64();
+                r.u8();
+                r.u64();
+            }
+        }
+    }
+    return most;
+}
+
+} // namespace
+
+// The network's witness bytes (in-flight ledger, duplicate windows,
+// pending inbox arrivals) are pinned, so a change to how the network
+// stores them cannot move them: older snapshots must keep verifying.
+TEST(SnapshotWitness, NetworkSectionsArePinned)
+{
+    // Fault-free: the paper's 16-core HSW mesh, mid-run.
+    {
+        SystemConfig cfg;
+        cfg.numCores = 16;
+        cfg.core = makeCoreConfig(CoreClass::HSW);
+        cfg.setMode(CommitMode::OooWB);
+        const Workload wl = makeBenchmark("fft", 16, 0.02);
+        System sys(cfg, wl);
+        ASSERT_TRUE(sys.runToCycle(8001));
+        SectionsHash net;
+        for (const SnapshotSection &s :
+             buildSnapshot(sys, workloadFingerprint(wl)).sections)
+            if (s.name == "network")
+                net.add(s);
+        EXPECT_EQ(net.bytes, 94496u);
+        EXPECT_EQ(net.hash, 0xf4302ab19e7f44faULL);
+    }
+
+    // Recovery armed under a drop + dup + delay + reorder mix, at a
+    // tick where the ledger holds a dropped message the transport is
+    // retransmitting and one inbox tick holds several arrivals.
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.network = NetworkKind::Ideal;
+    cfg.ideal.jitter = 8;
+    cfg.setMode(CommitMode::OooWB);
+    cfg.recovery.enabled = true;
+    std::string err;
+    ASSERT_TRUE(parseFaultSpec(
+        "delay=0.02:100,reorder=0.03:6:48,dup=0.01,drop=0.008:2",
+        cfg.faults, err))
+        << err;
+    cfg.faults.seed = 2;
+    const Workload wl = makeBenchmark("canneal", 4, 0.05);
+    System sys(cfg, wl);
+    ASSERT_TRUE(sys.runToCycle(2289));
+    bool retransmitting = false;
+    for (const Network::InFlightMsg &m : sys.network().undelivered())
+        retransmitting |= m.dropped && m.retxPending;
+    EXPECT_TRUE(retransmitting);
+    SectionsHash pinned;
+    for (const SnapshotSection &s :
+         buildSnapshot(sys, workloadFingerprint(wl)).sections) {
+        if (s.name == "network") {
+            EXPECT_GE(maxArrivalsAtOneTick(s.payload, 4), 2u);
+        }
+        if (s.name == "network" || isCacheSection(s.name))
+            pinned.add(s);
+    }
+    EXPECT_EQ(pinned.bytes, 47638u);
+    EXPECT_EQ(pinned.hash, 0xb091abb2edcdf2a1ULL);
 }
 
 TEST(SnapshotRestore, LitmusAtSeveralTicks)
