@@ -249,6 +249,10 @@ Core::fetchAndDispatch()
             if (ready(e))
                 _ready.push_back(seq);
         }
+        if (!passive(e))
+            _commitCands.push_back(seq);
+        if (isAtomic(in.op))
+            ++_pendingAtomics;
         _rob.emplace(seq, std::move(e));
         ++_commitGen;
         _pc = next_pc;
@@ -410,7 +414,7 @@ Core::execute(InstSeqNum seq)
 
     // Plain ALU.
     e->result = aluResult(e->in, e->srcVal[0], e->srcVal[1]);
-    e->executed = true;
+    markExecuted(*e);
     wakeConsumers(*e);
 }
 
@@ -533,18 +537,12 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
     RobEntry *e = robFind(seq);
     assert(e);
     e->result = value;
-    e->executed = true;
+    markExecuted(*e);
     wakeConsumers(*e);
 
-    // M-speculative? (an older load is still non-performed)
-    bool mspec = false;
-    for (auto it = _lq.begin(); it != _lq.end() && it->first < seq;
-         ++it) {
-        if (!it->second.performed) {
-            mspec = true;
-            break;
-        }
-    }
+    // M-speculative? An older load is still non-performed exactly
+    // when the frontier, not yet recomputed past this load, is older.
+    const bool mspec = !orderedAtOrBefore(seq);
     Addr lockdown_line = invalidAddr;
     if (mspec && !forwarded && _cfg.lockdown) {
         lockdown_line = lineOf(lq.addr);
@@ -733,7 +731,7 @@ Core::driveFence()
 void
 Core::driveAtomic()
 {
-    if (_rob.empty())
+    if (_pendingAtomics == 0)
         return;
     const InstSeqNum seq = _rob.frontSeq();
     RobEntry &e = _rob.front();
@@ -755,6 +753,7 @@ Core::driveAtomic()
         });
     e.result = old;
     e.executed = true;
+    --_pendingAtomics;
     ++_commitGen;
     wakeConsumers(e);
     LqEntry *lq = _lq.find(seq);
@@ -776,26 +775,32 @@ Core::commit()
         return;
     _scannedGen = _commitGen;
 
+    // The scan visits only the candidates: a passive entry can
+    // neither retire nor stop it. A passive load's one effect, that
+    // every younger entry sits behind an unperformed load, is
+    // !orderedAtOrBefore() of that entry (docs/PERFORMANCE.md).
+    // Retired candidates are compacted away as the scan passes them.
     int budget = _cfg.commitWidth;
-    bool saw_unperformed_load = false;
-    bool saw_unperformed_atomic = false;
     bool saw_uncommitted_store = false;
-
-    for (auto it = _rob.begin(); it != _rob.end() && budget > 0;) {
-        RobEntry &e = it->second;
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    for (; i < _commitCands.size() && budget > 0; ++i) {
+        const InstSeqNum seq = _commitCands[i];
+        RobEntry &e = *robFind(seq);
         const Opcode op = e.in.op;
-        const bool at_head = it == _rob.begin();
+        const bool at_head = seq == _rob.frontSeq();
 
         if (_cfg.commitMode == CommitMode::InOrder && !at_head)
-            return;
+            break;
 
         // Bell-Lipasti condition 3: unresolved control flow.
         if (isConditionalBranch(op) && !e.executed)
-            return;
+            break;
         // Condition 4: unresolved store (or atomic) address.
         if ((isStore(op) || isAtomic(op)) && !e.addrReady)
-            return;
+            break;
 
+        const bool behind_load = !orderedAtOrBefore(seq);
         bool can = false;
         bool export_ldt = false;
 
@@ -807,14 +812,13 @@ Core::commit()
                 WB_EVENT(recorder(), now(), EvKind::Commit,
                          EvUnit::Core, _id);
                 if (_commitHook)
-                    _commitHook(it->first, e.pc, e.in, invalidAddr);
-                _rob.erase(it);
+                    _commitHook(seq, e.pc, e.in, invalidAddr);
+                _rob.erase(seq);
+                ++i; // retired: it leaves the candidates too
             }
-            return;
+            break;
         } else if (isLoad(op)) {
-            const bool completed =
-                e.executed && orderedAtOrBefore(it->first);
-            if (completed) {
+            if (e.executed && !behind_load) {
                 // Performed + ordered: condition 6 holds.
                 can = true;
             } else if (_cfg.commitMode == CommitMode::OooSafe) {
@@ -827,15 +831,13 @@ Core::commit()
                 // squashed — rolling back past committed state —
                 // so the scan stops there (condition 6). This is
                 // exactly the serialisation WritersBlock lifts.
-                if (e.executed || saw_unperformed_load)
-                    return; // M-speculative or 2nd outstanding
-                saw_unperformed_load = true;
-            } else if (!e.executed) {
-                saw_unperformed_load = true;
+                if (e.executed || behind_load)
+                    break; // M-speculative or 2nd outstanding
             } else {
                 // Performed but M-speculative, lockdown-capable (or
-                // deliberately unsafe) core.
-                const LqEntry *lq = _lq.find(it->first);
+                // deliberately unsafe) core. (Outside OooSafe an
+                // unperformed load is passive.)
+                const LqEntry *lq = _lq.find(seq);
                 const bool has_lockdown = lq && lq->lockdown;
                 switch (_cfg.commitMode) {
                   case CommitMode::OooWB:
@@ -854,35 +856,23 @@ Core::commit()
                 }
             }
         } else if (isFence(op)) {
-            if (!e.executed) {
-                // Nothing may retire past a pending full fence.
-                if (_cfg.commitMode != CommitMode::InOrder)
-                    return;
-                saw_unperformed_load = true;
-                saw_unperformed_atomic = true;
-            } else {
-                can = true;
-            }
+            // Nothing may retire past a pending full fence.
+            if (!e.executed)
+                break;
+            can = true;
         } else if (isAtomic(op)) {
-            if (!e.executed) {
-                // Loads younger than a non-performed atomic remain
-                // squashable even in a lockdown core (Section 3.7):
-                // stop the scan so no committed instruction can fall
-                // inside a future invalidation squash.
-                if (_cfg.commitMode != CommitMode::InOrder)
-                    return;
-                saw_unperformed_atomic = true;
-                saw_unperformed_load = true;
-            } else {
-                can = true;
-            }
+            // Loads younger than a non-performed atomic remain
+            // squashable even in a lockdown core (Section 3.7): stop
+            // the scan so no committed instruction can fall inside a
+            // future invalidation squash.
+            if (!e.executed)
+                break;
+            can = true;
         } else if (isStore(op)) {
             // Stores commit in program order (store->store through
             // the FIFO SB) and never relax load->store
             // (Section 3.1.2).
-            can = e.addrReady && e.srcReady[1] &&
-                  !saw_unperformed_load &&
-                  !saw_unperformed_atomic &&
+            can = e.addrReady && e.srcReady[1] && !behind_load &&
                   !saw_uncommitted_store &&
                   int(_sb.size()) < _cfg.sbSize;
             if (!can)
@@ -893,22 +883,41 @@ Core::commit()
 
         if (!can) {
             if (_cfg.commitMode == CommitMode::InOrder)
-                return;
-            ++it;
+                break;
+            _commitCands[kept++] = seq;
             continue;
         }
 
         if (!at_head)
             ++_oooCommits;
         if (export_ldt) {
-            _ldt.push_back(
-                {it->first, LdtEntry{lineOf(e.addr), false}});
+            _ldt.push_back({seq, LdtEntry{lineOf(e.addr), false}});
             ++_ldtExports;
         }
         retireEntry(e);
         --budget;
-        it = _rob.erase(it);
+        _rob.erase(seq);
     }
+    _commitCands.erase(_commitCands.begin() + std::ptrdiff_t(kept),
+                       _commitCands.begin() + std::ptrdiff_t(i));
+}
+
+bool
+Core::passive(const RobEntry &e) const
+{
+    const Opcode op = e.in.op;
+    if (e.executed || isConditionalBranch(op) || isFence(op) ||
+        isStore(op) || isAtomic(op))
+        return false;
+    return !isLoad(op) || _cfg.commitMode != CommitMode::OooSafe;
+}
+
+void
+Core::markExecuted(RobEntry &e)
+{
+    if (passive(e))
+        insertBySeq(_commitCands, e.seq);
+    e.executed = true;
 }
 
 void
@@ -977,6 +986,8 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         _lastInIq = e.prevInIq;
         if (e.inIq)
             --_iqCount;
+        if (isAtomic(e.in.op) && !e.executed)
+            --_pendingAtomics;
         if (const LqEntry *lq = _lq.find(seq)) {
             if (lq->lockdown)
                 releaseLockdown(lineOf(lq->addr));
@@ -988,7 +999,7 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         _rob.erase(seq);
         ++_squashedInstrs;
     }
-    for (auto *list : {&_ready, &_loadCands})
+    for (auto *list : {&_ready, &_loadCands, &_commitCands})
         list->erase(std::lower_bound(list->begin(), list->end(),
                                      first_bad),
                     list->end());

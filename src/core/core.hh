@@ -202,6 +202,27 @@ class Core : public SimObject, public CoreMemIf
     bool halted() const { return _halted; }
 
   private:
+    /**
+     * An entry's consumers, (seq, source slot) in the order they
+     * were added. Move-assignment copies the elements into this
+     * list's own buffer instead of taking the source's, so a ROB
+     * slot that SeqTable::emplace() reuses keeps the capacity its
+     * earlier occupants grew and a later push allocates only past it.
+     */
+    struct ConsumerList : std::vector<std::pair<InstSeqNum, int>>
+    {
+        ConsumerList() = default;
+        ConsumerList(const ConsumerList &) = default;
+        ConsumerList(ConsumerList &&) = default;
+        ConsumerList &operator=(const ConsumerList &) = default;
+        ConsumerList &
+        operator=(ConsumerList &&o)
+        {
+            assign(o.begin(), o.end());
+            return *this;
+        }
+    };
+
     struct RobEntry
     {
         InstSeqNum seq;
@@ -214,7 +235,7 @@ class Core : public SimObject, public CoreMemIf
         /** Youngest IQ entry dispatched before this one
          *  (stall-on-use issue order; rewound like prevWriter). */
         InstSeqNum prevInIq = invalidSeqNum;
-        std::vector<std::pair<InstSeqNum, int>> consumers;
+        ConsumerList consumers;
         std::uint64_t result = 0;
         bool inIq = false;
         bool issued = false;
@@ -300,8 +321,13 @@ class Core : public SimObject, public CoreMemIf
     void pollL1(IdleStamp &stamp, void (Core::*poll)());
 
     // commit helpers
-    bool commitOne(RobEntry &e);
     void retireEntry(RobEntry &e);
+    /** An entry the commit scan passes without effect: an ALU op
+     *  that has not executed, or outside OooSafe a load that has
+     *  not bound (docs/PERFORMANCE.md, "Commit candidates"). */
+    bool passive(const RobEntry &e) const;
+    /** Mark @p e executed; a passive entry becomes a candidate. */
+    void markExecuted(RobEntry &e);
 
     /** Drop @p seq from the SQ, and its word from _sqWords if it had
      *  its address. */
@@ -347,6 +373,12 @@ class Core : public SimObject, public CoreMemIf
     /** IQ entries whose sources are ready, ascending seq. */
     std::vector<InstSeqNum> _ready;
     InstSeqNum _lastInIq = invalidSeqNum; //!< RobEntry::prevInIq
+    /** The ROB entries that are not passive, ascending seq: the only
+     *  entries the commit scan visits. Derived state. */
+    std::vector<InstSeqNum> _commitCands;
+    /** Atomics dispatched and not yet performed; driveAtomic() has
+     *  nothing to do while it is zero. Derived state. */
+    int _pendingAtomics = 0;
     SeqTable<LqEntry> _lq;
     /** Loads that received their address, ascending seq: a superset
      *  of the loads memIssue() may issue (those that stopped

@@ -186,15 +186,6 @@ class SeqTable
         return true;
     }
 
-    /** Erase the element at @p it; @return the next element. */
-    iterator
-    erase(iterator it)
-    {
-        const std::uint32_t nxt = _slots[it._idx].next;
-        unlink(it._idx);
-        return iterator(this, nxt);
-    }
-
     iterator begin() { return iterator(this, _head); }
     iterator end() { return iterator(this, npos); }
     const_iterator begin() const

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "isa/func_sim.hh"
+#include "sim/bytes.hh"
 #include "system/system.hh"
+#include "workload/benchmarks.hh"
 #include "workload/common.hh"
+#include "workload/litmus.hh"
 #include "workload/synthetic.hh"
 
 namespace wb
@@ -448,6 +451,145 @@ TEST(Core, SquashReleasesLockdowns)
     SimResults r = sys.run();
     ASSERT_TRUE(r.completed) << "deadlocked=" << r.deadlocked;
     EXPECT_EQ(r.tsoViolations, 0u);
+}
+
+// Behaviour pin for the commit scan: every retire of every core in
+// the order the commit hook sees it, then each core's cycles and
+// out-of-order commits, in every commit mode with out-of-order and
+// with stall-on-use issue. Report.EveryCoreModeIsPinned hashes only
+// the end-of-run report; this pins the retire stream itself, on the
+// 16-core HSW mesh, the jittered ideal network, a miss-heavy core
+// whose two-entry LDT and store buffer fill up and refuse exports and
+// stores, which the paper cells rarely do, and fences and atomics
+// that stop the scan.
+TEST(Core, CommitStreamIsPinned)
+{
+    struct Pin
+    {
+        CommitMode mode;
+        bool inOrderIssue;
+        std::uint64_t fft;
+        std::uint64_t table1;
+        std::uint64_t missHeavy;
+        std::uint64_t fenced;
+    };
+    const Pin pins[] = {
+        {CommitMode::InOrder, false, 0xdb19808a0cb227feULL,
+         0xec183f2b681c89c9ULL, 0x5d57d30b7e01c10aULL,
+         0x6886d39adc3ba896ULL},
+        {CommitMode::InOrder, true, 0x226bec7ba09d1986ULL,
+         0x986584ccfe073416ULL, 0x88a316f29221cf50ULL,
+         0x8116fda32ac22c6aULL},
+        {CommitMode::OooSafe, false, 0x5a9bbc4c096b6f3dULL,
+         0xac4e1460c4c8ec20ULL, 0x045cc203da38be70ULL,
+         0xebe309411478d85cULL},
+        {CommitMode::OooSafe, true, 0x7a09a69e379e6e04ULL,
+         0xd6b48fe14c04b6f0ULL, 0x800e5af999105072ULL,
+         0xe4ce6f837930ad1cULL},
+        {CommitMode::OooWB, false, 0x1216b3728e9b2c22ULL,
+         0x54051d128c928b74ULL, 0xe1762a89ed532b7dULL,
+         0xfc36c6003d362993ULL},
+        {CommitMode::OooWB, true, 0xc0b265472cfefaa0ULL,
+         0xe0168cdf70a90152ULL, 0x06a99b1bd6a78503ULL,
+         0xe537ac83895af1deULL},
+        {CommitMode::OooUnsafe, false, 0x4d742ef9ffa1a729ULL,
+         0x95c78c021a69f243ULL, 0x0973e76d4f2d64aeULL,
+         0x596f4583a7934518ULL},
+        {CommitMode::OooUnsafe, true, 0xc0b265472cfefaa0ULL,
+         0x7ede423bcf31eed5ULL, 0xe8064dfa6351cf7dULL,
+         0xe537ac83895af1deULL},
+    };
+
+    SystemConfig mesh;
+    mesh.numCores = 16;
+    mesh.core = makeCoreConfig(CoreClass::HSW);
+    const Workload fft = makeBenchmark("fft", 16, 0.02);
+
+    SystemConfig ideal;
+    ideal.numCores = 4;
+    ideal.network = NetworkKind::Ideal;
+    ideal.ideal.numNodes = 4;
+    ideal.ideal.baseLatency = 8;
+    ideal.ideal.jitter = 12;
+    const Workload table1 = makeLitmus(LitmusKind::Table1, 300);
+    const Workload sb_fence =
+        makeLitmus(LitmusKind::StoreBufferFenced, 200);
+    SyntheticParams lp;
+    lp.iterations = 40;
+    lp.sharedRatio = 0.4;
+    lp.lockRatio = 0.05;
+    lp.seed = 9;
+    const Workload locks = makeSynthetic(lp, 4);
+
+    SystemConfig small = cfg1();
+    small.core.ldtSize = 2;
+    small.core.sbSize = 2;
+    SyntheticParams mp;
+    mp.iterations = 60;
+    mp.privateWords = 1 << 14;
+    mp.memRatio = 0.5;
+    mp.sharedRatio = 0.0;
+    mp.lockRatio = 0.0;
+    mp.seed = 5;
+    const Workload miss_heavy = makeSynthetic(mp, 1);
+
+    struct Stream
+    {
+        std::uint64_t hash = 0xcbf29ce484222325ULL; // FNV-1a basis
+        std::uint64_t ldtExports = 0;
+        std::uint64_t stallSqFull = 0;
+        std::uint64_t atomics = 0;
+
+        void
+        mix(std::uint64_t v)
+        {
+            hash = fnv1a64(&v, sizeof v, hash);
+        }
+    };
+    auto run = [](SystemConfig cfg, const Pin &pin, const Workload &wl,
+                  Stream &s) {
+        cfg.setMode(pin.mode);
+        cfg.core.inOrderIssue = pin.inOrderIssue;
+        System sys(cfg, wl);
+        for (int i = 0; i < sys.numCores(); ++i)
+            sys.core(i).setCommitHook(
+                [&s, i](InstSeqNum seq, int pc, const Instr &,
+                        Addr ea) {
+                    s.mix(std::uint64_t(i));
+                    s.mix(seq);
+                    s.mix(std::uint64_t(pc));
+                    s.mix(ea);
+                });
+        EXPECT_TRUE(sys.run().completed);
+        for (int i = 0; i < sys.numCores(); ++i) {
+            const std::string core = "core." + std::to_string(i) + ".";
+            s.mix(stat(sys, core + "cycles"));
+            s.mix(stat(sys, core + "oooCommits"));
+            s.ldtExports += stat(sys, core + "ldtExports");
+            s.stallSqFull += stat(sys, core + "stallSqFull");
+            s.atomics += stat(sys, core + "atomics");
+        }
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(commitModeName(pin.mode)) +
+                     (pin.inOrderIssue ? " stall-on-use"
+                                       : " ooo-issue"));
+        Stream s_fft, s_table1, s_miss, s_fenced;
+        run(mesh, pin, fft, s_fft);
+        run(ideal, pin, table1, s_table1);
+        run(small, pin, miss_heavy, s_miss);
+        run(ideal, pin, sb_fence, s_fenced);
+        run(ideal, pin, locks, s_fenced);
+        EXPECT_EQ(s_fft.hash, pin.fft);
+        EXPECT_EQ(s_table1.hash, pin.table1);
+        EXPECT_EQ(s_miss.hash, pin.missHeavy);
+        EXPECT_EQ(s_fenced.hash, pin.fenced);
+        // The small core must refuse stores for a full SB, and in
+        // OooWB export lockdowns to its two-entry LDT.
+        EXPECT_GT(s_miss.stallSqFull, 0u);
+        EXPECT_EQ(s_miss.ldtExports > 0, pin.mode == CommitMode::OooWB);
+        EXPECT_GT(s_fenced.atomics, 0u);
+    }
 }
 
 } // namespace wb
