@@ -97,7 +97,7 @@ L1Controller::scheduleHit(InstSeqNum seq, Addr addr, Tick lat,
                           LoadSource src)
 {
     eventQueue().scheduleIn(lat, [this, seq, addr, src]() {
-        ++_stateGen;
+        bumpState();
         // Re-validate: the line may have been invalidated while the
         // access was in flight; restart the access in that case so
         // the load can never bind a value that bypassed an
@@ -134,7 +134,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
         if (_core->isLoadOrdered(seq))
             return issueGetU(seq, addr);
         _wbWaiters[line].push_back(WaitingLoad{seq, addr});
-        ++_stateGen;
+        bumpState();
         return true;
     }
 
@@ -150,7 +150,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                                      : _cfg.l2HitLatency,
                     in_l1 ? LoadSource::CacheHitL1
                           : LoadSource::CacheHitL2);
-        ++_stateGen;
+        bumpState();
         return true;
     }
 
@@ -167,7 +167,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             // 1-cycle window cancels the pending fill, and binding
             // the stale copy then would escape the LQ query.
             eventQueue().scheduleIn(1, [this, seq, addr]() {
-                ++_stateGen;
+                bumpState();
                 const Addr l = lineOf(addr);
                 auto mit = _mshrs.find(l);
                 if (mit != _mshrs.end() &&
@@ -179,10 +179,10 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                     bindLoad(WaitingLoad{seq, addr}, pl->data,
                              LoadSource::EarlyData);
                 } else if (!issueLoad(seq, addr)) {
-                    _loadRetryQ.push_back(WaitingLoad{seq, addr});
+                    retryLoad(WaitingLoad{seq, addr});
                 }
             });
-            ++_stateGen;
+            bumpState();
             return true;
         }
         if (m.kind == Mshr::Kind::Write && m.blocked &&
@@ -191,7 +191,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             return issueGetU(seq, addr);
         }
         m.loads.push_back(WaitingLoad{seq, addr});
-        ++_stateGen;
+        bumpState();
         return true;
     }
 
@@ -216,7 +216,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
     });
     if (_cfg.prefetchNextLine)
         maybePrefetch(line + lineBytes);
-    ++_stateGen;
+    bumpState();
     return true;
 }
 
@@ -252,7 +252,7 @@ L1Controller::issueGetU(InstSeqNum seq, Addr addr)
 {
     if (_sosMshr)
         return false; // previous bypass still in flight; retry
-    ++_stateGen;
+    bumpState();
     _sosMshr.emplace();
     _sosMshr->kind = Mshr::Kind::Unc;
     _sosMshr->line = lineOf(addr);
@@ -348,7 +348,7 @@ L1Controller::requestWritePermission(Addr line)
     if (_mshrs.size() >= _cfg.numMshrs)
         return; // caller polls
 
-    ++_stateGen;
+    bumpState();
     Mshr &m = _mshrs[line];
     m.kind = Mshr::Kind::Write;
     m.line = line;
@@ -373,7 +373,7 @@ L1Controller::performStore(Addr addr, std::uint64_t value)
     PrivLine *pl = _array.findAndTouch(line);
     assert(pl && (pl->st == PState::E || pl->st == PState::M) &&
            "performStore without write permission");
-    ++_stateGen;
+    bumpState();
     pl->st = PState::M;
     touchL1(line);
     const Version ver = pl->data.readVersion(addr) + 1;
@@ -392,7 +392,7 @@ L1Controller::performAtomic(
     PrivLine *pl = _array.findAndTouch(line);
     assert(pl && (pl->st == PState::E || pl->st == PState::M) &&
            "performAtomic without write permission");
-    ++_stateGen;
+    bumpState();
     pl->st = PState::M;
     touchL1(line);
     const std::uint64_t old = pl->data.readWord(addr);
@@ -510,11 +510,11 @@ void
 L1Controller::tick()
 {
     if (_recovery.enabled && now() % _recovery.pollCycles == 0) {
-        ++_stateGen;
+        bumpState();
         recoveryScan();
     }
     if (!_loadRetryQ.empty()) {
-        ++_stateGen;
+        bumpState();
         std::vector<WaitingLoad> again;
         for (const WaitingLoad &wl : _loadRetryQ)
             if (!issueLoad(wl.seq, wl.addr))
@@ -523,7 +523,7 @@ L1Controller::tick()
     }
     if (_retryFills.empty())
         return;
-    ++_stateGen;
+    bumpState();
     std::vector<Addr> again;
     for (Addr line : _retryFills) {
         auto it = _mshrs.find(line);
@@ -663,7 +663,7 @@ void
 L1Controller::handleMessage(MsgPtr msg)
 {
     auto &m = static_cast<CohMsg &>(*msg);
-    ++_stateGen;
+    bumpState();
     if (_recovery.enabled && !_dedup.accept(m.src, m.seq)) {
         // A duplicated delivery (fault-injected copy, or a transport
         // retransmission racing its original): provably idempotent —
@@ -957,8 +957,7 @@ L1Controller::handleData(CohMsg &m)
             fr->txnEnd(now(), _id, m.line);
         _mshrs.erase(it);
     } else {
-        mshr.fillPending = true;
-        _retryFills.push_back(m.line);
+        retryFill(mshr);
     }
 }
 
@@ -1098,8 +1097,7 @@ L1Controller::maybeCompleteWrite(Mshr &m)
             fr->txnEnd(now(), _id, line);
         _mshrs.erase(line);
     } else {
-        m.fillPending = true;
-        _retryFills.push_back(line);
+        retryFill(m);
     }
 }
 
@@ -1186,7 +1184,7 @@ L1Controller::handleWbDone(CohMsg &m)
     _wbWaiters.erase(it);
     for (const auto &wl : waiters)
         if (!issueLoad(wl.seq, wl.addr))
-            _loadRetryQ.push_back(wl);
+            retryLoad(wl);
 }
 
 // ---------------------------------------------------------------

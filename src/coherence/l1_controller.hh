@@ -89,6 +89,16 @@ class L1Controller : public SimObject
     /** Retry deferred fills / evictions. */
     void tick() override;
 
+    /** First recovery-poll tick after @p t (a sleeping tile's time
+     *  wake), maxTick when recovery is off. */
+    Tick
+    nextRecoveryPoll(Tick t) const
+    {
+        return _recovery.enabled
+                   ? (t / _recovery.pollCycles + 1) * _recovery.pollCycles
+                   : maxTick;
+    }
+
     // ---------------- load path ----------------
 
     /**
@@ -358,6 +368,29 @@ class L1Controller : public SimObject
 
     /** Next-line prefetch after a demand miss (if enabled). */
     void maybePrefetch(Addr next_line);
+
+    /** Every write to state the core's polls read. */
+    void
+    bumpState()
+    {
+        ++_stateGen;
+        touch();
+    }
+
+    /** Queue a load (or a fill) for tick() to retry. */
+    void
+    retryLoad(const WaitingLoad &wl)
+    {
+        _loadRetryQ.push_back(wl);
+        touch();
+    }
+    void
+    retryFill(Mshr &m)
+    {
+        m.fillPending = true;
+        _retryFills.push_back(m.line);
+        touch();
+    }
 
     /** Drop a line from both tag arrays (invalidation/recall). */
     void invalidateLine(Addr line);

@@ -328,6 +328,7 @@ LLCBank::handleRequest(MsgPtr msg)
                 serveUncacheableFromMemory(m);
             } else {
                 _retryQueue.push_back(std::move(msg));
+                touch(); // tick() retries it
             }
             return;
         }

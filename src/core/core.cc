@@ -137,17 +137,51 @@ Core::tick()
     pollL1(_sosIdle, &Core::driveSoS);
     fetchAndDispatch();
 
-    if (_commits == commits_before && !_halted) {
-        if (int(_rob.size()) >= _cfg.robSize)
-            ++_stallRobFull;
-        else if (int(_lq.size()) >= _cfg.lqSize)
-            ++_stallLqFull;
-        else if (int(_sq.size()) >= _cfg.sqSize ||
-                 int(_sb.size()) >= _cfg.sbSize)
-            ++_stallSqFull;
-        else
-            ++_stallOther;
-    }
+    if (_commits == commits_before && !_halted)
+        ++stallCounter();
+}
+
+Counter &
+Core::stallCounter()
+{
+    if (int(_rob.size()) >= _cfg.robSize)
+        return _stallRobFull;
+    if (int(_lq.size()) >= _cfg.lqSize)
+        return _stallLqFull;
+    if (int(_sq.size()) >= _cfg.sqSize || int(_sb.size()) >= _cfg.sbSize)
+        return _stallSqFull;
+    return _stallOther;
+}
+
+Core::QuietTick
+Core::quietTick()
+{
+    // A tick that touched nothing retired nothing but perhaps the
+    // Halt (every other retire touches), so a repeat charges the
+    // stall counter this state picks, none once halted; each L1 poll
+    // is skipped on its stamp and counts the stamp's refusals.
+    if (_halted)
+        return QuietTick{nullptr, _drainIdle.refusals};
+    return QuietTick{&stallCounter(), _drainIdle.refusals +
+                                          _memIssueIdle.refusals +
+                                          _sosIdle.refusals};
+}
+
+void
+Core::countQuietTicks(const QuietTick &q, Tick n)
+{
+    _cycles += n;
+    if (q.stall)
+        *q.stall += n;
+    _l1->countRefusedLoads(q.refusals * n);
+}
+
+Tick
+Core::fetchWakeTick() const
+{
+    return _halted || _fetchBlocked || now() >= _fetchStallUntil
+               ? maxTick
+               : _fetchStallUntil;
 }
 
 void
@@ -249,12 +283,16 @@ Core::fetchAndDispatch()
             if (ready(e))
                 _ready.push_back(seq);
         }
-        if (!passive(e))
+        if (isStore(in.op)) {
+            _storeCands.push_back(seq);
+            _addrPendingStores.push_back(seq);
+        } else if (!passive(e)) {
             _commitCands.push_back(seq);
+        }
         if (isAtomic(in.op))
             ++_pendingAtomics;
         _rob.emplace(seq, std::move(e));
-        ++_commitGen;
+        bumpGen();
         _pc = next_pc;
         if (_fetchBlocked)
             return;
@@ -303,7 +341,7 @@ Core::wakeConsumers(RobEntry &e)
             c->srcReady[std::size_t(op)] = true;
             if (!was_ready && ready(*c))
                 insertBySeq(_ready, cseq);
-            ++_commitGen;
+            bumpGen();
         }
     }
     e.consumers.clear();
@@ -351,6 +389,11 @@ Core::issueFromIq()
         eventQueue().scheduleIn(execLatency(e->in.op),
                                 [this, seq]() { execute(seq); });
     }
+    if (n == 0)
+        return;
+    // An issue bumps no generation (nothing commit or the polls read
+    // changed), but the next tick's issue and dispatch read it.
+    touch();
     _ready.erase(_ready.begin(), _ready.begin() + std::ptrdiff_t(n));
 }
 
@@ -360,7 +403,7 @@ Core::execute(InstSeqNum seq)
     RobEntry *e = robFind(seq);
     if (!e || e->executed)
         return; // squashed (or atomic already performed at head)
-    ++_commitGen;
+    bumpGen();
     const Opcode op = e->in.op;
 
     if (isMem(op)) {
@@ -381,8 +424,12 @@ Core::execute(InstSeqNum seq)
             sq->addr = e->addr;
             sq->addrReady = true;
             _sqWords.add(sq->addr);
-            if (op == Opcode::St)
+            if (op == Opcode::St) {
                 e->executed = true;
+                _addrPendingStores.erase(
+                    std::lower_bound(_addrPendingStores.begin(),
+                                     _addrPendingStores.end(), seq));
+            }
             // Memory-dependence violation: a younger load already
             // performed on this word without seeing this store.
             const Addr w = e->addr;
@@ -507,7 +554,7 @@ Core::memIssue()
 
         if (_l1->issueLoad(seq, lq.addr)) {
             lq.issued = true;
-            ++_commitGen;
+            bumpGen();
             --ports;
         }
     }
@@ -521,7 +568,7 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
 {
     if (lq.performed)
         return;
-    ++_commitGen;
+    bumpGen();
     lq.performed = true;
     lq.value = value;
     lq.version = ver;
@@ -589,13 +636,13 @@ Core::loadMustRetry(InstSeqNum seq, Addr addr)
         return;
     lq->mustRetry = true;
     lq->issued = false;
-    ++_commitGen;
+    bumpGen();
 }
 
 void
 Core::recomputeFrontier()
 {
-    ++_commitGen;
+    bumpGen();
     InstSeqNum f = invalidSeqNum;
     for (auto [seq, lq] : _lq) {
         if (!lq.performed) {
@@ -669,7 +716,7 @@ Core::driveSoS()
         if (_l1->issueLoad(_frontier, lq.addr)) {
             lq.mustRetry = false;
             lq.issued = true;
-            ++_commitGen;
+            bumpGen();
         }
         return;
     }
@@ -695,7 +742,7 @@ Core::drainStoreBuffer()
         _l1->performStore(head.addr, head.data);
         _sbWords.remove(head.addr);
         _sb.pop_front();
-        ++_commitGen;
+        bumpGen();
     } else {
         _l1->requestWritePermission(line);
     }
@@ -724,7 +771,7 @@ Core::driveFence()
     if (!_sb.empty())
         return;
     e.executed = true;
-    ++_commitGen;
+    bumpGen();
     _fences.erase(seq);
 }
 
@@ -754,7 +801,7 @@ Core::driveAtomic()
     e.result = old;
     e.executed = true;
     --_pendingAtomics;
-    ++_commitGen;
+    bumpGen();
     wakeConsumers(e);
     LqEntry *lq = _lq.find(seq);
     assert(lq);
@@ -779,13 +826,28 @@ Core::commit()
     // neither retire nor stop it. A passive load's one effect, that
     // every younger entry sits behind an unperformed load, is
     // !orderedAtOrBefore() of that entry (docs/PERFORMANCE.md).
-    // Retired candidates are compacted away as the scan passes them.
+    // Plain stores are merged in by seq from their own list. They
+    // retire in program order, so once one cannot, no younger one
+    // can: the walk over stores ends there, and the scan ends before
+    // the oldest younger store without its address (condition 4).
+    // Retired candidates are compacted away as the scan passes them;
+    // retired stores are a prefix of theirs.
     int budget = _cfg.commitWidth;
-    bool saw_uncommitted_store = false;
     std::size_t kept = 0;
     std::size_t i = 0;
-    for (; i < _commitCands.size() && budget > 0; ++i) {
-        const InstSeqNum seq = _commitCands[i];
+    std::size_t stores = 0;
+    bool stores_blocked = false;
+    InstSeqNum stop = invalidSeqNum;
+    while (budget > 0) {
+        const InstSeqNum other =
+            i < _commitCands.size() ? _commitCands[i] : invalidSeqNum;
+        const InstSeqNum store =
+            !stores_blocked && stores < _storeCands.size()
+                ? _storeCands[stores]
+                : invalidSeqNum;
+        const InstSeqNum seq = std::min(other, store);
+        if (seq >= stop)
+            break; // both lists ran out, or a store address is unknown
         RobEntry &e = *robFind(seq);
         const Opcode op = e.in.op;
         const bool at_head = seq == _rob.frontSeq();
@@ -804,7 +866,25 @@ Core::commit()
         bool can = false;
         bool export_ldt = false;
 
-        if (op == Opcode::Halt) {
+        if (isStore(op)) {
+            // Stores commit in program order (store->store through
+            // the FIFO SB) and never relax load->store
+            // (Section 3.1.2).
+            if (!e.srcReady[1] || behind_load ||
+                int(_sb.size()) >= _cfg.sbSize) {
+                if (_cfg.commitMode == CommitMode::InOrder)
+                    break;
+                stores_blocked = true;
+                const auto pending =
+                    std::lower_bound(_addrPendingStores.begin(),
+                                     _addrPendingStores.end(), seq);
+                if (pending != _addrPendingStores.end())
+                    stop = *pending;
+                continue;
+            }
+            ++stores;
+            can = true;
+        } else if (op == Opcode::Halt) {
             if (at_head) {
                 _halted = true;
                 ++_commits;
@@ -868,18 +948,11 @@ Core::commit()
             if (!e.executed)
                 break;
             can = true;
-        } else if (isStore(op)) {
-            // Stores commit in program order (store->store through
-            // the FIFO SB) and never relax load->store
-            // (Section 3.1.2).
-            can = e.addrReady && e.srcReady[1] && !behind_load &&
-                  !saw_uncommitted_store &&
-                  int(_sb.size()) < _cfg.sbSize;
-            if (!can)
-                saw_uncommitted_store = true;
         } else {
             can = e.executed;
         }
+        if (!isStore(op))
+            ++i;
 
         if (!can) {
             if (_cfg.commitMode == CommitMode::InOrder)
@@ -900,6 +973,8 @@ Core::commit()
     }
     _commitCands.erase(_commitCands.begin() + std::ptrdiff_t(kept),
                        _commitCands.begin() + std::ptrdiff_t(i));
+    _storeCands.erase(_storeCands.begin(),
+                      _storeCands.begin() + std::ptrdiff_t(stores));
 }
 
 bool
@@ -939,7 +1014,7 @@ Core::retireEntry(RobEntry &e)
     }
     if (isAtomic(op))
         ++_atomicsCommitted;
-    ++_commitGen;
+    bumpGen();
     ++_commits;
     ++_committed;
     WB_EVENT(recorder(), now(), EvKind::Commit, EvUnit::Core, _id,
@@ -999,11 +1074,12 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         _rob.erase(seq);
         ++_squashedInstrs;
     }
-    for (auto *list : {&_ready, &_loadCands, &_commitCands})
+    for (auto *list : {&_ready, &_loadCands, &_commitCands,
+                       &_storeCands, &_addrPendingStores})
         list->erase(std::lower_bound(list->begin(), list->end(),
                                      first_bad),
                     list->end());
-    ++_commitGen;
+    bumpGen();
     _pc = new_pc;
     _fetchBlocked = false;
     _fetchStallUntil = now() + _cfg.mispredictPenalty;
@@ -1119,7 +1195,7 @@ Core::coherenceInvalidation(Addr line)
     auto it = _locks.find(line);
     if (it != _locks.end() && it->second.count > 0) {
         it->second.owed = true;
-        ++_commitGen;
+        bumpGen();
         ++_lockdownsSeen;
         // Set the S bits (stats/introspection; the owed flag is the
         // authoritative state).

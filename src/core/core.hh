@@ -149,6 +149,27 @@ class Core : public SimObject, public CoreMemIf
     /** One pipeline cycle. */
     void tick() override;
 
+    /**
+     * What one more tick adds to the counters while nothing it reads
+     * changes: a cycle, the stall counter (none once halted) and the
+     * refusals of the L1 polls it skips on their stamps. Valid right
+     * after a tick that touched nothing; the System takes it when the
+     * tile falls asleep (docs/PERFORMANCE.md, "Quiet tiles sleep").
+     */
+    struct QuietTick
+    {
+        Counter *stall = nullptr;
+        std::uint64_t refusals = 0;
+    };
+    QuietTick quietTick();
+
+    /** Count @p n skipped ticks described by @p q in bulk. */
+    void countQuietTicks(const QuietTick &q, Tick n);
+
+    /** Cycle a stalled fetch resumes at (a sleeping tile's time
+     *  wake), maxTick when fetch is not waiting on the clock. */
+    Tick fetchWakeTick() const;
+
     /** @return true when Halt has committed and the SB drained. */
     bool done() const;
 
@@ -320,6 +341,18 @@ class Core : public SimObject, public CoreMemIf
      *  ran idle; a skipped cycle counts that run's refusals. */
     void pollL1(IdleStamp &stamp, void (Core::*poll)());
 
+    /** Every write to a commit or poll input: bump the generation
+     *  and touch the tile. */
+    void
+    bumpGen()
+    {
+        ++_commitGen;
+        touch();
+    }
+
+    /** The stall counter a tick that retires nothing charges. */
+    Counter &stallCounter();
+
     // commit helpers
     void retireEntry(RobEntry &e);
     /** An entry the commit scan passes without effect: an ALU op
@@ -373,9 +406,15 @@ class Core : public SimObject, public CoreMemIf
     /** IQ entries whose sources are ready, ascending seq. */
     std::vector<InstSeqNum> _ready;
     InstSeqNum _lastInIq = invalidSeqNum; //!< RobEntry::prevInIq
-    /** The ROB entries that are not passive, ascending seq: the only
-     *  entries the commit scan visits. Derived state. */
+    /** The ROB entries that are not passive, plain stores aside,
+     *  ascending seq: with _storeCands the only entries the commit
+     *  scan visits. Derived state. */
     std::vector<InstSeqNum> _commitCands;
+    /** The plain stores in the ROB, ascending seq. Derived state. */
+    std::vector<InstSeqNum> _storeCands;
+    /** The plain stores without their address, ascending seq: where
+     *  a scan that stopped walking stores must end. Derived state. */
+    std::vector<InstSeqNum> _addrPendingStores;
     /** Atomics dispatched and not yet performed; driveAtomic() has
      *  nothing to do while it is zero. Derived state. */
     int _pendingAtomics = 0;

@@ -108,6 +108,7 @@ Network::Network(std::string name, EventQueue *eq,
     : SimObject(std::move(name), eq, stats), _numNodes(num_nodes),
       _handlers(std::size_t(num_nodes)),
       _inbox(std::size_t(num_nodes)),
+      _nextArrival(std::size_t(num_nodes), maxTick),
       _ledgers(std::size_t(num_nodes)),
       _deltas(std::size_t(num_nodes)),
       _srcSeq(std::size_t(num_nodes), 0),
@@ -218,6 +219,7 @@ Network::inboxInsert(int dst, InboxEntry entry)
     std::vector<InboxEntry> &box = _inbox[std::size_t(dst)];
     box.push_back(std::move(entry));
     std::push_heap(box.begin(), box.end(), ArrivesAfter{});
+    _nextArrival[std::size_t(dst)] = box.front().at;
 }
 
 void
@@ -432,12 +434,11 @@ Network::accountDelivery(std::uint64_t id, const NetMsg &msg, Tick at)
 void
 Network::scheduleDeliveries(int node, Tick t, EventQueue &eq)
 {
+    Tick &next = _nextArrival[std::size_t(node)];
+    assert(next >= t && "missed a delivery tick");
+    if (next != t)
+        return;
     std::vector<InboxEntry> &box = _inbox[std::size_t(node)];
-    if (box.empty())
-        return;
-    assert(box.front().at >= t && "missed a delivery tick");
-    if (box.front().at != t)
-        return;
 
     assert(_handlers[std::size_t(node)] &&
            "destination node has no handler");
@@ -456,6 +457,7 @@ Network::scheduleDeliveries(int node, Tick t, EventQueue &eq)
         eq.schedule(t, std::move(deliver), EventPriority::Delivery);
         box.pop_back();
     } while (!box.empty() && box.front().at == t);
+    next = box.empty() ? maxTick : box.front().at;
 }
 
 void
@@ -469,11 +471,7 @@ Network::deliverTick(Tick t, EventQueue &eq)
 Tick
 Network::nextArrivalTick() const
 {
-    Tick t = maxTick;
-    for (const std::vector<InboxEntry> &box : _inbox)
-        if (!box.empty() && box.front().at < t)
-            t = box.front().at;
-    return t;
+    return *std::min_element(_nextArrival.begin(), _nextArrival.end());
 }
 
 Tick

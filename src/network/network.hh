@@ -158,11 +158,20 @@ class Network : public SimObject
     /**
      * Shard phase: move node @p node's inbox arrivals for tick
      * @p t — if any — into @p eq as Delivery-lane events, in
-     * canonical order. Call once per owned node per tick, before
-     * draining the queue at @p t. Only the thread owning @p node
-     * may call this.
+     * canonical order. Call before draining the queue at @p t, at
+     * latest at the node's nextArrival(): a shard may skip ticks in
+     * which none of its nodes has an arrival. Only the thread owning
+     * @p node may call this.
      */
     void scheduleDeliveries(int node, Tick t, EventQueue &eq);
+
+    /** Tick of node @p node's next inbox arrival, maxTick if none.
+     *  A dense per-node array, owned like the inboxes, so a shard
+     *  finds its arrivals without touching an inbox. */
+    Tick nextArrival(int node) const
+    {
+        return _nextArrival[std::size_t(node)];
+    }
 
     /** Single-threaded per-tick drive for harnesses without a shard
      *  loop: commitSends() + scheduleDeliveries for every node. */
@@ -419,6 +428,7 @@ class Network : public SimObject
      *  the node's shard during an epoch; written by the commit phase
      *  between epochs. */
     std::vector<std::vector<InboxEntry>> _inbox;
+    std::vector<Tick> _nextArrival; //!< per node: its inbox's top
     std::vector<DstLedger> _ledgers;      //!< per destination node
     std::vector<NodeDelta> _deltas;       //!< per destination node
     std::vector<std::uint64_t> _srcSeq;   //!< per-source stamps

@@ -77,6 +77,7 @@ class TimelineSampler
 
     /** Is @p cycle a sample point? (multiples of the period) */
     bool due(Tick cycle) const { return cycle % _period == 0; }
+    Tick period() const { return _period; }
 
     /** Read one row from the registry. */
     void sample(Tick cycle);

@@ -151,9 +151,9 @@ EventQueue::nextEventTick(Tick limit) const
 }
 
 Tick
-EventQueue::nextTick() const
+EventQueue::nextTick(Tick limit) const
 {
-    return nextEventTick(maxTick);
+    return nextEventTick(limit);
 }
 
 void

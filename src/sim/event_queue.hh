@@ -92,8 +92,9 @@ class EventQueue
     /** Number of pending events. */
     std::size_t size() const { return _size; }
 
-    /** Tick of the next pending event, or maxTick if none. */
-    Tick nextTick() const;
+    /** Tick of the next pending event, or maxTick if none is due
+     *  by @p limit. */
+    Tick nextTick(Tick limit = maxTick) const;
 
     /**
      * Execute every event scheduled at ticks <= @p limit, advancing

@@ -22,8 +22,8 @@ class MetricsRegistry;
 /**
  * A named simulated component bound to an event queue and a stat
  * registry. Components that do per-cycle work also implement tick();
- * the System calls tick() on every registered component each cycle in
- * a deterministic order.
+ * the System calls tick() on the components of every awake tile each
+ * cycle in a deterministic order, and a tile sleeps until touch().
  */
 class SimObject
 {
@@ -49,6 +49,11 @@ class SimObject
      *  the default, so hooks cost one branch). */
     void setFlightRecorder(FlightRecorder *rec) { _recorder = rec; }
 
+    /** Point touch() at the owning tile's touched flag (the System's
+     *  tile sleep, docs/PERFORMANCE.md "Quiet tiles sleep"). Unbound,
+     *  touch() sets a private flag nobody reads. */
+    void setTouchFlag(bool *flag) { _touched = flag; }
+
     /** Register live gauges (and any extra metric labels) with the
      *  System's metrics registry. Called once, at System
      *  construction, and only when metrics are enabled — the
@@ -63,11 +68,17 @@ class SimObject
     /** Event sink for WB_EVENT hooks (obs/flight_recorder.hh). */
     FlightRecorder *recorder() const { return _recorder; }
 
+    /** State this component's tick reads has changed: a sleeping
+     *  tile must wake, an awake one must not fall asleep. */
+    void touch() { *_touched = true; }
+
   private:
     std::string _name;
     EventQueue *_eq;
     StatGroup _stats;
     FlightRecorder *_recorder = nullptr;
+    bool _ownTouched = false;
+    bool *_touched = &_ownTouched;
 };
 
 } // namespace wb

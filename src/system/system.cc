@@ -98,6 +98,7 @@ System::System(const SystemConfig &cfg, const Workload &workload)
         sh->endTile = (s + 1) * cfg.numCores / cfg.shards;
         for (int i = sh->firstTile; i < sh->endTile; ++i)
             _tileShard[std::size_t(i)] = s;
+        sh->numAwake = sh->endTile - sh->firstTile;
         _shards.push_back(std::move(sh));
     }
     _doneOnset.assign(std::size_t(cfg.numCores), 0);
@@ -152,8 +153,8 @@ System::System(const SystemConfig &cfg, const Workload &workload)
         _checker = std::make_unique<TsoChecker>(cfg.numCores);
 
     for (int i = 0; i < cfg.numCores; ++i) {
-        EventQueue *eq =
-            &_shards[std::size_t(_tileShard[std::size_t(i)])]->eq;
+        Shard &sh = *_shards[std::size_t(_tileShard[std::size_t(i)])];
+        EventQueue *eq = &sh.eq;
         _l1s.push_back(std::make_unique<L1Controller>(
             "l1." + std::to_string(i), eq, &_stats, i, _cfg.mem,
             _net.get(), cfg.numCores));
@@ -164,6 +165,10 @@ System::System(const SystemConfig &cfg, const Workload &workload)
             "core." + std::to_string(i), eq, &_stats, i, cfg.core,
             _l1s.back().get(), &_programs[std::size_t(i)]));
         _l1s.back()->setCore(_cores.back().get());
+        bool *touched = &sh.touched[std::size_t(i - sh.firstTile)];
+        _l1s.back()->setTouchFlag(touched);
+        _llcs.back()->setTouchFlag(touched);
+        _cores.back()->setTouchFlag(touched);
         if (cfg.recovery.enabled) {
             _l1s.back()->setRecovery(cfg.recovery);
             _llcs.back()->setRecovery(cfg.recovery);
@@ -256,31 +261,148 @@ System::workerLoop(std::size_t shard_index)
 void
 System::runShardTo(Shard &sh, Tick target)
 {
-    for (Tick c = sh.cycle + 1; c <= target; ++c) {
-        // Arrivals first (they were placed by the previous barrier
-        // commit or by same-shard local sends), then the queue, then
-        // the component tick phases in the legacy order.
-        for (int i = sh.firstTile; i < sh.endTile; ++i)
-            _net->scheduleDeliveries(i, c, sh.eq);
-        sh.eq.runUntil(c);
-        for (int i = sh.firstTile; i < sh.endTile; ++i)
-            _l1s[std::size_t(i)]->tick();
-        for (int i = sh.firstTile; i < sh.endTile; ++i)
-            _llcs[std::size_t(i)]->tick();
-        for (int i = sh.firstTile; i < sh.endTile; ++i) {
-            Core &core = *_cores[std::size_t(i)];
-            core.tick();
-            if (!_doneOnset[std::size_t(i)] && core.done())
-                _doneOnset[std::size_t(i)] = c;
+    // Sleeping tiles are brought up to date on every exit, a panic's
+    // unwinding included, so barrier checks, reports, snapshots and
+    // crash dumps read exact counters.
+    try {
+        while (sh.cycle < target) {
+            // With every tile asleep nothing changes before the
+            // shard's next activity: skip the cycles up to it.
+            const Tick c =
+                sh.numAwake ? sh.cycle + 1 : nextActivity(sh, target);
+            sh.cycle = c;
+            sh.coresPassed = sh.firstTile;
+            // Arrivals first (they were placed by the previous
+            // barrier commit or by same-shard local sends), then the
+            // queue, then the tick phases in the legacy order.
+            for (int i = sh.firstTile; i < sh.endTile; ++i)
+                if (_net->nextArrival(i) == c)
+                    _net->scheduleDeliveries(i, c, sh.eq);
+            sh.eq.runUntil(c);
+            wakeTiles(sh, c);
+            tickAwakeTiles(sh, c);
+            sh.coresPassed = sh.endTile;
+            // Observability hooks are single-shard-only (enforced in
+            // the constructor), so they keep their legacy per-tick
+            // cadence.
+            if (_timeline && _timeline->due(c)) {
+                settleSleepers(sh);
+                _timeline->sample(c);
+            }
+            if (_mstream && _mstream->due(c)) {
+                settleSleepers(sh);
+                _mstream->emit(c);
+            }
         }
-        // Observability hooks are single-shard-only (enforced in the
-        // constructor), so they keep their legacy per-tick cadence.
-        if (_timeline && _timeline->due(c))
-            _timeline->sample(c);
-        if (_mstream && _mstream->due(c))
-            _mstream->emit(c);
+    } catch (...) {
+        settleSleepers(sh);
+        throw;
     }
-    sh.cycle = target;
+    settleSleepers(sh);
+}
+
+Tick
+System::nextActivity(const Shard &sh, Tick target) const
+{
+    Tick next = std::min(target, sh.eq.nextTick(target));
+    for (int i = sh.firstTile; i < sh.endTile; ++i)
+        next = std::min({next, _net->nextArrival(i),
+                         sh.sleep[std::size_t(i - sh.firstTile)].wakeAt});
+    for (const Tick period :
+         {_timeline ? _timeline->period() : Tick(0),
+          _mstream ? _mstream->period() : Tick(0)})
+        if (period)
+            next = std::min(next, (sh.cycle / period + 1) * period);
+    return std::max(next, sh.cycle + 1);
+}
+
+void
+System::wakeTiles(Shard &sh, Tick c)
+{
+    int n = 0;
+    for (int i = sh.firstTile; i < sh.endTile; ++i) {
+        const auto k = std::size_t(i - sh.firstTile);
+        TileSleep &ts = sh.sleep[k];
+        if (ts.asleep) {
+            if (!sh.touched[k] && ts.wakeAt > c)
+                continue;
+            settle(ts, i, c - 1);
+            ts.asleep = false;
+        }
+        sh.awake[std::size_t(n++)] = i;
+    }
+    sh.numAwake = n;
+}
+
+void
+System::tickAwakeTiles(Shard &sh, Tick c)
+{
+    const int *const first = sh.awake.data();
+    const int *const last = first + sh.numAwake;
+    for (const int *p = first; p != last; ++p) {
+        sh.touched[std::size_t(*p - sh.firstTile)] = false;
+        _l1s[std::size_t(*p)]->tick();
+    }
+    for (const int *p = first; p != last; ++p)
+        _llcs[std::size_t(*p)]->tick();
+    for (const int *p = first; p != last; ++p) {
+        sh.coresPassed = *p;
+        Core &core = *_cores[std::size_t(*p)];
+        core.tick();
+        if (!_doneOnset[std::size_t(*p)] && core.done())
+            _doneOnset[std::size_t(*p)] = c;
+    }
+
+    // A tile whose tick touched nothing would repeat that tick until
+    // something touches it or a time wake comes. (A retry queue with
+    // work touches on every tick: the L1 tick bumps stateGen while one
+    // of its queues holds work, and the LLC pushes a request that
+    // fails again back onto its queue.) So it sleeps, and what each
+    // skipped tick adds is fixed now, from the state this tick left.
+    int n = 0;
+    for (const int *p = first; p != last; ++p) {
+        const auto k = std::size_t(*p - sh.firstTile);
+        TileSleep &ts = sh.sleep[k];
+        ++ts.ticks;
+        if (sh.touched[k]) {
+            sh.awake[std::size_t(n++)] = *p;
+            continue;
+        }
+        Core &core = *_cores[std::size_t(*p)];
+        ts.asleep = true;
+        ts.accounted = c;
+        ts.quiet = core.quietTick();
+        ts.wakeAt = std::min(core.fetchWakeTick(),
+                             _l1s[std::size_t(*p)]->nextRecoveryPoll(c));
+    }
+    sh.numAwake = n;
+}
+
+void
+System::settle(TileSleep &ts, int tile, Tick through)
+{
+    if (through <= ts.accounted)
+        return;
+    _cores[std::size_t(tile)]->countQuietTicks(ts.quiet,
+                                               through - ts.accounted);
+    ts.accounted = through;
+}
+
+void
+System::settleSleepers(Shard &sh)
+{
+    for (int i = sh.firstTile; i < sh.endTile; ++i) {
+        TileSleep &ts = sh.sleep[std::size_t(i - sh.firstTile)];
+        if (ts.asleep)
+            settle(ts, i, i < sh.coresPassed ? sh.cycle : sh.cycle - 1);
+    }
+}
+
+std::uint64_t
+System::tileTicks(int tile) const
+{
+    const Shard &sh = *_shards[std::size_t(_tileShard[std::size_t(tile)])];
+    return sh.sleep[std::size_t(tile - sh.firstTile)].ticks;
 }
 
 void

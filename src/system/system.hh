@@ -131,7 +131,8 @@ class System
      * still live. Callable repeatedly; watchdog state carries over,
      * so a paused-and-resumed run steps through exactly the same
      * states as an uninterrupted one (checkpoint/restore relies on
-     * this — docs/CHECKPOINT.md).
+     * this). With faults armed that holds only for pauses on the
+     * epoch grid (docs/CHECKPOINT.md, "Pauses with faults armed").
      *
      * @return true when paused at @p target with more to run;
      *         false when the run ended (all threads halted, a
@@ -164,6 +165,11 @@ class System
 
     /** Barrier-synced epoch length (the network lookahead). */
     Tick epochLength() const { return _epochLen; }
+
+    /** Tick phases tile @p tile has run: the cycles it was awake.
+     *  Derived, like the sleep state; in no report or witness. */
+    std::uint64_t tileTicks(int tile) const;
+
     StatRegistry &stats() { return _stats; }
     MainMemory &memory() { return _memory; }
     TsoChecker *checker() { return _checker.get(); }
@@ -267,22 +273,68 @@ class System
      *  provably completed through an endpoint ARQ re-issue. */
     void reclassifyRecoveredRequests();
 
+    /** Sleep state of one tile (core, L1, LLC bank and inbox i;
+     *  docs/PERFORMANCE.md, "Quiet tiles sleep"). Derived: in no
+     *  witness and no report. */
+    struct TileSleep
+    {
+        bool asleep = false;
+        Tick accounted = 0;      //!< asleep: counters exact to here
+        Tick wakeAt = maxTick;   //!< asleep: its time wake
+        Core::QuietTick quiet;   //!< asleep: what a skipped tick adds
+        std::uint64_t ticks = 0; //!< tick phases run (tileTicks())
+    };
+
     /**
      * One shard: a contiguous tile range [firstTile, endTile) with
      * its own event queue, advanced by exactly one thread at a time
-     * (worker thread during an epoch, barrier thread between).
+     * (worker thread during an epoch, barrier thread between). The
+     * tiles' sleep state is inline and the shard is cache-line
+     * aligned, so no two shards write one line. Per-tile arrays are
+     * indexed by tile - firstTile.
      */
-    struct Shard
+    struct alignas(64) Shard
     {
         EventQueue eq;
         int firstTile = 0;
         int endTile = 0; //!< exclusive
-        Tick cycle = 0;  //!< local time, == System cycle at barriers
+        Tick cycle = 0;  //!< cycle running; == System cycle at barriers
+        /** The core phase of `cycle` has passed every tile below this
+         *  one (a panic's unwinding settles sleepers by it). */
+        int coresPassed = 0;
+        int numAwake = 0; //!< awake after the last cycle; 0: jump
+        std::array<int, maxCores> awake{}; //!< ascending tile numbers
+        /** Set by touch(): state a sleeping tile's tick reads changed. */
+        std::array<bool, maxCores> touched{};
+        std::array<TileSleep, maxCores> sleep{};
     };
 
-    /** Advance one shard tick by tick to @p target (shard phase:
-     *  deliveries, events, component ticks, done-onset tracking). */
+    /** Advance one shard to @p target: deliveries, events, the tick
+     *  phases of its awake tiles, done-onset tracking. With every
+     *  tile asleep it jumps to the next activity. Sleeping tiles'
+     *  counters are exact on return. */
     void runShardTo(Shard &sh, Tick target);
+
+    /** The first cycle after sh.cycle, at most @p target, in which
+     *  something can happen: an event, an inbox arrival, a time wake
+     *  or an observer sample. */
+    Tick nextActivity(const Shard &sh, Tick target) const;
+
+    /** Wake the sleeping tiles touched or due by cycle @p c, and list
+     *  the awake ones. */
+    void wakeTiles(Shard &sh, Tick c);
+
+    /** Run the tick phases of the awake tiles at cycle @p c; a tile
+     *  whose tick changed nothing falls asleep. */
+    void tickAwakeTiles(Shard &sh, Tick c);
+
+    /** Count tile @p tile's skipped ticks up to cycle @p through. */
+    void settle(TileSleep &ts, int tile, Tick through);
+
+    /** Bring every sleeping tile's counters up to date: through
+     *  sh.cycle, or the cycle before it for tiles the core phase has
+     *  not passed. */
+    void settleSleepers(Shard &sh);
 
     /** Advance every shard to @p target, then run the serial
      *  barrier phase (message commit, checker replay). */

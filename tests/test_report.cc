@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "sim/bytes.hh"
 #include "system/report.hh"
 #include "workload/benchmarks.hh"
+#include "workload/common.hh"
 #include "workload/litmus.hh"
 #include "workload/synthetic.hh"
 
@@ -237,6 +239,126 @@ TEST(Report, MemoryConfigsArePinned)
     SystemConfig one_mshr = ideal;
     one_mshr.mem.numMshrs = 1;
     EXPECT_EQ(hash(one_mshr, table1), 0xe67f2bd9e9c1dfceULL);
+}
+
+// Behaviour pins for the work that wakes a sleeping tile or keeps one
+// awake: writes waiting in an LLC bank's retry queue (a bank too small
+// for its working set, with one eviction-buffer slot), L1 fills retried
+// while no way of their set can be evicted (locked down or in
+// flight), loads in
+// the L1 load-retry queue (one MSHR), fetch stalls after mispredicts
+// under both issue policies, and issue bursts wider than the issue
+// width. A run is paused at every cycle until its path is seen to
+// fire; pausing is exact, so the report is the uninterrupted run's.
+TEST(Report, WakeSourcesArePinned)
+{
+    SystemConfig ideal;
+    ideal.numCores = 4;
+    ideal.network = NetworkKind::Ideal;
+    ideal.ideal.numNodes = 4;
+    ideal.ideal.baseLatency = 8;
+    ideal.ideal.jitter = 12;
+    ideal.core = makeCoreConfig(CoreClass::HSW);
+    ideal.setMode(CommitMode::OooWB);
+    SyntheticParams sp;
+    sp.iterations = 40;
+    const Workload syn = makeSynthetic(sp, 4);
+
+    // Runs @p wl under @p cfg, pausing at every cycle when @p fired is
+    // set, until fired(sys, cycle) has held at some pause.
+    using Probe = std::function<bool(System &, Tick)>;
+    auto hash = [](const SystemConfig &cfg, const Workload &wl,
+                   const Probe &fired) {
+        System sys(cfg, wl);
+        bool seen = !fired;
+        for (Tick c = 1; !seen && sys.runToCycle(c); ++c)
+            seen = fired(sys, c);
+        EXPECT_TRUE(seen);
+        const SimResults r = sys.run();
+        EXPECT_TRUE(r.completed);
+        EXPECT_EQ(r.tsoViolations, 0u);
+        EXPECT_GT(sys.stats().sum("core.*.branchMispredicts"), 0u);
+        std::ostringstream os;
+        writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+        return fnv1a64(os.str());
+    };
+    auto any_tile = [](const std::function<bool(System &, int,
+                                                Tick)> &f) {
+        return [f](System &sys, Tick c) {
+            for (int i = 0; i < sys.numCores(); ++i)
+                if (f(sys, i, c))
+                    return true;
+            return false;
+        };
+    };
+
+    SystemConfig small_llc = ideal;
+    small_llc.mem.llcBankSize = 8 * 1024;
+    small_llc.mem.llcAssoc = 4;
+    small_llc.mem.llcEvictionBuffer = 1;
+    const auto llc_retry = any_tile([](System &sys, int i, Tick) {
+        return sys.llc(i).retryQueueUse() > 0;
+    });
+    EXPECT_EQ(hash(small_llc, syn, llc_retry), 0xfa5ffd6b4086c06eULL);
+
+    SystemConfig small_l2 = ideal;
+    small_l2.mem.l2Size = 4 * 1024;
+    small_l2.mem.l2Assoc = 4;
+    small_l2.mem.l1Size = 1024;
+    small_l2.mem.l1Assoc = 2;
+    const auto fill_retry = any_tile([](System &sys, int i, Tick c) {
+        for (const auto &m : sys.l1(i).mshrInfos(c))
+            if (m.fillPending)
+                return true;
+        return false;
+    });
+    EXPECT_EQ(hash(small_l2, syn, fill_retry), 0x15c078495bae73d8ULL);
+
+    SystemConfig one_mshr = ideal;
+    one_mshr.mem.numMshrs = 1;
+    one_mshr.mem.l2Size = 2 * 1024;
+    one_mshr.mem.l2Assoc = 2;
+    one_mshr.mem.l1Size = 1024;
+    one_mshr.mem.l1Assoc = 2;
+    const auto load_retry = any_tile([](System &sys, int i, Tick) {
+        std::ostringstream os;
+        sys.l1(i).dumpState(os);
+        return os.str().find("retryQ") != std::string::npos;
+    });
+    EXPECT_EQ(hash(one_mshr, syn, load_retry), 0xec05550cb6357468ULL);
+
+    EXPECT_EQ(hash(ideal, syn, nullptr), 0x5ac155ece0b6af22ULL);
+    SystemConfig stall_on_use = ideal;
+    stall_on_use.core.inOrderIssue = true;
+    EXPECT_EQ(hash(stall_on_use, syn, nullptr), 0x30c9fcc2041df3fdULL);
+
+    // An IQ issue bumps no generation, yet the next tick issues what
+    // is left: one mul feeds nine, more than an SLM core issues in a
+    // cycle, while an in-order ROB waits on a miss.
+    ProgramBuilder b;
+    b.li(1, std::int64_t(layout::sharedBase));
+    b.li(9, 0);
+    b.li(10, 40);
+    const auto loop = b.newLabel();
+    b.bind(loop);
+    b.ld(2, 1);
+    b.mul(3, 2, 2);
+    for (int j = 0; j < 9; ++j)
+        b.mul(Reg(11 + j % 5), 3, 3);
+    b.addi(1, 1, 3 * lineBytes);
+    b.addi(9, 9, 1);
+    b.blt(9, 10, loop);
+    b.halt();
+    Workload burst;
+    burst.name = "mul-burst";
+    burst.threads.push_back(b.take());
+    SystemConfig slm;
+    slm.numCores = 1;
+    slm.core = makeCoreConfig(CoreClass::SLM);
+    slm.setMode(CommitMode::InOrder);
+    EXPECT_EQ(hash(slm, burst, nullptr), 0x795da4fd61f5ea92ULL);
+    slm.core.inOrderIssue = true;
+    EXPECT_EQ(hash(slm, burst, nullptr), 0x0b11115c87e18968ULL);
 }
 
 } // namespace wb

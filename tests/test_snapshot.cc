@@ -130,6 +130,53 @@ checkRestoreAt(const SystemConfig &cfg, const Workload &wl,
     EXPECT_EQ(a.str(), b.str());
 }
 
+/** A 16-core mesh machine: at most ticks most of its tiles sleep
+ *  (docs/PERFORMANCE.md, "Quiet tiles sleep"). */
+SystemConfig
+meshConfig()
+{
+    SystemConfig cfg;
+    cfg.numCores = 16;
+    cfg.setMode(CommitMode::OooWB);
+    return cfg;
+}
+
+/** Tick counts of every tile of @p sys. */
+std::vector<std::uint64_t>
+tileTicks(const System &sys)
+{
+    std::vector<std::uint64_t> ticks;
+    for (int i = 0; i < sys.numCores(); ++i)
+        ticks.push_back(sys.tileTicks(i));
+    return ticks;
+}
+
+/** Some tile ran no tick phase between the two tick counts. */
+bool
+someTileSlept(const std::vector<std::uint64_t> &before,
+              const std::vector<std::uint64_t> &after)
+{
+    for (std::size_t i = 0; i < before.size(); ++i)
+        if (before[i] == after[i])
+            return true;
+    return false;
+}
+
+/** The first tick from @p from on at which some tile of a run of
+ *  @p wl under @p cfg sleeps. */
+Tick
+sleepingTick(const SystemConfig &cfg, const Workload &wl, Tick from)
+{
+    System sys(cfg, wl);
+    EXPECT_TRUE(sys.runToCycle(from - 1));
+    for (Tick t = from;; ++t) {
+        const auto before = tileTicks(sys);
+        EXPECT_TRUE(sys.runToCycle(t));
+        if (someTileSlept(before, tileTicks(sys)))
+            return t;
+    }
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -561,4 +608,46 @@ TEST(SnapshotRestore, ChainedPausesMatchColdRun)
     std::ostringstream os;
     writeJsonReport(os, wl.name, cfg, r, &chained.stats());
     EXPECT_EQ(os.str(), coldReport(cfg, wl));
+}
+
+// Sleeping tiles are brought up to date at every pause: a 16-core run
+// paused at every tick of a window in which tiles sleep, and at every
+// 7th tick through the run, counts every core cycle at each pause and
+// reports what one uninterrupted run does.
+TEST(SnapshotRestore, PausesInsideSleepMatchColdRun)
+{
+    const SystemConfig cfg = meshConfig();
+    const Workload wl = makeBenchmark("fft", 16, 0.02);
+    const Tick window = midTicks(cfg, wl).front();
+
+    System paused(cfg, wl);
+    bool slept = false;
+    for (Tick t = 1;; ++t) {
+        const bool in_window = t >= window && t < window + 300;
+        if (!in_window && t % 7 != 0)
+            continue;
+        const auto before = tileTicks(paused);
+        if (!paused.runToCycle(t))
+            break;
+        slept |= in_window && someTileSlept(before, tileTicks(paused));
+        // Every core's counters are up to date at the pause.
+        EXPECT_EQ(paused.stats().sum("core.*.cycles"),
+                  t * Tick(cfg.numCores));
+    }
+    EXPECT_TRUE(slept);
+    const SimResults r = paused.finishRun();
+    ASSERT_TRUE(r.completed);
+
+    std::ostringstream os;
+    writeJsonReport(os, wl.name, cfg, r, &paused.stats());
+    EXPECT_EQ(os.str(), coldReport(cfg, wl));
+}
+
+// A checkpoint taken at a tick where tiles sleep restores with a
+// byte-identical witness and report.
+TEST(SnapshotRestore, CheckpointInsideSleep)
+{
+    const SystemConfig cfg = meshConfig();
+    const Workload wl = makeBenchmark("fft", 16, 0.02);
+    checkRestoreAt(cfg, wl, sleepingTick(cfg, wl, midTicks(cfg, wl)[1]));
 }

@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "isa/func_sim.hh"
+#include "sim/bytes.hh"
+#include "system/report.hh"
 #include "system/system.hh"
 #include "workload/benchmarks.hh"
 #include "workload/common.hh"
+#include "workload/litmus.hh"
 #include "workload/synthetic.hh"
 
 namespace wb
@@ -317,6 +321,34 @@ TEST(SystemMulti, SnapshotAggregatesCounters)
     EXPECT_GT(r.messages, 0u);
     EXPECT_GT(r.flitHops, 0u);
     EXPECT_EQ(r.instructions, sys.stats().sum("core.*.commits"));
+}
+
+// A tile with nothing to do is not ticked. On 16 mesh cores the
+// store-buffer litmus test runs two threads and the other 14 tiles
+// only halt: each of those sleeps after a few ticks. Its cycle counter
+// still counts every cycle, and the report is the one ticking every
+// tile on every cycle gave.
+TEST(SystemMulti, IdleTilesAreNotTicked)
+{
+    SystemConfig cfg;
+    cfg.numCores = 16;
+    const Workload wl = makeLitmus(LitmusKind::StoreBuffer, 300);
+    System sys(cfg, wl);
+    const SimResults r = sys.run();
+    ASSERT_TRUE(r.completed);
+    for (int i = 0; i < cfg.numCores; ++i) {
+        SCOPED_TRACE("tile " + std::to_string(i));
+        EXPECT_EQ(sys.stats().sum("core." + std::to_string(i) +
+                                  ".cycles"),
+                  sys.cycle());
+        if (i >= 2) {
+            EXPECT_LE(sys.tileTicks(i), 4u);
+        }
+    }
+    EXPECT_GT(sys.tileTicks(0), 4u);
+    std::ostringstream os;
+    writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+    EXPECT_EQ(fnv1a64(os.str()), 0x6cd39caa2bde92b1ULL);
 }
 
 } // namespace wb
