@@ -45,7 +45,7 @@ main()
     for (const auto &[pair, count] : countOutcomes(
              [&sys](Addr a) { return sys.peekCoherent(a); },
              iterations)) {
-        const bool illegal = pair.first == 1 && pair.second == 0;
+        const bool illegal = illegalOutcome(LitmusKind::Table1, pair);
         std::printf("  {%llu, %llu} x %-6d %s\n",
                     static_cast<unsigned long long>(pair.first),
                     static_cast<unsigned long long>(pair.second),

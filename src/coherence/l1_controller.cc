@@ -97,7 +97,7 @@ L1Controller::scheduleHit(InstSeqNum seq, Addr addr, Tick lat,
                           LoadSource src)
 {
     eventQueue().scheduleIn(lat, [this, seq, addr, src]() {
-        bumpState();
+        touch();
         // Re-validate: the line may have been invalidated while the
         // access was in flight; restart the access in that case so
         // the load can never bind a value that bypassed an
@@ -134,7 +134,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
         if (_core->isLoadOrdered(seq))
             return issueGetU(seq, addr);
         _wbWaiters[line].push_back(WaitingLoad{seq, addr});
-        bumpState();
+        touch();
         return true;
     }
 
@@ -150,7 +150,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                                      : _cfg.l2HitLatency,
                     in_l1 ? LoadSource::CacheHitL1
                           : LoadSource::CacheHitL2);
-        bumpState();
+        touch();
         return true;
     }
 
@@ -167,7 +167,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             // 1-cycle window cancels the pending fill, and binding
             // the stale copy then would escape the LQ query.
             eventQueue().scheduleIn(1, [this, seq, addr]() {
-                bumpState();
+                touch();
                 const Addr l = lineOf(addr);
                 auto mit = _mshrs.find(l);
                 if (mit != _mshrs.end() &&
@@ -182,7 +182,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
                     retryLoad(WaitingLoad{seq, addr});
                 }
             });
-            bumpState();
+            touch();
             return true;
         }
         if (m.kind == Mshr::Kind::Write && m.blocked &&
@@ -191,7 +191,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
             return issueGetU(seq, addr);
         }
         m.loads.push_back(WaitingLoad{seq, addr});
-        bumpState();
+        touch();
         return true;
     }
 
@@ -216,7 +216,7 @@ L1Controller::issueLoad(InstSeqNum seq, Addr addr)
     });
     if (_cfg.prefetchNextLine)
         maybePrefetch(line + lineBytes);
-    bumpState();
+    touch();
     return true;
 }
 
@@ -252,7 +252,7 @@ L1Controller::issueGetU(InstSeqNum seq, Addr addr)
 {
     if (_sosMshr)
         return false; // previous bypass still in flight; retry
-    bumpState();
+    touch();
     _sosMshr.emplace();
     _sosMshr->kind = Mshr::Kind::Unc;
     _sosMshr->line = lineOf(addr);
@@ -270,9 +270,9 @@ L1Controller::loadBecameSoS(InstSeqNum seq, Addr addr)
 {
     const Addr line = lineOf(addr);
 
-    // Called again by the core while its SoS load stays parked, each
-    // time either generation has changed; idempotent. Only unpark
-    // when a bypass actually issues.
+    // Called again by the core on every awake tick while its SoS
+    // load stays parked; idempotent. Only unpark when a bypass
+    // actually issues.
     if (_sosMshr && !_sosMshr->loads.empty() &&
         _sosMshr->loads.front().seq == seq)
         return; // bypass already in flight
@@ -348,7 +348,7 @@ L1Controller::requestWritePermission(Addr line)
     if (_mshrs.size() >= _cfg.numMshrs)
         return; // caller polls
 
-    bumpState();
+    touch();
     Mshr &m = _mshrs[line];
     m.kind = Mshr::Kind::Write;
     m.line = line;
@@ -373,7 +373,7 @@ L1Controller::performStore(Addr addr, std::uint64_t value)
     PrivLine *pl = _array.findAndTouch(line);
     assert(pl && (pl->st == PState::E || pl->st == PState::M) &&
            "performStore without write permission");
-    bumpState();
+    touch();
     pl->st = PState::M;
     touchL1(line);
     const Version ver = pl->data.readVersion(addr) + 1;
@@ -392,7 +392,7 @@ L1Controller::performAtomic(
     PrivLine *pl = _array.findAndTouch(line);
     assert(pl && (pl->st == PState::E || pl->st == PState::M) &&
            "performAtomic without write permission");
-    bumpState();
+    touch();
     pl->st = PState::M;
     touchL1(line);
     const std::uint64_t old = pl->data.readWord(addr);
@@ -510,11 +510,11 @@ void
 L1Controller::tick()
 {
     if (_recovery.enabled && now() % _recovery.pollCycles == 0) {
-        bumpState();
+        touch();
         recoveryScan();
     }
     if (!_loadRetryQ.empty()) {
-        bumpState();
+        touch();
         std::vector<WaitingLoad> again;
         for (const WaitingLoad &wl : _loadRetryQ)
             if (!issueLoad(wl.seq, wl.addr))
@@ -523,7 +523,7 @@ L1Controller::tick()
     }
     if (_retryFills.empty())
         return;
-    bumpState();
+    touch();
     std::vector<Addr> again;
     for (Addr line : _retryFills) {
         auto it = _mshrs.find(line);
@@ -663,7 +663,7 @@ void
 L1Controller::handleMessage(MsgPtr msg)
 {
     auto &m = static_cast<CohMsg &>(*msg);
-    bumpState();
+    touch();
     if (_recovery.enabled && !_dedup.accept(m.src, m.seq)) {
         // A duplicated delivery (fault-injected copy, or a transport
         // retransmission racing its original): provably idempotent —

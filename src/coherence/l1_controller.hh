@@ -107,10 +107,10 @@ class L1Controller : public SimObject
      * On a hit the value binds after the L1/L2 hit latency via
      * CoreMemIf::loadResponse. On a miss the load joins (or creates)
      * an MSHR. @return false if no resource was available. A refusal
-     * only counts a miss: it changes no state and bumps no
-     * generation, so the core calls again only after stateGen() or
-     * its own generation has changed, and counts the refusals of
-     * the cycles in between through countRefusedLoads().
+     * only counts a miss: it changes no state and does not touch the
+     * tile, so a tile whose core only met refusals sleeps, and the
+     * refusals of its skipped ticks are counted through
+     * countRefusedLoads().
      */
     bool issueLoad(InstSeqNum seq, Addr addr);
 
@@ -118,25 +118,16 @@ class L1Controller : public SimObject
      * The load became the SoS load. Re-drives a load that is parked
      * behind a blocked write MSHR, a private writeback, or a
      * tear-off retry, using the reserved uncacheable path when
-     * needed (Section 3.5.2). Idempotent; the core calls again only
-     * after stateGen() or its own generation has changed.
+     * needed (Section 3.5.2). Idempotent; the core calls again on
+     * every tick its tile is awake.
      */
     void loadBecameSoS(InstSeqNum seq, Addr addr);
-
-    /**
-     * Generation of the state the core's polls (issueLoad,
-     * loadBecameSoS, hasWritePermission, requestWritePermission)
-     * read: the MSHRs, the reserved SoS entry, the array, the
-     * writeback buffer and its waiters. Every entry point that can
-     * write it bumps it; a refused call does not.
-     */
-    std::uint64_t stateGen() const { return _stateGen; }
 
     /** Misses counted so far, refused issueLoad calls included. */
     std::uint64_t missCount() const { return _misses.value(); }
 
-    /** Count @p n refused issueLoad calls the core skipped because
-     *  neither generation changed since one that was refused. */
+    /** Count @p n refused issueLoad calls of ticks a sleeping tile
+     *  skipped. */
     void countRefusedLoads(std::uint64_t n) { _misses += n; }
 
     // ---------------- store path ----------------
@@ -144,8 +135,8 @@ class L1Controller : public SimObject
     /**
      * Ask for write permission for @p line (store prefetch, or the
      * store at the head of the store buffer). Idempotent; the store
-     * buffer asks again, and rechecks hasWritePermission(), only
-     * after stateGen() or the core's generation has changed.
+     * buffer asks again, and rechecks hasWritePermission(), on every
+     * tick its tile is awake.
      */
     void requestWritePermission(Addr line);
 
@@ -369,14 +360,6 @@ class L1Controller : public SimObject
     /** Next-line prefetch after a demand miss (if enabled). */
     void maybePrefetch(Addr next_line);
 
-    /** Every write to state the core's polls read. */
-    void
-    bumpState()
-    {
-        ++_stateGen;
-        touch();
-    }
-
     /** Queue a load (or a fill) for tick() to retry. */
     void
     retryLoad(const WaitingLoad &wl)
@@ -424,8 +407,6 @@ class L1Controller : public SimObject
     /** Accepted loads whose internal re-issue failed transiently
      *  (resources full); retried every cycle until re-accepted. */
     std::vector<WaitingLoad> _loadRetryQ;
-    /** See stateGen(). Derived state: not in the snapshot witness. */
-    std::uint64_t _stateGen = 0;
 
     // stats
     Counter &_hitsL1;

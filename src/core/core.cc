@@ -123,22 +123,24 @@ void
 Core::tick()
 {
     ++_cycles;
+    const std::uint64_t misses = _l1->missCount();
     if (_halted) {
-        pollL1(_drainIdle, &Core::drainStoreBuffer);
-        return;
-    }
-    const std::uint64_t commits_before = _commits;
-    commit();
-    driveFence();
-    driveAtomic();
-    pollL1(_drainIdle, &Core::drainStoreBuffer);
-    issueFromIq();
-    pollL1(_memIssueIdle, &Core::memIssue);
-    pollL1(_sosIdle, &Core::driveSoS);
-    fetchAndDispatch();
+        drainStoreBuffer();
+    } else {
+        const std::uint64_t commits_before = _commits;
+        commit();
+        driveFence();
+        driveAtomic();
+        drainStoreBuffer();
+        issueFromIq();
+        memIssue();
+        driveSoS();
+        fetchAndDispatch();
 
-    if (_commits == commits_before && !_halted)
-        ++stallCounter();
+        if (_commits == commits_before && !_halted)
+            ++stallCounter();
+    }
+    _tickRefusals = _l1->missCount() - misses;
 }
 
 Counter &
@@ -158,13 +160,10 @@ Core::quietTick()
 {
     // A tick that touched nothing retired nothing but perhaps the
     // Halt (every other retire touches), so a repeat charges the
-    // stall counter this state picks, none once halted; each L1 poll
-    // is skipped on its stamp and counts the stamp's refusals.
-    if (_halted)
-        return QuietTick{nullptr, _drainIdle.refusals};
-    return QuietTick{&stallCounter(), _drainIdle.refusals +
-                                          _memIssueIdle.refusals +
-                                          _sosIdle.refusals};
+    // stall counter this state picks, none once halted. Its L1
+    // misses were refusals, which change nothing and so repeat too.
+    return QuietTick{_halted ? nullptr : &stallCounter(),
+                     _tickRefusals};
 }
 
 void
@@ -182,21 +181,6 @@ Core::fetchWakeTick() const
     return _halted || _fetchBlocked || now() >= _fetchStallUntil
                ? maxTick
                : _fetchStallUntil;
-}
-
-void
-Core::pollL1(IdleStamp &stamp, void (Core::*poll)())
-{
-    const std::uint64_t l1_gen = _l1->stateGen();
-    if (stamp.coreGen == _commitGen && stamp.l1Gen == l1_gen) {
-        _l1->countRefusedLoads(stamp.refusals);
-        return;
-    }
-    const std::uint64_t core_gen = _commitGen;
-    const std::uint64_t misses = _l1->missCount();
-    (this->*poll)();
-    if (_commitGen == core_gen && _l1->stateGen() == l1_gen)
-        stamp = IdleStamp{core_gen, l1_gen, _l1->missCount() - misses};
 }
 
 // ---------------------------------------------------------------
@@ -292,7 +276,7 @@ Core::fetchAndDispatch()
         if (isAtomic(in.op))
             ++_pendingAtomics;
         _rob.emplace(seq, std::move(e));
-        bumpGen();
+        touch();
         _pc = next_pc;
         if (_fetchBlocked)
             return;
@@ -341,7 +325,7 @@ Core::wakeConsumers(RobEntry &e)
             c->srcReady[std::size_t(op)] = true;
             if (!was_ready && ready(*c))
                 insertBySeq(_ready, cseq);
-            bumpGen();
+            touch();
         }
     }
     e.consumers.clear();
@@ -391,8 +375,6 @@ Core::issueFromIq()
     }
     if (n == 0)
         return;
-    // An issue bumps no generation (nothing commit or the polls read
-    // changed), but the next tick's issue and dispatch read it.
     touch();
     _ready.erase(_ready.begin(), _ready.begin() + std::ptrdiff_t(n));
 }
@@ -403,7 +385,7 @@ Core::execute(InstSeqNum seq)
     RobEntry *e = robFind(seq);
     if (!e || e->executed)
         return; // squashed (or atomic already performed at head)
-    bumpGen();
+    touch();
     const Opcode op = e->in.op;
 
     if (isMem(op)) {
@@ -554,7 +536,7 @@ Core::memIssue()
 
         if (_l1->issueLoad(seq, lq.addr)) {
             lq.issued = true;
-            bumpGen();
+            touch();
             --ports;
         }
     }
@@ -568,7 +550,7 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
 {
     if (lq.performed)
         return;
-    bumpGen();
+    touch();
     lq.performed = true;
     lq.value = value;
     lq.version = ver;
@@ -636,13 +618,13 @@ Core::loadMustRetry(InstSeqNum seq, Addr addr)
         return;
     lq->mustRetry = true;
     lq->issued = false;
-    bumpGen();
+    touch();
 }
 
 void
 Core::recomputeFrontier()
 {
-    bumpGen();
+    touch();
     InstSeqNum f = invalidSeqNum;
     for (auto [seq, lq] : _lq) {
         if (!lq.performed) {
@@ -716,7 +698,7 @@ Core::driveSoS()
         if (_l1->issueLoad(_frontier, lq.addr)) {
             lq.mustRetry = false;
             lq.issued = true;
-            bumpGen();
+            touch();
         }
         return;
     }
@@ -742,7 +724,7 @@ Core::drainStoreBuffer()
         _l1->performStore(head.addr, head.data);
         _sbWords.remove(head.addr);
         _sb.pop_front();
-        bumpGen();
+        touch();
     } else {
         _l1->requestWritePermission(line);
     }
@@ -771,7 +753,7 @@ Core::driveFence()
     if (!_sb.empty())
         return;
     e.executed = true;
-    bumpGen();
+    touch();
     _fences.erase(seq);
 }
 
@@ -801,7 +783,7 @@ Core::driveAtomic()
     e.result = old;
     e.executed = true;
     --_pendingAtomics;
-    bumpGen();
+    touch();
     wakeConsumers(e);
     LqEntry *lq = _lq.find(seq);
     assert(lq);
@@ -815,13 +797,6 @@ Core::driveAtomic()
 void
 Core::commit()
 {
-    // A scan that retires nothing changes nothing, so until a write
-    // to one of its inputs bumps _commitGen it would retire nothing
-    // again.
-    if (_commitGen == _scannedGen)
-        return;
-    _scannedGen = _commitGen;
-
     // The scan visits only the candidates: a passive entry can
     // neither retire nor stop it. A passive load's one effect, that
     // every younger entry sits behind an unperformed load, is
@@ -1014,7 +989,7 @@ Core::retireEntry(RobEntry &e)
     }
     if (isAtomic(op))
         ++_atomicsCommitted;
-    bumpGen();
+    touch();
     ++_commits;
     ++_committed;
     WB_EVENT(recorder(), now(), EvKind::Commit, EvUnit::Core, _id,
@@ -1079,7 +1054,7 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         list->erase(std::lower_bound(list->begin(), list->end(),
                                      first_bad),
                     list->end());
-    bumpGen();
+    touch();
     _pc = new_pc;
     _fetchBlocked = false;
     _fetchStallUntil = now() + _cfg.mispredictPenalty;
@@ -1195,7 +1170,7 @@ Core::coherenceInvalidation(Addr line)
     auto it = _locks.find(line);
     if (it != _locks.end() && it->second.count > 0) {
         it->second.owed = true;
-        bumpGen();
+        touch();
         ++_lockdownsSeen;
         // Set the S bits (stats/introspection; the owed flag is the
         // authoritative state).

@@ -152,9 +152,10 @@ class Core : public SimObject, public CoreMemIf
     /**
      * What one more tick adds to the counters while nothing it reads
      * changes: a cycle, the stall counter (none once halted) and the
-     * refusals of the L1 polls it skips on their stamps. Valid right
-     * after a tick that touched nothing; the System takes it when the
-     * tile falls asleep (docs/PERFORMANCE.md, "Quiet tiles sleep").
+     * refused issueLoad calls (L1 misses) the last tick made. Valid
+     * right after a tick that touched nothing, which the next tick
+     * would repeat exactly; the System takes it when the tile falls
+     * asleep (docs/PERFORMANCE.md, "Quiet tiles sleep").
      */
     struct QuietTick
     {
@@ -329,27 +330,6 @@ class Core : public SimObject, public CoreMemIf
     void commit();
     void driveSoS();
 
-    /** An idle poll's view: the generations it ran at and the
-     *  issueLoad refusals (misses) it made. */
-    struct IdleStamp
-    {
-        std::uint64_t coreGen = 0; //!< never matches: _commitGen >= 1
-        std::uint64_t l1Gen = 0;
-        std::uint64_t refusals = 0;
-    };
-    /** Run @p poll unless neither generation changed since it last
-     *  ran idle; a skipped cycle counts that run's refusals. */
-    void pollL1(IdleStamp &stamp, void (Core::*poll)());
-
-    /** Every write to a commit or poll input: bump the generation
-     *  and touch the tile. */
-    void
-    bumpGen()
-    {
-        ++_commitGen;
-        touch();
-    }
-
     /** The stall counter a tick that retires nothing charges. */
     Counter &stallCounter();
 
@@ -436,30 +416,10 @@ class Core : public SimObject, public CoreMemIf
     std::map<InstSeqNum, PendingCheck> _pendingChecks;
     InstSeqNum _frontier = invalidSeqNum; //!< oldest non-performed ld
 
-    /** Generation of the core state that commit and the L1 polls
-     *  read: every write to one bumps it, a retire too, so commit()
-     *  skips while it still equals the value its last (idle) scan
-     *  started at. The inputs and write sites are listed in
-     *  docs/PERFORMANCE.md. */
-    std::uint64_t _commitGen = 1;
-    std::uint64_t _scannedGen = 0;
-
-    /**
-     * Idle stamps of the three L1 polls (drainStoreBuffer, memIssue,
-     * driveSoS): a poll that changed neither _commitGen nor the L1's
-     * stateGen() records both, and is skipped while both still
-     * match. That is exact because a poll's inputs are core state
-     * under _commitGen and L1 state under stateGen(), and an idle
-     * run's only side effects are refused issueLoad calls, which
-     * change nothing but the L1's miss count and do not read now(),
-     * and memIssue dropping dead _loadCands entries. So a skipped
-     * cycle would repeat the stamped run, and it adds the stamped
-     * refusals to the miss count in bulk. Derived state like
-     * _commitGen: not in the snapshot witness.
-     */
-    IdleStamp _drainIdle;
-    IdleStamp _memIssueIdle;
-    IdleStamp _sosIdle;
+    /** The L1 misses the last tick made: in a tick that touched
+     *  nothing, only refused issueLoad calls. Derived state: not in
+     *  the snapshot witness. */
+    std::uint64_t _tickRefusals = 0;
 
     /** Words of the address-ready SQ entries (stores and atomics)
      *  and of the SB entries: memIssue walks a queue for a load only

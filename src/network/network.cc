@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 #include "obs/flight_recorder.hh"
@@ -107,6 +108,7 @@ Network::Network(std::string name, EventQueue *eq,
                  StatRegistry *stats, int num_nodes)
     : SimObject(std::move(name), eq, stats), _numNodes(num_nodes),
       _handlers(std::size_t(num_nodes)),
+      _outboxes(std::size_t(num_nodes)),
       _inbox(std::size_t(num_nodes)),
       _nextArrival(std::size_t(num_nodes), maxTick),
       _ledgers(std::size_t(num_nodes)),
@@ -133,11 +135,7 @@ Network::Network(std::string name, EventQueue *eq,
                     &statGroup().counter("flitHopsFwd", "flit-hops"),
                     &statGroup().counter("flitHopsResp", "flit-hops")},
       _retxBackoff(statGroup().histogram("retxBackoff", "cycles"))
-{
-    _rings.reserve(std::size_t(num_nodes));
-    for (int i = 0; i < num_nodes; ++i)
-        _rings.push_back(std::make_unique<SpscQueue<PendingSend>>());
-}
+{}
 
 Network::~Network() = default;
 
@@ -240,7 +238,7 @@ Network::send(MsgPtr msg, Tick snow)
 
     if (msg->src != msg->dst) {
         // Cross-node: buffer for the serial commit phase.
-        _rings[std::size_t(msg->src)]->push(
+        _outboxes[std::size_t(msg->src)].sends.push_back(
             PendingSend{snow, std::move(msg)});
         return;
     }
@@ -305,16 +303,18 @@ Network::place(Tick snow, MsgPtr msg, Tick latency)
 void
 Network::commitSends()
 {
-    // Drain every source ring, then order the whole batch by the
+    // Empty every source outbox, then order the whole batch by the
     // canonical (send-tick, source, sequence) key. The key is unique
     // (seq is per-source monotone) and a pure function of per-source
     // program order, so the processing order — and with it every
     // fault draw, link claim, jitter draw, and ledger id — is
     // independent of how sources were interleaved across threads.
-    for (auto &ring : _rings)
-        ring->drain([&](PendingSend &&p) {
-            _batch.push_back(std::move(p));
-        });
+    for (Outbox &box : _outboxes) {
+        _batch.insert(_batch.end(),
+                      std::make_move_iterator(box.sends.begin()),
+                      std::make_move_iterator(box.sends.end()));
+        box.sends.clear();
+    }
     std::sort(_batch.begin(), _batch.end(),
               [](const PendingSend &a, const PendingSend &b) {
                   if (a.snow != b.snow)

@@ -11,16 +11,17 @@
  *
  * Delivery model (deterministic under sharding): send() runs on the
  * thread that owns the source node and only *buffers* cross-node
- * messages into a per-source SPSC ring. commitSends() — the serial
- * epoch-barrier phase — drains every ring, orders the batch by the
- * canonical (send-tick, source, sequence) key, applies fault
+ * messages in the source's outbox. commitSends() — the serial
+ * epoch-barrier phase — empties every outbox, orders the batch by
+ * the canonical (send-tick, source, sequence) key, applies fault
  * decisions and route/contention modelling in that order, and places
  * arrivals into per-destination inboxes ordered by arrival tick. Each
  * shard then drains its own nodes' inboxes tick by tick via
  * scheduleDeliveries(). Because the canonical order is a pure
  * function of per-source program order, delivery outcomes are
  * independent of both the host-thread schedule and the shard count.
- * Node-internal transfers never cross a shard and bypass the rings.
+ * Node-internal transfers never cross a shard and bypass the
+ * outboxes.
  *
  * Every injected message is tracked in an in-flight ledger until its
  * delivery callback runs, so a leaked (never-delivered) message is
@@ -45,7 +46,6 @@
 #include "sim/bytes.hh"
 #include "sim/fault.hh"
 #include "sim/sim_object.hh"
-#include "sim/spsc_queue.hh"
 #include "sim/types.hh"
 
 namespace wb
@@ -139,14 +139,14 @@ class Network : public SimObject
      * Inject a message sent at tick @p snow; src/dst/vnet/flits must
      * be set. Runs on the thread that owns the source node.
      * Node-internal messages are placed directly into the
-     * destination inbox; cross-node messages are buffered until the
-     * next commitSends().
+     * destination inbox; cross-node messages wait in the source's
+     * outbox until the next commitSends().
      */
     void send(MsgPtr msg, Tick snow);
 
     /**
      * Serial commit phase (epoch barrier / single-threaded pump):
-     * drain the per-source rings, process the batch in canonical
+     * empty the per-source outboxes, process the batch in canonical
      * (send-tick, source, sequence) order — fault decision, route
      * and contention modelling, ledger recording — and insert each
      * arrival into the destination inbox. Also folds the per-node
@@ -260,7 +260,7 @@ class Network : public SimObject
      *  per-source sequence stamps, per-channel delivery horizons,
      *  the duplicate-delivery windows, pending inbox arrivals, and
      *  any implementation state (serializeExtra). Serial phase
-     *  only; the send rings must be empty (committed). */
+     *  only; the outboxes must be empty (committed). */
     void serializeState(ByteWriter &w) const;
 
   protected:
@@ -288,6 +288,17 @@ class Network : public SimObject
     {
         Tick snow = 0;
         MsgPtr msg;
+    };
+
+    /** One source's cross-node sends of the current epoch, in send
+     *  order. Only the shard owning the source appends, and only
+     *  commitSends() reads, after the epoch barrier, whose
+     *  release/acquire pair orders every append before the read.
+     *  Each outbox has its own cache line in _outboxes, so no two
+     *  shards write one line there. */
+    struct alignas(64) Outbox
+    {
+        std::vector<PendingSend> sends;
     };
 
     /** One pending arrival in a destination inbox. The canonical
@@ -419,10 +430,7 @@ class Network : public SimObject
     std::vector<Handler> _handlers;
     FaultInjector *_faults = nullptr;
     RecoveryConfig _recovery{};
-    /** Per-source SPSC rings: producer = owning shard thread,
-     *  consumer = the serial commit phase. unique_ptr because the
-     *  ring is address-stable/non-movable. */
-    std::vector<std::unique_ptr<SpscQueue<PendingSend>>> _rings;
+    std::vector<Outbox> _outboxes;        //!< per source node
     std::vector<PendingSend> _batch;      //!< commitSends scratch
     /** Per destination node: a binary heap on ArrivesAfter. Owned by
      *  the node's shard during an epoch; written by the commit phase

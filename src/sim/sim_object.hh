@@ -68,8 +68,8 @@ class SimObject
     /** Event sink for WB_EVENT hooks (obs/flight_recorder.hh). */
     FlightRecorder *recorder() const { return _recorder; }
 
-    /** State this component's tick reads has changed: a sleeping
-     *  tile must wake, an awake one must not fall asleep. */
+    /** State its tile's tick reads has changed: a sleeping tile
+     *  must wake, an awake one must not fall asleep. */
     void touch() { *_touched = true; }
 
   private:

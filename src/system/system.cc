@@ -355,10 +355,10 @@ System::tickAwakeTiles(Shard &sh, Tick c)
 
     // A tile whose tick touched nothing would repeat that tick until
     // something touches it or a time wake comes. (A retry queue with
-    // work touches on every tick: the L1 tick bumps stateGen while one
-    // of its queues holds work, and the LLC pushes a request that
-    // fails again back onto its queue.) So it sleeps, and what each
-    // skipped tick adds is fixed now, from the state this tick left.
+    // work touches on every tick: the L1 tick touches while one of
+    // its queues holds work, and the LLC pushes a request that fails
+    // again back onto its queue.) So it sleeps, and what each skipped
+    // tick adds is fixed now, from the state this tick left.
     int n = 0;
     for (const int *p = first; p != last; ++p) {
         const auto k = std::size_t(*p - sh.firstTile);

@@ -346,40 +346,39 @@ countOutcomes(const PeekFn &peek, int iterations)
     return oc;
 }
 
-int
-illegalOutcomes(const OutcomeCounts &oc)
+bool
+illegalOutcome(LitmusKind kind, const Outcome &o)
 {
-    auto it = oc.find({1, 0});
-    return it == oc.end() ? 0 : it->second;
+    switch (kind) {
+      case LitmusKind::Table1:
+      case LitmusKind::Table3:
+      case LitmusKind::CoRR:
+        return o == Outcome{1, 0};
+      case LitmusKind::LoadBuffer:
+        // Both loads observing the other thread's program-later
+        // store requires load->store reordering on both sides.
+        return o == Outcome{1, 1};
+      case LitmusKind::Iriw:
+        // Readers observed the two independent writes in opposite
+        // orders: {x=1,y=0} on one, {y=1,x=0} on the other.
+        return o == Outcome{2, 2};
+      case LitmusKind::StoreBuffer:
+        return false; // every outcome is legal in TSO
+      case LitmusKind::StoreBufferFenced:
+        // The fences forbid both loads bypassing both stores.
+        return o == Outcome{0, 0};
+    }
+    return false;
 }
 
 int
 illegalOutcomes(LitmusKind kind, const OutcomeCounts &oc)
 {
-    auto count = [&oc](std::uint64_t a, std::uint64_t b) {
-        auto it = oc.find({a, b});
-        return it == oc.end() ? 0 : it->second;
-    };
-    switch (kind) {
-      case LitmusKind::Table1:
-      case LitmusKind::Table3:
-      case LitmusKind::CoRR:
-        return count(1, 0);
-      case LitmusKind::LoadBuffer:
-        // Both loads observing the other thread's program-later
-        // store requires load->store reordering on both sides.
-        return count(1, 1);
-      case LitmusKind::Iriw:
-        // Readers observed the two independent writes in opposite
-        // orders: {x=1,y=0} on one, {y=1,x=0} on the other.
-        return count(2, 2);
-      case LitmusKind::StoreBuffer:
-        return 0; // every outcome is legal in TSO
-      case LitmusKind::StoreBufferFenced:
-        // The fences forbid both loads bypassing both stores.
-        return count(0, 0);
-    }
-    return 0;
+    int n = 0;
+    for (const auto &[o, count] : oc)
+        if (illegalOutcome(kind, o))
+            n += count;
+    return n;
 }
 
 } // namespace wb

@@ -77,9 +77,11 @@ bool parseLitmusName(const std::string &name, LitmusKind &kind);
 /** Build a litmus workload with @p iterations racing iterations. */
 Workload makeLitmus(LitmusKind kind, int iterations);
 
-/** Outcome counts keyed by {first value, second value}. */
-using OutcomeCounts =
-    std::map<std::pair<std::uint64_t, std::uint64_t>, int>;
+/** One iteration's outcome: {first value, second value}. */
+using Outcome = std::pair<std::uint64_t, std::uint64_t>;
+
+/** Outcome counts keyed by outcome. */
+using OutcomeCounts = std::map<Outcome, int>;
 
 /** Functional word reader (use System::peekCoherent: the result
  *  arrays are usually still dirty in the reader's cache). */
@@ -92,8 +94,8 @@ using PeekFn = std::function<std::uint64_t(Addr)>;
  */
 OutcomeCounts countOutcomes(const PeekFn &peek, int iterations);
 
-/** @return the number of illegal {1,0} outcomes (mp-style). */
-int illegalOutcomes(const OutcomeCounts &oc);
+/** @return true when TSO forbids outcome @p o of litmus @p kind. */
+bool illegalOutcome(LitmusKind kind, const Outcome &o);
 
 /** @return the number of TSO-illegal outcomes for @p kind. */
 int illegalOutcomes(LitmusKind kind, const OutcomeCounts &oc);

@@ -78,7 +78,7 @@ class LitmusAllModes : public ::testing::TestWithParam<CommitMode>
 TEST_P(LitmusAllModes, Table1NeverIllegal)
 {
     auto run = runLitmus(LitmusKind::Table1, GetParam());
-    EXPECT_EQ(illegalOutcomes(run.outcomes), 0)
+    EXPECT_EQ(illegalOutcomes(LitmusKind::Table1, run.outcomes), 0)
         << commitModeName(GetParam());
     EXPECT_EQ(run.results.tsoViolations, 0u);
 }
@@ -86,14 +86,14 @@ TEST_P(LitmusAllModes, Table1NeverIllegal)
 TEST_P(LitmusAllModes, Table3NeverIllegal)
 {
     auto run = runLitmus(LitmusKind::Table3, GetParam());
-    EXPECT_EQ(illegalOutcomes(run.outcomes), 0);
+    EXPECT_EQ(illegalOutcomes(LitmusKind::Table3, run.outcomes), 0);
     EXPECT_EQ(run.results.tsoViolations, 0u);
 }
 
 TEST_P(LitmusAllModes, CoRRNeverIllegal)
 {
     auto run = runLitmus(LitmusKind::CoRR, GetParam());
-    EXPECT_EQ(illegalOutcomes(run.outcomes), 0);
+    EXPECT_EQ(illegalOutcomes(LitmusKind::CoRR, run.outcomes), 0);
     EXPECT_EQ(run.results.tsoViolations, 0u);
 }
 
@@ -175,7 +175,7 @@ TEST(Litmus, WritersBlockEngagesOnTable1)
                              seed);
         seen += run.results.lockdownsSeen;
         wb_entries += run.results.wbEntries;
-        EXPECT_EQ(illegalOutcomes(run.outcomes), 0);
+        EXPECT_EQ(illegalOutcomes(LitmusKind::Table1, run.outcomes), 0);
         EXPECT_EQ(run.results.tsoViolations, 0u);
     }
     EXPECT_GT(seen, 0u) << "no invalidation ever saw a lockdown; "
@@ -200,9 +200,10 @@ TEST(Litmus, NegativeControlViolatesTso)
         System sys(cfg, wl);
         SimResults r = sys.run();
         EXPECT_TRUE(r.completed);
-        illegal += illegalOutcomes(countOutcomes(
-            [&sys](Addr a) { return sys.peekCoherent(a); },
-            kIters));
+        illegal += illegalOutcomes(
+            LitmusKind::Table1,
+            countOutcomes([&sys](Addr a) { return sys.peekCoherent(a); },
+                          kIters));
         violations += r.tsoViolations;
     }
     EXPECT_GT(illegal + int(violations), 0)

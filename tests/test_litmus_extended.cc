@@ -94,7 +94,7 @@ TEST_P(LitmusVariants, Table1StaysLegal)
     EXPECT_EQ(r.tsoViolations, 0u) << v.name;
     OutcomeCounts oc = countOutcomes(
         [&sys](Addr a) { return sys.peekCoherent(a); }, kIters);
-    EXPECT_EQ(illegalOutcomes(oc), 0) << v.name;
+    EXPECT_EQ(illegalOutcomes(LitmusKind::Table1, oc), 0) << v.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,9 +130,10 @@ TEST(LitmusExtended, UnsafeViolatesEvenOnMesh)
         System sys(cfg, wl);
         SimResults r = sys.run();
         ASSERT_TRUE(r.completed);
-        illegal += illegalOutcomes(countOutcomes(
-            [&sys](Addr a) { return sys.peekCoherent(a); },
-            kIters));
+        illegal += illegalOutcomes(
+            LitmusKind::Table1,
+            countOutcomes([&sys](Addr a) { return sys.peekCoherent(a); },
+                          kIters));
         violations += r.tsoViolations;
     }
     EXPECT_GT(illegal + int(violations), 0);

@@ -332,9 +332,10 @@ TEST(Report, WakeSourcesArePinned)
     stall_on_use.core.inOrderIssue = true;
     EXPECT_EQ(hash(stall_on_use, syn, nullptr), 0x30c9fcc2041df3fdULL);
 
-    // An IQ issue bumps no generation, yet the next tick issues what
-    // is left: one mul feeds nine, more than an SLM core issues in a
-    // cycle, while an in-order ROB waits on a miss.
+    // An IQ issue changes nothing commit or the L1 polls read, yet
+    // the next tick issues what is left: one mul feeds nine, more
+    // than an SLM core issues in a cycle, while an in-order ROB waits
+    // on a miss.
     ProgramBuilder b;
     b.li(1, std::int64_t(layout::sharedBase));
     b.li(9, 0);

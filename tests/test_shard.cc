@@ -6,22 +6,16 @@
  * any shard count, the simulation — results, every raw counter, the
  * JSON report — is byte-identical to the single-shard run. These
  * tests sweep every litmus plus three synthetic profiles across
- * shards {1, 2, 4} and diff the full counter-bearing JSON reports,
- * then exercise the SPSC ring the shards communicate through with a
- * two-thread randomized run against a reference model.
+ * shards {1, 2, 4} and diff the full counter-bearing JSON reports.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "sim/rng.hh"
-#include "sim/spsc_queue.hh"
 #include "system/report.hh"
 #include "system/system.hh"
 #include "workload/benchmarks.hh"
@@ -139,69 +133,6 @@ TEST(ShardDeterminism, CheckerSeesIdenticalHistory)
         cfg.checker = true;
         expectShardInvariant(wl, cfg, "iriw+checker");
     }
-}
-
-// ------------------------------------------------------------ SPSC
-
-TEST(SpscQueue, TwoThreadStreamMatchesReference)
-{
-    struct Item
-    {
-        std::uint64_t seq;
-        std::uint64_t payload;
-    };
-    // Small block capacity forces frequent block handoff, the part
-    // of the ring most likely to hide a publication race.
-    SpscQueue<Item, 8> q;
-    constexpr std::uint64_t kItems = 200'000;
-
-    std::thread producer([&q] {
-        Rng rng(42);
-        for (std::uint64_t i = 0; i < kItems; ++i) {
-            q.push(Item{i, rng.next()});
-            if ((i & 1023) == 0)
-                std::this_thread::yield();
-        }
-    });
-
-    // Consumer: interleave pop() and drain() so both consumption
-    // paths are exercised against the reference model.
-    Rng ref(42);
-    std::uint64_t expect = 0;
-    auto check = [&](const Item &it) {
-        ASSERT_EQ(it.seq, expect);
-        ASSERT_EQ(it.payload, ref.next());
-        ++expect;
-    };
-    while (expect < kItems) {
-        Item it;
-        if ((expect & 1) != 0 && q.pop(it)) {
-            check(it);
-            continue;
-        }
-        q.drain([&](Item &&v) { check(v); });
-        if (expect < kItems)
-            std::this_thread::yield();
-    }
-    producer.join();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(expect, kItems);
-}
-
-TEST(SpscQueue, DrainAfterProducerExit)
-{
-    // Everything pushed before the producer thread exits must be
-    // visible to a consumer that starts afterwards.
-    SpscQueue<std::uint64_t, 8> q;
-    std::thread producer([&q] {
-        for (std::uint64_t i = 0; i < 1000; ++i)
-            q.push(i);
-    });
-    producer.join();
-    std::uint64_t expect = 0;
-    q.drain([&](std::uint64_t &&v) { EXPECT_EQ(v, expect++); });
-    EXPECT_EQ(expect, 1000u);
-    EXPECT_TRUE(q.empty());
 }
 
 } // namespace wb

@@ -175,7 +175,7 @@ TEST(Workload, Table1UnderScNeverIllegalAndOrdered)
     ASSERT_TRUE(fs.run(50'000'000));
     OutcomeCounts oc = countOutcomes(
         [&fs](Addr a) { return fs.readMem(a); }, iters);
-    EXPECT_EQ(illegalOutcomes(oc), 0);
+    EXPECT_EQ(illegalOutcomes(LitmusKind::Table1, oc), 0);
 }
 
 } // namespace wb

@@ -743,9 +743,8 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             pair.second),
                         count,
-                        pair.first == 1 && pair.second == 0
-                            ? "  <-- ILLEGAL"
-                            : "");
+                        illegalOutcome(lk, pair) ? "  <-- ILLEGAL"
+                                                 : "");
     }
 
     if (dump_stats) {
