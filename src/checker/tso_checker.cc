@@ -20,7 +20,7 @@ TsoChecker::report(CoreId core, Addr addr, Version ver,
     if (_violations.size() < 100)
         _violations.push_back(
             TsoViolation{core, addr, ver, _now, what});
-    WB_TRACE(LogFlag::Checker, _now, "tso-checker",
+    WB_TRACE(_traceMask, LogFlag::Checker, _now, "tso-checker",
              "VIOLATION core %d addr %llx ver %llu: %s", core,
              static_cast<unsigned long long>(addr),
              static_cast<unsigned long long>(ver), what.c_str());

@@ -72,6 +72,10 @@ class TsoChecker : public StoreObserver
      *  violations. */
     void setTime(Tick now) { _now = now; }
 
+    /** Trace mask (ObsConfig::trace): LogFlag::Checker prints each
+     *  violation as it is found. */
+    void setTraceMask(unsigned mask) { _traceMask = mask; }
+
     // StoreObserver: a store became globally visible.
     void storePerformed(CoreId core, Addr addr, std::uint64_t value,
                         Version ver) override;
@@ -122,6 +126,7 @@ class TsoChecker : public StoreObserver
                 const std::string &what);
 
     Tick _now = 0;
+    unsigned _traceMask = 0;
     std::size_t _maxVersions;
     std::unordered_map<Addr, WordHistory> _words;
     Gsn _gsn = 0;

@@ -673,7 +673,7 @@ L1Controller::handleMessage(MsgPtr msg)
                  _id, m.line);
         return;
     }
-    WB_TRACE(LogFlag::Cache, now(), name().c_str(),
+    WB_TRACE(traceMask(), LogFlag::Cache, now(), name().c_str(),
              "rx %s line %llx from %d", cohTypeName(m.type),
              static_cast<unsigned long long>(m.line), m.src);
     switch (m.type) {

@@ -79,12 +79,6 @@ LLCBank::lookup(Addr line) const
 }
 
 bool
-LLCBank::hasEntry(Addr line) const
-{
-    return lookup(line) != nullptr;
-}
-
-bool
 LLCBank::peekWord(Addr addr, std::uint64_t &value) const
 {
     const DirEntry *e = lookup(lineOf(addr));
@@ -250,7 +244,7 @@ void
 LLCBank::handleMessage(MsgPtr msg)
 {
     auto &m = static_cast<CohMsg &>(*msg);
-    WB_TRACE(LogFlag::Directory, now(), name().c_str(),
+    WB_TRACE(traceMask(), LogFlag::Directory, now(), name().c_str(),
              "rx %s line %llx from %d", cohTypeName(m.type),
              static_cast<unsigned long long>(m.line), m.src);
     // Duplicate-delivery sink: a fault-duplicated copy carries the
@@ -550,14 +544,13 @@ LLCBank::handleWrite(DirEntry &e, CohMsg &m)
             cr->flits = dataFlits;
             send(std::move(rsp), _cfg.llcHitLatency);
         }
-        for (int c = 0; c < maxCores; ++c) {
-            if ((targets >> c) & 1) {
-                auto inv = make(CohType::Inv, m.line, c);
-                auto *ci = static_cast<CohMsg *>(inv.get());
-                ci->requestor = writer;
-                ci->txnId = e.txnId;
-                send(std::move(inv), _cfg.llcHitLatency);
-            }
+        for (SharerSet rest = targets; rest; rest &= rest - 1) {
+            auto inv =
+                make(CohType::Inv, m.line, std::countr_zero(rest));
+            auto *ci = static_cast<CohMsg *>(inv.get());
+            ci->requestor = writer;
+            ci->txnId = e.txnId;
+            send(std::move(inv), _cfg.llcHitLatency);
         }
         e.state = DirState::BusyWr;
         e.busySince = now();
@@ -1011,13 +1004,11 @@ LLCBank::startRecall(DirEntry &e, Addr line)
     e.state = DirState::Recalling;
     e.busySince = now();
     noteBusy(line);
-    for (int c = 0; c < maxCores; ++c) {
-        if ((targets >> c) & 1) {
-            auto rc = make(CohType::Recall, line, c);
-            static_cast<CohMsg *>(rc.get())->txnId = e.txnId;
-            ++_recalls;
-            send(std::move(rc), 1);
-        }
+    for (SharerSet rest = targets; rest; rest &= rest - 1) {
+        auto rc = make(CohType::Recall, line, std::countr_zero(rest));
+        static_cast<CohMsg *>(rc.get())->txnId = e.txnId;
+        ++_recalls;
+        send(std::move(rc), 1);
     }
 }
 

@@ -66,7 +66,6 @@ class LLCBank : public SimObject
     /** Dump transient directory state (watchdog diagnostics). */
     void dumpState(std::ostream &os) const;
 
-    bool hasEntry(Addr line) const;
     bool inWritersBlock(Addr line) const;
     std::size_t evictionBufferUse() const { return _evbuf.size(); }
     std::size_t retryQueueUse() const { return _retryQueue.size(); }

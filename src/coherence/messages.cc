@@ -2,8 +2,6 @@
 
 #include <memory>
 
-#include "sim/arena.hh"
-
 namespace wb
 {
 
@@ -89,10 +87,9 @@ cohVNet(CohType t)
 MsgPtr
 makeCohMsg(CohType t, Addr line, int src, int dst)
 {
-    // allocate_shared + arena: control block and message share one
-    // pooled node, so a coherence hop costs no global allocation.
-    auto msg =
-        std::allocate_shared<CohMsg>(ArenaAllocator<CohMsg>{});
+    // make_shared: the control block and the message share one
+    // allocation.
+    auto msg = std::make_shared<CohMsg>();
     msg->type = t;
     msg->line = line;
     msg->src = src;
@@ -105,8 +102,7 @@ makeCohMsg(CohType t, Addr line, int src, int dst)
 MsgPtr
 cloneCohMsg(const CohMsg &m)
 {
-    return std::allocate_shared<CohMsg>(ArenaAllocator<CohMsg>{},
-                                        m);
+    return std::make_shared<CohMsg>(m);
 }
 
 } // namespace wb

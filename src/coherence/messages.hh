@@ -115,7 +115,7 @@ struct CohMsg : NetMsg
 /** Allocate a coherence message with routing fields filled in. */
 MsgPtr makeCohMsg(CohType t, Addr line, int src, int dst);
 
-/** Arena-allocated copy of @p m (deferred-message bookkeeping). */
+/** Heap copy of @p m (deferred-message bookkeeping). */
 MsgPtr cloneCohMsg(const CohMsg &m);
 
 /** Control messages are 1 flit; data messages 5 flits (Table 6). */

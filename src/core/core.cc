@@ -556,7 +556,7 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
     lq.version = ver;
     lq.forwarded = forwarded;
     ++_loadsExecuted;
-    WB_TRACE(LogFlag::Core, now(), name().c_str(),
+    WB_TRACE(traceMask(), LogFlag::Core, now(), name().c_str(),
              "bind seq=%llu addr=%llx val=%llu ver=%llu fwd=%d",
              static_cast<unsigned long long>(seq),
              static_cast<unsigned long long>(lq.addr),
@@ -584,7 +584,7 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
                      EvUnit::Core, _id, lockdown_line);
         }
         ++li.count;
-        WB_TRACE(LogFlag::Lockdown, now(), name().c_str(),
+        WB_TRACE(traceMask(), LogFlag::Lockdown, now(), name().c_str(),
                  "lockdown set seq %llu line %llx",
                  static_cast<unsigned long long>(seq),
                  static_cast<unsigned long long>(lockdown_line));
@@ -674,7 +674,7 @@ Core::releaseLockdown(Addr line)
             fr->lockHeld(now(), _id, line, held);
         _locks.erase(it);
         if (owed) {
-            WB_TRACE(LogFlag::Lockdown, now(), name().c_str(),
+            WB_TRACE(traceMask(), LogFlag::Lockdown, now(), name().c_str(),
                      "lockdown lifted line %llx, acking",
                      static_cast<unsigned long long>(line));
             _l1->lockdownLifted(line);
@@ -1018,7 +1018,7 @@ void
 Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
 {
     ++reason;
-    WB_TRACE(LogFlag::Core, now(), name().c_str(),
+    WB_TRACE(traceMask(), LogFlag::Core, now(), name().c_str(),
              "squash from=%llu newpc=%d",
              static_cast<unsigned long long>(first_bad), new_pc);
     std::vector<InstSeqNum> gone;
@@ -1128,7 +1128,7 @@ Core::pipelineSnapshot() const
 InvResponse
 Core::coherenceInvalidation(Addr line)
 {
-    WB_TRACE(LogFlag::Core, now(), name().c_str(),
+    WB_TRACE(traceMask(), LogFlag::Core, now(), name().c_str(),
              "coherence inv line=%llx frontier=%llu",
              static_cast<unsigned long long>(line),
              static_cast<unsigned long long>(_frontier));

@@ -219,7 +219,6 @@ class Core : public SimObject, public CoreMemIf
     void serializeState(ByteWriter &w) const;
 
     CoreId id() const { return _id; }
-    std::size_t robOccupancy() const { return _rob.size(); }
     std::uint64_t regValue(Reg r) const { return _archRegs[r]; }
     bool halted() const { return _halted; }
 

@@ -59,10 +59,13 @@ class CacheArray
     CacheArray(std::uint64_t size_bytes, unsigned assoc,
                unsigned index_divisor = 1)
         : _assoc(assoc),
-          _numSets(unsigned(size_bytes / (lineBytes * assoc))),
+          _numSets(assoc ? unsigned(size_bytes / (lineBytes * assoc))
+                         : 0),
           _indexDivisor(index_divisor ? index_divisor : 1),
           _sets(_numSets)
     {
+        if (_assoc == 0)
+            fatal("cache: associativity must be at least 1");
         if (_numSets == 0 || (_numSets & (_numSets - 1)) != 0)
             fatal("cache: number of sets (%u) must be a power of two",
                   _numSets);

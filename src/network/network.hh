@@ -89,9 +89,10 @@ struct NetMsg
  * Shared ownership: a fault-duplicated message is referenced by two
  * delivery events at once, and endpoint queues hold messages while
  * the ledger still names them. Messages are logically owned by
- * exactly one component at a time. Allocated from the arena
- * (allocate_shared in makeCohMsg), so the control block shares the
- * message's pooled node.
+ * exactly one component at a time. Built with make_shared in
+ * makeCohMsg, so the control block shares the message's allocation,
+ * and freed by whichever thread drops the last reference: there is
+ * no pool, thread-local or process-global, behind it.
  */
 using MsgPtr = std::shared_ptr<NetMsg>;
 

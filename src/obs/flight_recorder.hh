@@ -45,6 +45,10 @@ struct ObsConfig
      *  snapshot stream is requested. Implied by metricsPeriod != 0
      *  and by timelinePeriod != 0 (the timeline reads the registry). */
     bool metrics = false;
+    /** Text-trace flags (LogFlag bits, sim/log.hh) for every core,
+     *  L1, LLC bank and the TSO checker; 0 = no trace lines. In no
+     *  fingerprint, report or manifest. */
+    unsigned trace = 0;
 
     /** True when the metrics registry should exist for this run. */
     bool

@@ -43,8 +43,6 @@ enum class EventPriority : int
     Delivery = 0,
     /** Default priority for component callbacks. */
     Default = 10,
-    /** End-of-cycle bookkeeping (stats, watchdogs). */
-    Late = 20,
 };
 
 /**
@@ -133,7 +131,7 @@ class EventQueue
      *  further out than this wait in the overflow heap. */
     static constexpr std::size_t numBuckets = 256;
     static constexpr Tick bucketMask = Tick(numBuckets - 1);
-    static constexpr int numLanes = 3; //!< one per EventPriority
+    static constexpr int numLanes = 2; //!< one per EventPriority
     static constexpr std::size_t slabSize = 256;
 
     /** Pool-allocated intrusive event node. */
@@ -155,16 +153,14 @@ class EventQueue
         bool
         empty() const
         {
-            return !head[0] && !head[1] && !head[2];
+            return !head[0] && !head[1];
         }
     };
 
     static std::uint8_t
     laneOf(EventPriority prio)
     {
-        return prio == EventPriority::Delivery ? 0
-               : prio == EventPriority::Default ? 1
-                                                : 2;
+        return prio == EventPriority::Delivery ? 0 : 1;
     }
 
     Event *allocEvent();

@@ -72,7 +72,7 @@ StderrGate::clearStatus(std::FILE *f)
 }
 
 void
-Trace::printLine(Tick tick, const char *unit, const char *fmt, ...)
+traceLine(Tick tick, const char *unit, const char *fmt, ...)
 {
     std::va_list ap;
     va_start(ap, fmt);
@@ -84,7 +84,7 @@ Trace::printLine(Tick tick, const char *unit, const char *fmt, ...)
     // One gated write per line: lines from concurrent systems can
     // interleave with each other, but never tear mid-line or splice
     // into a live progress line.
-    StderrGate::writeBlock(sink(), (head + body + "\n").c_str());
+    StderrGate::writeBlock(stderr, (head + body + "\n").c_str());
 }
 
 void

@@ -49,6 +49,10 @@ class SimObject
      *  the default, so hooks cost one branch). */
     void setFlightRecorder(FlightRecorder *rec) { _recorder = rec; }
 
+    /** Attach the System's trace mask (ObsConfig::trace, LogFlag
+     *  bits; 0 = no trace lines, the default). */
+    void setTraceMask(unsigned mask) { _traceMask = mask; }
+
     /** Point touch() at the owning tile's touched flag (the System's
      *  tile sleep, docs/PERFORMANCE.md "Quiet tiles sleep"). Unbound,
      *  touch() sets a private flag nobody reads. */
@@ -68,6 +72,9 @@ class SimObject
     /** Event sink for WB_EVENT hooks (obs/flight_recorder.hh). */
     FlightRecorder *recorder() const { return _recorder; }
 
+    /** Flag bits for WB_TRACE hooks (sim/log.hh). */
+    unsigned traceMask() const { return _traceMask; }
+
     /** State its tile's tick reads has changed: a sleeping tile
      *  must wake, an awake one must not fall asleep. */
     void touch() { *_touched = true; }
@@ -77,6 +84,7 @@ class SimObject
     EventQueue *_eq;
     StatGroup _stats;
     FlightRecorder *_recorder = nullptr;
+    unsigned _traceMask = 0;
     bool _ownTouched = false;
     bool *_touched = &_ownTouched;
 };

@@ -71,7 +71,8 @@ System::System(const SystemConfig &cfg, const Workload &workload)
               cfg.shards);
     if (cfg.shards > 1 &&
         (cfg.faults.enabled() || cfg.recovery.enabled ||
-         cfg.obs.flightRecorder > 0 || cfg.obs.metricsEnabled()))
+         cfg.obs.flightRecorder > 0 || cfg.obs.metricsEnabled() ||
+         cfg.obs.trace != 0))
         fatal("shards > 1 requires the fault, recovery and "
               "observability layers to be disabled "
               "(docs/PARALLEL.md)");
@@ -149,8 +150,10 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     if (_recorder)
         _net->setFlightRecorder(_recorder.get());
 
-    if (cfg.checker)
+    if (cfg.checker) {
         _checker = std::make_unique<TsoChecker>(cfg.numCores);
+        _checker->setTraceMask(cfg.obs.trace);
+    }
 
     for (int i = 0; i < cfg.numCores; ++i) {
         Shard &sh = *_shards[std::size_t(_tileShard[std::size_t(i)])];
@@ -187,6 +190,9 @@ System::System(const SystemConfig &cfg, const Workload &workload)
             _llcs.back()->setFlightRecorder(_recorder.get());
             _cores.back()->setFlightRecorder(_recorder.get());
         }
+        _l1s.back()->setTraceMask(cfg.obs.trace);
+        _llcs.back()->setTraceMask(cfg.obs.trace);
+        _cores.back()->setTraceMask(cfg.obs.trace);
     }
 
     for (int i = 0; i < cfg.numCores; ++i) {

@@ -109,12 +109,14 @@ struct SystemConfig
  * The full simulated machine.
  *
  * Thread-safety: a System is entirely self-contained — event queue,
- * stat registry, RNGs, fault injector and checker are all owned by
- * the instance, and the only process-global mutable state in the
- * simulator is the atomic trace mask (sim/log.hh). Concurrent
- * System instances on different threads are therefore data-race
- * free (the campaign runner relies on this); a single instance is
- * NOT internally synchronised and must be driven from one thread.
+ * stat registry, RNGs, fault injector, checker and trace mask are
+ * all owned by the instance, and the only process-global mutable
+ * state in the simulator is StderrGate's mutex and status line
+ * (sim/log.hh), which guard stderr.
+ * Concurrent System instances on different threads are therefore
+ * data-race free (the campaign runner relies on this); a single
+ * instance is NOT internally synchronised and must be driven from
+ * one thread.
  */
 class System
 {
@@ -160,8 +162,6 @@ class System
     /** Events executed across every shard queue (invariant across
      *  shard counts for a given workload). */
     std::uint64_t eventsExecuted() const;
-
-    int numShards() const { return int(_shards.size()); }
 
     /** Barrier-synced epoch length (the network lookahead). */
     Tick epochLength() const { return _epochLen; }

@@ -29,7 +29,7 @@ TEST(EventQueue, SameTickUsesPriorityThenFifo)
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(5, [&] { order.push_back(3); },
-                EventPriority::Late);
+                EventPriority::Default);
     eq.schedule(5, [&] { order.push_back(1); },
                 EventPriority::Delivery);
     eq.schedule(5, [&] { order.push_back(2); },
@@ -107,7 +107,7 @@ TEST(EventQueue, FifoSurvivesOverflowMigration)
     // first wait in the overflow heap, migrate, and must still run
     // priority-first then in scheduling order.
     eq.schedule(1000, [&] { order.push_back(3); },
-                EventPriority::Late);
+                EventPriority::Default);
     eq.schedule(1000, [&] { order.push_back(1); },
                 EventPriority::Delivery);
     eq.schedule(1000, [&] { order.push_back(2); },
@@ -117,7 +117,7 @@ TEST(EventQueue, FifoSurvivesOverflowMigration)
     // by scheduling order, not by which container held the event.
     eq.runUntil(900);
     eq.schedule(1000, [&] { order.push_back(4); },
-                EventPriority::Late);
+                EventPriority::Default);
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
@@ -130,14 +130,14 @@ TEST(EventQueue, MidDrainHigherPriorityRunsBeforeLowerLanes)
                 [&] {
                     order.push_back(1);
                     // Scheduled mid-drain at a *better* priority
-                    // than the Late event already queued for this
-                    // tick: it must still run first.
+                    // than the Default event already queued for
+                    // this tick: it must still run first.
                     eq.schedule(5, [&] { order.push_back(2); },
                                 EventPriority::Delivery);
                 },
                 EventPriority::Default);
     eq.schedule(5, [&] { order.push_back(3); },
-                EventPriority::Late);
+                EventPriority::Default);
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -193,12 +193,11 @@ TEST(EventQueue, StressMatchesReferenceOrder)
     // (when, lane, id) in scheduling order.
     std::vector<std::tuple<Tick, int, int>> ref;
     std::vector<int> fired;
-    constexpr EventPriority prios[3] = {EventPriority::Delivery,
-                                        EventPriority::Default,
-                                        EventPriority::Late};
+    constexpr EventPriority prios[2] = {EventPriority::Delivery,
+                                        EventPriority::Default};
     for (int id = 0; id < 2000; ++id) {
         const Tick when = Tick(next() % 1500); // window is 256
-        const int lane = int(next() % 3);
+        const int lane = int(next() % 2);
         ref.emplace_back(when, lane, id);
         eq.schedule(when, [&fired, id] { fired.push_back(id); },
                     prios[lane]);

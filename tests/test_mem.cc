@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "coherence/main_memory.hh"
@@ -9,6 +10,8 @@
 #include "mem/cache_array.hh"
 #include "mem/data_block.hh"
 #include "sim/bytes.hh"
+#include "system/system.hh"
+#include "workload/litmus.hh"
 
 namespace wb
 {
@@ -253,6 +256,51 @@ TEST(CacheArray, SerializeNumbersSlotsBySetAndWay)
         EXPECT_EQ(r.u64(), way + 1u); // payload
     }
     EXPECT_TRUE(r.atEnd());
+}
+
+// A zero associativity used to divide by zero (SIGFPE) while the
+// System was being built; it must be a fatal like a bad set count.
+
+namespace
+{
+
+void
+expectZeroAssocFatal(const MemSystemConfig &mem)
+{
+    SystemConfig cfg;
+    cfg.numCores = 2;
+    cfg.mesh.fit(2);
+    cfg.mem = mem;
+    try {
+        System sys(cfg, makeLitmus(LitmusKind::Table1, 1));
+        ADD_FAILURE() << "a zero associativity was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: cache: associativity must be at least 1");
+    }
+}
+
+} // namespace
+
+TEST(CacheArray, ZeroL1AssocIsFatal)
+{
+    MemSystemConfig mem;
+    mem.l1Assoc = 0;
+    expectZeroAssocFatal(mem);
+}
+
+TEST(CacheArray, ZeroL2AssocIsFatal)
+{
+    MemSystemConfig mem;
+    mem.l2Assoc = 0;
+    expectZeroAssocFatal(mem);
+}
+
+TEST(CacheArray, ZeroLlcAssocIsFatal)
+{
+    MemSystemConfig mem;
+    mem.llcAssoc = 0;
+    expectZeroAssocFatal(mem);
 }
 
 TEST(MainMemory, SparseDefaultZero)

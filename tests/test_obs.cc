@@ -2,14 +2,13 @@
  * @file
  * Observability-layer tests: flight-recorder ring semantics, latency
  * breakdown telescoping, timeline sampler period math, Perfetto
- * export determinism, crash-report integration, and the stats/log
- * satellites (histogram percentiles, trace sink).
+ * export determinism, crash-report integration, and histogram
+ * percentiles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -18,7 +17,6 @@
 #include "obs/perfetto.hh"
 #include "obs/timeline.hh"
 #include "sim/bytes.hh"
-#include "sim/log.hh"
 #include "sim/stats.hh"
 #include "system/crash_report.hh"
 #include "system/system.hh"
@@ -711,31 +709,6 @@ TEST(Perfetto, TimelineGaugesExportAsCounterTracks)
     writePerfettoTrace(plain, *sys.flightRecorder(), 4, 4);
     EXPECT_EQ(plain.str().find("occupancy gauges"),
               std::string::npos);
-}
-
-// ---------------------------------------------------------------
-// Trace sink (log satellite)
-// ---------------------------------------------------------------
-
-TEST(TraceSink, RedirectsThisThreadsTraceLines)
-{
-    std::FILE *tmp = std::tmpfile();
-    ASSERT_NE(tmp, nullptr);
-    Trace::setSink(tmp);
-    EXPECT_EQ(Trace::sink(), tmp);
-    Trace::printLine(42, "unit", "hello %d", 7);
-    Trace::setSink(nullptr);
-    EXPECT_EQ(Trace::sink(), stderr);
-
-    std::fflush(tmp);
-    std::rewind(tmp);
-    char buf[128] = {0};
-    ASSERT_NE(std::fgets(buf, sizeof(buf), tmp), nullptr);
-    const std::string line = buf;
-    EXPECT_NE(line.find("42"), std::string::npos);
-    EXPECT_NE(line.find("unit"), std::string::npos);
-    EXPECT_NE(line.find("hello 7"), std::string::npos);
-    std::fclose(tmp);
 }
 
 } // namespace wb

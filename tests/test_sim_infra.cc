@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/codec.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "system/system.hh"
+#include "workload/litmus.hh"
 
 namespace wb
 {
@@ -126,14 +133,51 @@ TEST(Log, PanicThrows)
     EXPECT_THROW(fatal("bad config"), std::runtime_error);
 }
 
-TEST(Log, TraceFlagGating)
+namespace
 {
-    Trace::disableAll();
-    EXPECT_FALSE(Trace::active(LogFlag::Cache));
-    Trace::enable(LogFlag::Cache);
-    EXPECT_TRUE(Trace::active(LogFlag::Cache));
-    EXPECT_FALSE(Trace::active(LogFlag::Core));
-    Trace::disableAll();
+
+/** Run one 2-core table1 litmus System per mask, each on its own
+ *  thread and all at once, and count the stderr lines they print. */
+std::size_t
+tracedLines(const std::vector<unsigned> &masks)
+{
+    const Workload wl = makeLitmus(LitmusKind::Table1, 40);
+    testing::internal::CaptureStderr();
+    std::vector<std::thread> threads;
+    for (const unsigned mask : masks)
+        threads.emplace_back([&wl, mask] {
+            SystemConfig cfg;
+            cfg.numCores = 2;
+            cfg.mesh.fit(2);
+            cfg.setMode(CommitMode::OooWB);
+            cfg.obs.trace = mask;
+            try {
+                System sys(cfg, wl);
+                EXPECT_TRUE(sys.run().completed);
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << e.what();
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    const std::string out = testing::internal::GetCapturedStderr();
+    return std::size_t(std::count(out.begin(), out.end(), '\n'));
+}
+
+} // namespace
+
+TEST(Log, TraceMaskIsPerSystem)
+{
+    const unsigned all =
+        unsigned(LogFlag::Core) | unsigned(LogFlag::Cache) |
+        unsigned(LogFlag::Directory) | unsigned(LogFlag::Lockdown) |
+        unsigned(LogFlag::Checker);
+    const std::size_t alone = tracedLines({all});
+    EXPECT_GT(alone, 0u);
+    EXPECT_EQ(tracedLines({0}), 0u);
+    // Side by side, the untraced System adds no line and the traced
+    // one loses none.
+    EXPECT_EQ(tracedLines({all, 0}), alone);
 }
 
 // ---------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include "isa/func_sim.hh"
 #include "sim/bytes.hh"
+#include "sim/log.hh"
 #include "system/report.hh"
 #include "system/system.hh"
 #include "workload/benchmarks.hh"
@@ -247,6 +248,12 @@ TEST(SystemMulti, ConfigValidation)
     bad_mode.core.commitMode = CommitMode::OooWB;
     bad_mode.core.lockdown = false;
     EXPECT_THROW(System(bad_mode, one), std::runtime_error);
+
+    // Trace lines from two shard threads would interleave.
+    SystemConfig traced_shards;
+    traced_shards.shards = 2;
+    traced_shards.obs.trace = unsigned(LogFlag::Core);
+    EXPECT_THROW(System(traced_shards, one), std::runtime_error);
 }
 
 TEST(SystemMulti, MaxCyclesCapsRun)

@@ -187,10 +187,10 @@ probeSinkWritable(const std::string &spec, std::string &err)
     return true;
 }
 
-/** Enable each flag of a comma list; an unknown flag is a usage
- *  error (exit 64). */
+/** Add each flag of a comma list to @p mask; an unknown flag is a
+ *  usage error (exit 64). */
 bool
-enableTrace(const std::string &flags)
+parseTraceFlags(const std::string &flags, unsigned &mask)
 {
     std::size_t pos = 0;
     while (pos <= flags.size()) {
@@ -199,15 +199,15 @@ enableTrace(const std::string &flags)
             comma = flags.size();
         const std::string f = flags.substr(pos, comma - pos);
         if (f == "core")
-            Trace::enable(LogFlag::Core);
+            mask |= unsigned(LogFlag::Core);
         else if (f == "cache")
-            Trace::enable(LogFlag::Cache);
+            mask |= unsigned(LogFlag::Cache);
         else if (f == "dir")
-            Trace::enable(LogFlag::Directory);
+            mask |= unsigned(LogFlag::Directory);
         else if (f == "lockdown")
-            Trace::enable(LogFlag::Lockdown);
+            mask |= unsigned(LogFlag::Lockdown);
         else if (f == "checker")
-            Trace::enable(LogFlag::Checker);
+            mask |= unsigned(LogFlag::Checker);
         else {
             std::fprintf(stderr, "--trace: unknown flag '%s'\n",
                          f.c_str());
@@ -261,6 +261,7 @@ main(int argc, char **argv)
     std::string faults_spec;
     std::string crash_dump;
     std::size_t flight_recorder = 0;
+    unsigned trace_mask = 0;
     std::string trace_out;
     std::string timeline_path;
     Tick timeline_period = 0;
@@ -327,7 +328,7 @@ main(int argc, char **argv)
         else if (a == "--ldt")
             ok = parseFlag("--ldt", next(), 1, 1 << 20, ldt);
         else if (a == "--trace")
-            ok = enableTrace(next());
+            ok = parseTraceFlags(next(), trace_mask);
         else if (a == "--faults")
             faults_spec = next();
         else if (a == "--crash-dump")
@@ -486,7 +487,7 @@ main(int argc, char **argv)
             {checkpoint_at != 0, "--checkpoint-at"},
             {!restore_path.empty(), "--restore"},
             {!record_trace.empty(), "--record-trace"},
-            {Trace::anyEnabled(), "--trace"},
+            {trace_mask != 0, "--trace"},
         };
         for (const auto &inc : incompatible) {
             if (inc.set) {
@@ -525,6 +526,7 @@ main(int argc, char **argv)
     cfg.obs.flightRecorder = flight_recorder;
     cfg.obs.timelinePeriod = timeline_period;
     cfg.obs.metricsPeriod = metrics_period;
+    cfg.obs.trace = trace_mask;
     if (!metrics_expo.empty())
         cfg.obs.metrics = true; // registry without a stream
 
