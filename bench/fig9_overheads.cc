@@ -35,10 +35,8 @@ main(int argc, char **argv)
     // 5.1: neither benefit nor penalty expected).
     spec.variants = {"base", "wb"};
     spec.configHook = [](const JobSpec &job, SystemConfig &cfg) {
-        if (job.variant == "wb") {
+        if (job.variant == "wb")
             cfg.core.lockdown = true;
-            cfg.mem.writersBlock = true;
-        }
     };
     const CampaignResult result = wbench::runPaperCampaign(
         spec, wbench::campaignJobs(argc, argv));

@@ -59,7 +59,6 @@ main()
         cfg.setMode(CommitMode::InOrder);
         cfg.core.inOrderIssue = true;
         cfg.core.lockdown = f.lockdown;
-        cfg.mem.writersBlock = f.lockdown;
         System sys(cfg, wl);
         SimResults r = sys.run();
         std::printf("%-34s %12llu %12llu %12llu %8s\n", f.name,

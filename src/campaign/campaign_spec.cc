@@ -193,9 +193,6 @@ CampaignSpec::validate() const
         return "an axis is empty";
     if (seeds < 1)
         return "seeds must be >= 1";
-    if (cores < 1 || cores > maxCores)
-        return "cores must be in [1, " + std::to_string(maxCores) +
-               "] (the directory's sharer set)";
     if (maxRetries < 0)
         return "retries must be >= 0";
     if (!workloadFactory)
@@ -224,11 +221,12 @@ CampaignSpec::validate() const
             if (!parseFaultSpec(mix.spec, fc, err))
                 return "mix '" + mix.name + "': " + err;
         }
-    if (recovery.enabled &&
-        (recovery.pollCycles == 0 ||
-         recovery.retryTimeoutCycles == 0 ||
-         recovery.retransmitBaseCycles == 0))
-        return "recovery cycle parameters must be >= 1";
+    // Every job's machine by System's own rules (its workload has
+    // `cores` threads), once the mixes are known to parse.
+    for (const JobSpec &job : expand())
+        if (std::string bad = configFor(job).validate(cores);
+            !bad.empty())
+            return bad;
     return "";
 }
 

@@ -151,7 +151,8 @@ struct CampaignSpec
      */
     std::string cellKey(const JobSpec &job) const;
 
-    /** @return "" when the spec is runnable, else a diagnostic. */
+    /** @return "" when the spec is runnable, else a diagnostic (for
+     *  a job's machine, SystemConfig::validate's). */
     std::string validate() const;
 };
 

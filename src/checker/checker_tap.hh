@@ -26,15 +26,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "coherence/l1_controller.hh"
+#include "mem/data_block.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace wb
 {
 
-/** Records one tile's checker-relevant events for barrier replay. */
-class CheckerTap : public StoreObserver
+/** Records one tile's checker-relevant events for barrier replay
+ *  (its L1's stores, its core's loads; TsoChecker's arguments). */
+class CheckerTap
 {
   public:
     struct Rec
@@ -54,15 +55,14 @@ class CheckerTap : public StoreObserver
 
     void
     storePerformed(CoreId core, Addr addr, std::uint64_t value,
-                   Version ver) override
+                   Version ver)
     {
         _recs.push_back(Rec{_eq->now(), _nextSeq++, true, core, addr,
                             value, ver, false});
     }
 
     void
-    loadCompleted(CoreId core, Addr addr, Version ver,
-                  bool forwarded) override
+    loadCompleted(CoreId core, Addr addr, Version ver, bool forwarded)
     {
         _recs.push_back(Rec{_eq->now(), _nextSeq++, false, core, addr,
                             0, ver, forwarded});
@@ -77,8 +77,6 @@ class CheckerTap : public StoreObserver
         _recs.clear();
         return out;
     }
-
-    bool empty() const { return _recs.empty(); }
 
   private:
     EventQueue *_eq = nullptr;

@@ -37,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "coherence/l1_controller.hh"
 #include "mem/addr.hh"
 #include "mem/data_block.hh"
 #include "sim/types.hh"
@@ -62,7 +61,7 @@ struct TsoViolation
  *  setTime() before dispatching events. Under sharding, per-tile
  *  CheckerTaps buffer events and replay them here in canonical
  *  (tick, tile, local-order) order at each epoch barrier. */
-class TsoChecker : public StoreObserver
+class TsoChecker
 {
   public:
     explicit TsoChecker(int num_cores,
@@ -76,9 +75,9 @@ class TsoChecker : public StoreObserver
      *  violation as it is found. */
     void setTraceMask(unsigned mask) { _traceMask = mask; }
 
-    // StoreObserver: a store became globally visible.
+    /** A store became globally visible: @p addr holds @p value. */
     void storePerformed(CoreId core, Addr addr, std::uint64_t value,
-                        Version ver) override;
+                        Version ver);
 
     /**
      * A load completed (it is performed and all older loads have
@@ -87,7 +86,7 @@ class TsoChecker : public StoreObserver
      * @param forwarded value came from the local SQ/SB.
      */
     void loadCompleted(CoreId core, Addr addr, Version ver,
-                       bool forwarded) override;
+                       bool forwarded);
 
     bool clean() const { return _violations.empty(); }
     const std::vector<TsoViolation> &violations() const

@@ -17,8 +17,8 @@ namespace wb
 /** The directory's sharer set: a full map, one bit per core. */
 using SharerSet = std::uint32_t;
 
-/** Most cores the sharer set can name. Larger machines are rejected
- *  up front (System, wbsim, wbtrace, CampaignSpec::validate). */
+/** Most cores the sharer set can name. SystemConfig::validate
+ *  refuses larger machines. */
 constexpr int maxCores = std::numeric_limits<SharerSet>::digits;
 
 struct MemSystemConfig
@@ -57,13 +57,6 @@ struct MemSystemConfig
      * lower traffic).
      */
     bool silentSharedEvictions = true;
-
-    /**
-     * Protocol flavour: false = baseline directory MESI (cores must
-     * answer invalidations with Ack, squashing reordered loads);
-     * true = WritersBlock extension (Nack/lockdown supported).
-     */
-    bool writersBlock = false;
 };
 
 } // namespace wb

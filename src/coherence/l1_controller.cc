@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "checker/checker_tap.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
 #include "sim/log.hh"
@@ -379,8 +380,8 @@ L1Controller::performStore(Addr addr, std::uint64_t value)
     const Version ver = pl->data.readVersion(addr) + 1;
     pl->data.writeWord(addr, value, ver);
     ++_stores;
-    if (_observer)
-        _observer->storePerformed(_id, wordOf(addr), value, ver);
+    if (_checkerTap)
+        _checkerTap->storePerformed(_id, wordOf(addr), value, ver);
     return ver;
 }
 
@@ -400,9 +401,9 @@ L1Controller::performAtomic(
     const std::uint64_t next = op(old);
     pl->data.writeWord(addr, next, old_ver + 1);
     ++_stores;
-    if (_observer)
-        _observer->storePerformed(_id, wordOf(addr), next,
-                                  old_ver + 1);
+    if (_checkerTap)
+        _checkerTap->storePerformed(_id, wordOf(addr), next,
+                                    old_ver + 1);
     return {old, old_ver};
 }
 

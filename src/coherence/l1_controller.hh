@@ -47,25 +47,7 @@
 namespace wb
 {
 
-/** Observer of globally-visible memory events (the TSO checker —
- *  or, under sharding, a per-tile tap that is replayed into the
- *  checker in canonical order at each epoch barrier). */
-class StoreObserver
-{
-  public:
-    virtual ~StoreObserver() = default;
-    /** The word at @p addr now has @p value, version @p ver. */
-    virtual void storePerformed(CoreId core, Addr addr,
-                                std::uint64_t value, Version ver) = 0;
-    /**
-     * A load completed (it is performed and all older loads have
-     * performed). MUST be called in program order per core.
-     *
-     * @param forwarded value came from the local SQ/SB.
-     */
-    virtual void loadCompleted(CoreId core, Addr addr, Version ver,
-                               bool forwarded) = 0;
-};
+class CheckerTap;
 
 /** Private (L1+L2) cache controller of one core. */
 class L1Controller : public SimObject
@@ -77,7 +59,8 @@ class L1Controller : public SimObject
                  int num_banks);
 
     void setCore(CoreMemIf *core) { _core = core; }
-    void setObserver(StoreObserver *obs) { _observer = obs; }
+    /** Records globally visible stores (nullptr: no checker). */
+    void setCheckerTap(CheckerTap *tap) { _checkerTap = tap; }
 
     /** Arm the recovery layer (duplicate filtering + ARQ re-issue);
      *  a default-constructed config keeps it disabled. */
@@ -392,7 +375,7 @@ class L1Controller : public SimObject
     Network *_net;
     int _numBanks;
     CoreMemIf *_core = nullptr;
-    StoreObserver *_observer = nullptr;
+    CheckerTap *_checkerTap = nullptr;
     RecoveryConfig _recovery{};
     DedupFilter _dedup;
 

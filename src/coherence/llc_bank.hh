@@ -92,7 +92,8 @@ class LLCBank : public SimObject
     std::vector<TxnInfo> transientInfos(Tick now_tick) const;
 
     /** Age of the oldest transient directory entry; 0 when all
-     *  entries are stable and no requests are parked for retry. */
+     *  entries are stable. Requests parked in the retry queue are
+     *  not counted, however long they wait (ROADMAP item 5). */
     Tick oldestTransactionAge(Tick now_tick) const;
 
     /** Functional debug read of the LLC copy (may be stale for EM

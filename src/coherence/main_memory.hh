@@ -33,16 +33,14 @@ class MainMemory
 {
   public:
     /**
-     * Stripe the store by home bank. Must be called before any
-     * contents exist (i.e. before workload pokes): restriping a
-     * populated memory would have to rehash every line, and no
-     * caller needs that.
+     * Stripe the store by home bank (@p num_banks >= 1). Must be
+     * called before any contents exist (i.e. before workload pokes):
+     * restriping a populated memory would have to rehash every
+     * line, and no caller needs that.
      */
     void
     setBanks(int num_banks)
     {
-        if (num_banks < 1)
-            num_banks = 1;
         if (std::size_t(num_banks) == _stripes.size())
             return;
         for (const auto &stripe : _stripes)

@@ -27,7 +27,7 @@ enum class CommitMode
     /**
      * Out-of-order commit with WritersBlock: reordered loads commit
      * immediately, exporting their lockdowns to the LDT (Section 4).
-     * Requires the WritersBlock protocol and a lockdown core.
+     * Requires a lockdown core (SystemConfig::validate).
      */
     OooWB,
     /**
@@ -69,9 +69,9 @@ struct CoreConfig
     bool inOrderIssue = false;
 
     /**
-     * Lockdown core (answers invalidations with Nack) vs baseline
-     * squash-and-re-execute core. Must match the protocol flavour:
-     * lockdown requires MemSystemConfig::writersBlock.
+     * Lockdown core (may answer an invalidation with Nack, which
+     * the directory meets with WritersBlock) vs baseline
+     * squash-and-re-execute core (always answers with Ack).
      */
     bool lockdown = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "checker/checker_tap.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
 #include "sim/log.hh"
@@ -53,8 +54,6 @@ Core::Core(std::string name, EventQueue *eq, StatRegistry *stats,
 {
     _regMap.fill(invalidSeqNum);
     _archWriter.fill(0);
-    if (cfg.commitMode == CommitMode::OooWB && !cfg.lockdown)
-        fatal("OooWB commit requires a lockdown core");
 }
 
 void
@@ -644,9 +643,9 @@ Core::recomputeFrontier()
         if (it->first >= f)
             break;
         const PendingCheck &pc = it->second;
-        if (_checker)
-            _checker->loadCompleted(_id, pc.addr, pc.version,
-                                    pc.forwarded);
+        if (_checkerTap)
+            _checkerTap->loadCompleted(_id, pc.addr, pc.version,
+                                       pc.forwarded);
         if (pc.lockdownLine != invalidAddr)
             releaseLockdown(pc.lockdownLine);
         if (LqEntry *lq = _lq.find(it->first))

@@ -48,6 +48,8 @@
 namespace wb
 {
 
+class CheckerTap;
+
 /** Simple 2-bit bimodal branch predictor. */
 class BranchPredictor
 {
@@ -126,7 +128,8 @@ class Core : public SimObject, public CoreMemIf
          CoreId id, const CoreConfig &cfg, L1Controller *l1,
          const Program *program);
 
-    void setChecker(StoreObserver *checker) { _checker = checker; }
+    /** Records completed loads (nullptr: no checker). */
+    void setCheckerTap(CheckerTap *tap) { _checkerTap = tap; }
 
     /**
      * Observer of every committed (retired) instruction:
@@ -368,7 +371,7 @@ class Core : public SimObject, public CoreMemIf
     CoreConfig _cfg;
     L1Controller *_l1;
     const Program *_prog;
-    StoreObserver *_checker = nullptr;
+    CheckerTap *_checkerTap = nullptr;
     CommitHook _commitHook;
 
     // architectural state

@@ -20,6 +20,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/addr.hh"
@@ -29,6 +30,21 @@
 
 namespace wb
 {
+
+/** "" when @p size_bytes at @p assoc ways makes a CacheArray (one
+ *  way or more, a power-of-two set count), else the rule broken.
+ *  SystemConfig::validate checks a System's caches with it. */
+inline std::string
+cacheGeometryError(std::uint64_t size_bytes, unsigned assoc)
+{
+    if (assoc == 0)
+        return "cache: associativity must be at least 1";
+    const auto sets = unsigned(size_bytes / (lineBytes * assoc));
+    if (sets == 0 || (sets & (sets - 1)) != 0)
+        return "cache: number of sets (" + std::to_string(sets) +
+               ") must be a power of two";
+    return "";
+}
 
 /**
  * Set-associative array of cache lines.
@@ -64,11 +80,9 @@ class CacheArray
           _indexDivisor(index_divisor ? index_divisor : 1),
           _sets(_numSets)
     {
-        if (_assoc == 0)
-            fatal("cache: associativity must be at least 1");
-        if (_numSets == 0 || (_numSets & (_numSets - 1)) != 0)
-            fatal("cache: number of sets (%u) must be a power of two",
-                  _numSets);
+        const std::string err = cacheGeometryError(size_bytes, assoc);
+        if (!err.empty())
+            fatal("%s", err.c_str());
         while ((1u << _setBits) < _numSets)
             ++_setBits;
     }

@@ -49,7 +49,7 @@ configFingerprint(const SystemConfig &cfg)
     w.u32(m.llcEvictionBuffer);
     w.u64(m.memLatency);
     w.b(m.silentSharedEvictions);
-    w.b(m.writersBlock);
+    w.b(c.lockdown); // the retired protocol-flavour byte's place
 
     w.u8(std::uint8_t(cfg.network));
     w.i64(cfg.mesh.width);

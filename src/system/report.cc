@@ -20,7 +20,7 @@ writeJsonReport(std::ostream &os, const std::string &workload,
     w.field("commitMode",
             std::string(commitModeName(cfg.core.commitMode)));
     w.field("lockdown", cfg.core.lockdown);
-    w.field("writersBlock", cfg.mem.writersBlock);
+    w.field("writersBlock", cfg.core.lockdown); // protocol flavour
     w.field("inOrderIssue", cfg.core.inOrderIssue);
     w.field("robSize", std::uint64_t(cfg.core.robSize));
     w.field("lqSize", std::uint64_t(cfg.core.lqSize));

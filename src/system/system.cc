@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <iostream>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "coherence/messages.hh"
 #include "sim/log.hh"
@@ -56,26 +58,85 @@ parseNetworkKind(const std::string &s, NetworkKind &out)
     return false;
 }
 
+std::string
+SystemConfig::validate(int threads) const
+{
+    using std::to_string;
+    if (threads > numCores)
+        return "workload has " + to_string(threads) +
+               " threads but only " + to_string(numCores) + " cores";
+    if (numCores < 1 || numCores > maxCores)
+        return "numCores must be in [1, " + to_string(maxCores) +
+               "] (the directory's sharer set), got " +
+               to_string(numCores);
+    if (shards < 1 || shards > numCores)
+        return "shards must be in [1, " + to_string(numCores) +
+               "], got " + to_string(shards);
+    if (shards > 1 &&
+        (faults.enabled() || recovery.enabled ||
+         obs.flightRecorder > 0 || obs.metricsEnabled() ||
+         obs.trace != 0))
+        return "shards > 1 requires the fault, recovery and "
+               "observability layers to be disabled "
+               "(docs/PARALLEL.md)";
+    // A parsed spec was checked clause by clause; a built one was not.
+    if (faults.enabled()) {
+        if (const std::string err = faults.validate(); !err.empty())
+            return "fault config: " + err;
+    }
+    if (recovery.enabled &&
+        (recovery.pollCycles == 0 || recovery.retryTimeoutCycles == 0 ||
+         recovery.retransmitBaseCycles == 0))
+        return "recovery config: cycle parameters must be >= 1";
+
+    // The network's localLatency() and lookahead() (the epoch length).
+    const bool on_mesh = network == NetworkKind::Mesh;
+    if (on_mesh && mesh.width * mesh.height < numCores)
+        return "mesh too small for " + to_string(numCores) + " cores";
+    if ((on_mesh ? mesh.localLatency : ideal.localLatency) < 1)
+        return "network local latency must be >= 1 (a zero-latency "
+               "self-send would arrive inside its own tick)";
+    if ((on_mesh ? mesh.hopLatency : ideal.baseLatency) < 1)
+        return "network lookahead must be >= 1";
+
+    // In the order a tile builds them: L2 array, L1 tags, LLC bank.
+    for (const auto &[size, assoc] :
+         {std::pair{mem.l2Size, mem.l2Assoc},
+          {mem.l1Size, mem.l1Assoc},
+          {mem.llcBankSize, mem.llcAssoc}})
+        if (std::string err = cacheGeometryError(size, assoc);
+            !err.empty())
+            return err;
+
+    if (core.commitMode == CommitMode::OooWB && !core.lockdown)
+        return "OooWB commit requires a lockdown core";
+
+    // A structure without an entry, or a stage without a slot, never
+    // commits; an empty LDT runs (ablation_ldt's ldt0 column).
+    for (const auto &[name, value, least] :
+         {std::tuple<const char *, long long, int>{
+              "core.fetchWidth", core.fetchWidth, 1},
+          {"core.commitWidth", core.commitWidth, 1},
+          {"core.iqSize", core.iqSize, 1},
+          {"core.robSize", core.robSize, 1},
+          {"core.lqSize", core.lqSize, 1},
+          {"core.sqSize", core.sqSize, 1},
+          {"core.sbSize", core.sbSize, 1},
+          {"core.cachePorts", core.cachePorts, 1},
+          {"core.ldtSize", core.ldtSize, 0},
+          {"mem.numMshrs", mem.numMshrs, 1}})
+        if (value < least)
+            return std::string(name) + " must be >= " +
+                   to_string(least) + ", got " + to_string(value);
+    return "";
+}
+
 System::System(const SystemConfig &cfg, const Workload &workload)
     : _cfg(cfg)
 {
-    if (int(workload.threads.size()) > cfg.numCores)
-        fatal("workload has %d threads but only %d cores",
-              int(workload.threads.size()), cfg.numCores);
-    if (cfg.numCores < 1 || cfg.numCores > maxCores)
-        fatal("numCores must be in [1, %d] (the directory's sharer "
-              "set), got %d",
-              maxCores, cfg.numCores);
-    if (cfg.shards < 1 || cfg.shards > cfg.numCores)
-        fatal("shards must be in [1, %d], got %d", cfg.numCores,
-              cfg.shards);
-    if (cfg.shards > 1 &&
-        (cfg.faults.enabled() || cfg.recovery.enabled ||
-         cfg.obs.flightRecorder > 0 || cfg.obs.metricsEnabled() ||
-         cfg.obs.trace != 0))
-        fatal("shards > 1 requires the fault, recovery and "
-              "observability layers to be disabled "
-              "(docs/PARALLEL.md)");
+    const std::string bad = cfg.validate(int(workload.threads.size()));
+    if (!bad.empty())
+        fatal("%s", bad.c_str());
 
     // Pad programs so that every core has one (idle cores halt).
     _programs = workload.threads;
@@ -104,19 +165,8 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     }
     _doneOnset.assign(std::size_t(cfg.numCores), 0);
 
-    if (cfg.faults.enabled()) {
-        // Programmatic configs bypass parseFaultSpec's validation;
-        // reject malformed probabilities/bounds here too.
-        const std::string err = cfg.faults.validate();
-        if (!err.empty())
-            fatal("fault config: %s", err.c_str());
+    if (cfg.faults.enabled())
         _faults = std::make_unique<FaultInjector>(cfg.faults);
-    }
-    if (cfg.recovery.enabled &&
-        (cfg.recovery.pollCycles == 0 ||
-         cfg.recovery.retryTimeoutCycles == 0 ||
-         cfg.recovery.retransmitBaseCycles == 0))
-        fatal("recovery config: cycle parameters must be >= 1");
 
     if (cfg.obs.flightRecorder > 0)
         _recorder = std::make_unique<FlightRecorder>(
@@ -126,23 +176,15 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     // retransmission path schedules events on it).
     EventQueue *eq0 = &_shards[0]->eq;
     if (cfg.network == NetworkKind::Mesh) {
-        MeshConfig mc = cfg.mesh;
-        if (mc.width * mc.height < cfg.numCores)
-            fatal("mesh too small for %d cores", cfg.numCores);
         _net = std::make_unique<MeshNetwork>("net", eq0, &_stats,
-                                             mc);
+                                             cfg.mesh);
     } else {
         IdealNetworkConfig ic = cfg.ideal;
         ic.numNodes = cfg.numCores;
         _net = std::make_unique<IdealNetwork>("net", eq0, &_stats,
                                               ic);
     }
-    if (_net->localLatency() < 1)
-        fatal("network local latency must be >= 1 (a zero-latency "
-              "self-send would arrive inside its own tick)");
     _epochLen = _net->lookahead();
-    if (_epochLen < 1)
-        fatal("network lookahead must be >= 1");
     if (_faults)
         _net->setFaultInjector(_faults.get());
     if (cfg.recovery.enabled)
@@ -182,8 +224,8 @@ System::System(const SystemConfig &cfg, const Workload &workload)
             // canonical order at each epoch barrier.
             _taps.push_back(std::make_unique<CheckerTap>());
             _taps.back()->bind(eq);
-            _l1s.back()->setObserver(_taps.back().get());
-            _cores.back()->setChecker(_taps.back().get());
+            _l1s.back()->setCheckerTap(_taps.back().get());
+            _cores.back()->setCheckerTap(_taps.back().get());
         }
         if (_recorder) {
             _l1s.back()->setFlightRecorder(_recorder.get());
@@ -511,18 +553,6 @@ System::allDone() const
         if (!c->done())
             return false;
     return true;
-}
-
-void
-System::step(Tick n)
-{
-    // Epoch-quantised advance. Commits at intermediate (clamped)
-    // barriers are outcome-neutral: the commit order is tick-major
-    // canonical, so splitting one batch into per-epoch batches
-    // yields identical arrivals, claims and draws.
-    const Tick target = _cycle + n;
-    while (_cycle < target)
-        runEpoch(std::min(target, nextBoundary(_cycle)));
 }
 
 SimResults
@@ -894,8 +924,8 @@ describeConfig(const SystemConfig &cfg)
     std::ostringstream os;
     os << cfg.numCores << " cores, "
        << commitModeName(cfg.core.commitMode)
-       << (cfg.mem.writersBlock ? " + WritersBlock protocol"
-                                : " + base directory protocol")
+       << (cfg.core.lockdown ? " + WritersBlock protocol"
+                             : " + base directory protocol")
        << " | IQ " << cfg.core.iqSize << " ROB " << cfg.core.robSize
        << " LQ " << cfg.core.lqSize << " SQ " << cfg.core.sqSize
        << " SB " << cfg.core.sbSize << " LDT " << cfg.core.ldtSize

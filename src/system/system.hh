@@ -95,14 +95,21 @@ struct SystemConfig
      *  settle before the message-leak and MSHR-empty checks. */
     Tick teardownDrainCycles = 100'000;
 
-    /** Convenience: make the core/protocol flavours consistent. */
+    /** Convenience: the commit mode, and a lockdown core for OooWB. */
     void
     setMode(CommitMode mode)
     {
         core.commitMode = mode;
         core.lockdown = mode == CommitMode::OooWB;
-        mem.writersBlock = core.lockdown;
     }
+
+    /**
+     * The machines the model can run: "" when a System can be built
+     * for a workload of @p threads threads, else the first rule
+     * broken, in the words System's constructor fatals with. Reads
+     * only this config. wbsim and CampaignSpec::validate call it too.
+     */
+    std::string validate(int threads) const;
 };
 
 /**
@@ -146,9 +153,6 @@ class System
     /** Teardown drain + final classification and summary for a run
      *  driven by runToCycle(). run() == runToCycle(cap) + this. */
     SimResults finishRun();
-
-    /** Advance exactly @p n cycles (for tests). */
-    void step(Tick n = 1);
 
     /** @return true once every thread halted and drained. */
     bool allDone() const;

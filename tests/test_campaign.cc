@@ -119,7 +119,7 @@ TEST(CampaignSpec, PaperCampaignIsThePaperMachine)
     EXPECT_EQ(cfg.maxCycles, Tick(400'000'000));
     EXPECT_EQ(cfg.core.robSize, makeCoreConfig(CoreClass::HSW).robSize);
     EXPECT_EQ(cfg.core.commitMode, CommitMode::OooWB);
-    EXPECT_TRUE(cfg.mem.writersBlock);
+    EXPECT_TRUE(cfg.core.lockdown);
     EXPECT_FALSE(cfg.faults.enabled());
 
     // Each profile keeps its own seed: the same program as
@@ -259,6 +259,57 @@ TEST(CampaignSpec, ManifestParsesAndValidates)
         EXPECT_FALSE(parseCampaignSpec(bad, s, err)) << r.text;
         EXPECT_EQ(err, r.error);
     }
+}
+
+// validate() holds every job's machine to System's own rules, so a
+// programmatic spec (no manifest parser in the way) is refused with
+// the words System would fatal with.
+TEST(CampaignSpec, ValidateRefusesWhatSystemRefuses)
+{
+    CampaignSpec wide;
+    wide.workloads = {"fft"};
+    wide.cores = maxCores + 1;
+
+    CampaignSpec no_poll;
+    no_poll.workloads = {"fft"};
+    no_poll.recovery.enabled = true;
+    no_poll.recovery.pollCycles = 0;
+
+    CampaignSpec hooked; // one variant's hook breaks its machine
+    hooked.workloads = {"fft"};
+    hooked.cores = 4;
+    hooked.variants = {"ok", "robless"};
+    hooked.configHook = [](const JobSpec &job, SystemConfig &cfg) {
+        if (job.variant == "robless")
+            cfg.core.robSize = 0;
+    };
+
+    const struct
+    {
+        const CampaignSpec &spec;
+        const char *refusal;
+    } cases[] = {
+        {wide, "numCores must be in [1, 32] (the directory's sharer "
+               "set), got 33"},
+        {no_poll, "recovery config: cycle parameters must be >= 1"},
+        {hooked, "core.robSize must be >= 1, got 0"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(c.spec.validate(), c.refusal);
+        const JobSpec job = c.spec.expand().back();
+        Workload wl;
+        wl.threads.resize(std::size_t(c.spec.cores),
+                          Program{Instr{Opcode::Halt, 0, 0, 0, 0, 0}});
+        try {
+            System sys(c.spec.configFor(job), wl);
+            ADD_FAILURE() << "System built " << c.refusal;
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(e.what(), std::string("fatal: ") + c.refusal);
+        }
+    }
+
+    hooked.variants = {"ok"};
+    EXPECT_EQ(hooked.validate(), "");
 }
 
 TEST(CampaignAggregator, ReductionAndLiveCounts)

@@ -56,7 +56,6 @@ TEST(Config, Table6MemorySystem)
     EXPECT_EQ(mem.llcHitLatency, 35u);
     EXPECT_EQ(mem.memLatency, 160u);
     EXPECT_TRUE(mem.silentSharedEvictions);
-    EXPECT_FALSE(mem.writersBlock);
 }
 
 TEST(Config, Table6Mesh)
@@ -73,19 +72,15 @@ TEST(Config, SetModeCouplesCoreAndProtocol)
     SystemConfig cfg;
     cfg.setMode(CommitMode::OooWB);
     EXPECT_TRUE(cfg.core.lockdown);
-    EXPECT_TRUE(cfg.mem.writersBlock);
     cfg.setMode(CommitMode::OooSafe);
     EXPECT_FALSE(cfg.core.lockdown);
-    EXPECT_FALSE(cfg.mem.writersBlock);
     cfg.setMode(CommitMode::InOrder);
     EXPECT_FALSE(cfg.core.lockdown);
-    EXPECT_FALSE(cfg.mem.writersBlock);
     // The negative control needs no overrides after setMode.
     cfg.setMode(CommitMode::OooWB);
     cfg.setMode(CommitMode::OooUnsafe);
     EXPECT_EQ(cfg.core.commitMode, CommitMode::OooUnsafe);
     EXPECT_FALSE(cfg.core.lockdown);
-    EXPECT_FALSE(cfg.mem.writersBlock);
 }
 
 TEST(Config, ModeAndClassNames)

@@ -420,7 +420,6 @@ TEST(Core, Ev5StyleCoreWithLockdownsStaysTsoCorrect)
     cfg.setMode(CommitMode::InOrder);
     cfg.core.inOrderIssue = true;
     cfg.core.lockdown = true;      // ECL: no squash machinery used
-    cfg.mem.writersBlock = true;
     System sys(cfg, wl);
     SimResults r = sys.run();
     ASSERT_TRUE(r.completed) << "deadlocked=" << r.deadlocked;

@@ -196,7 +196,6 @@ TEST(Litmus, NegativeControlViolatesTso)
         SystemConfig cfg = litmusConfig(CommitMode::OooUnsafe, seed);
         cfg.core.commitMode = CommitMode::OooUnsafe;
         cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
         System sys(cfg, wl);
         SimResults r = sys.run();
         EXPECT_TRUE(r.completed);

@@ -126,7 +126,6 @@ TEST(LitmusExtended, UnsafeViolatesEvenOnMesh)
         cfg.maxCycles = 60'000'000;
         cfg.setMode(CommitMode::OooUnsafe);
         cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
         System sys(cfg, wl);
         SimResults r = sys.run();
         ASSERT_TRUE(r.completed);

@@ -172,7 +172,7 @@ TEST(Timeline, PeriodMathAndRowCount)
 
     Workload wl = makeLitmus(LitmusKind::Table1, 50);
     System sys(obsConfig(0, 100), wl);
-    sys.step(1000);
+    ASSERT_TRUE(sys.runToCycle(1000)); // paused, still running
     ASSERT_NE(sys.timeline(), nullptr);
     // Cycles 100, 200, ..., 1000: exactly ten samples.
     EXPECT_EQ(sys.timeline()->samples().size(), 10u);
@@ -218,7 +218,7 @@ TEST(Timeline, ColumnsSumTheRegistryGauges)
     // The timeline builds the registry it reads, without a stream.
     ASSERT_NE(sys.metrics(), nullptr);
     EXPECT_EQ(sys.metricsStream(), nullptr);
-    sys.step(640);
+    ASSERT_TRUE(sys.runToCycle(640)); // paused, still running
     TimelineSampler tl(*sys.metrics(), 1);
     tl.sample(sys.cycle());
 

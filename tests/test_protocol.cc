@@ -81,7 +81,6 @@ class ProtocolRig
   public:
     explicit ProtocolRig(int nodes, MemSystemConfig cfg = {})
     {
-        cfg.writersBlock = true;
         cfg.numBanks = unsigned(nodes);
         IdealNetworkConfig nc;
         nc.numNodes = nodes;

@@ -82,7 +82,6 @@ class Rig
   public:
     explicit Rig(int nodes, MemSystemConfig cfg = {})
     {
-        cfg.writersBlock = true;
         cfg.numBanks = unsigned(nodes);
         IdealNetworkConfig nc;
         nc.numNodes = nodes;

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "isa/func_sim.hh"
 #include "sim/bytes.hh"
@@ -226,34 +230,363 @@ TEST(SystemMulti, PrefetcherUnderContentionStaysTsoClean)
     EXPECT_EQ(r.tsoViolations, 0u);
 }
 
-TEST(SystemMulti, ConfigValidation)
+// ---------------------------------------------------------------
+// The machines the model can run. SystemConfig::validate is the one
+// rulebook: per rule, a config just inside it (validate() is empty
+// and System builds) and one just outside (validate() names the
+// rule and System throws "fatal: " plus the same text).
+// ---------------------------------------------------------------
+
+namespace
 {
-    Workload wl;
-    wl.threads.resize(5, Program{Instr{Opcode::Halt, 0, 0, 0, 0,
-                                       0}});
+
+/** A 4-core machine on a 2x2 mesh with @p edit applied. */
+SystemConfig
+small(const std::function<void(SystemConfig &)> &edit)
+{
     SystemConfig cfg;
     cfg.numCores = 4;
-    EXPECT_THROW(System(cfg, wl), std::runtime_error);
+    cfg.mesh.fit(4);
+    edit(cfg);
+    return cfg;
+}
 
-    SystemConfig small_mesh;
-    small_mesh.numCores = 16;
-    small_mesh.mesh.width = 2;
-    small_mesh.mesh.height = 2;
-    Workload one;
-    one.threads.push_back(Program{Instr{Opcode::Halt, 0, 0, 0, 0,
-                                        0}});
-    EXPECT_THROW(System(small_mesh, one), std::runtime_error);
+/** The 16-core paper machine of paperCampaign and perfbench's
+ *  paperConfig. */
+SystemConfig
+paperMachine(CoreClass cls, CommitMode mode, int shards)
+{
+    SystemConfig cfg;
+    cfg.core = makeCoreConfig(cls);
+    cfg.checker = false;
+    cfg.maxCycles = 400'000'000;
+    cfg.setMode(mode);
+    cfg.shards = shards;
+    return cfg;
+}
 
-    SystemConfig bad_mode;
-    bad_mode.core.commitMode = CommitMode::OooWB;
-    bad_mode.core.lockdown = false;
-    EXPECT_THROW(System(bad_mode, one), std::runtime_error);
+struct RuleRow
+{
+    std::string name;
+    SystemConfig cfg;
+    int threads;
+    std::string refusal; //!< "" = accepted
+};
 
-    // Trace lines from two shard threads would interleave.
-    SystemConfig traced_shards;
-    traced_shards.shards = 2;
-    traced_shards.obs.trace = unsigned(LogFlag::Core);
-    EXPECT_THROW(System(traced_shards, one), std::runtime_error);
+std::vector<RuleRow>
+ruleRows()
+{
+    using C = SystemConfig;
+    const std::string layers_off =
+        "shards > 1 requires the fault, recovery and observability "
+        "layers to be disabled (docs/PARALLEL.md)";
+    const std::string recovery_bad =
+        "recovery config: cycle parameters must be >= 1";
+    const std::string local_bad =
+        "network local latency must be >= 1 (a zero-latency "
+        "self-send would arrive inside its own tick)";
+    const std::string assoc_bad =
+        "cache: associativity must be at least 1";
+    auto sets_bad = [](int sets) {
+        return "cache: number of sets (" + std::to_string(sets) +
+               ") must be a power of two";
+    };
+    auto on_ideal = [](C &c) { c.network = NetworkKind::Ideal; };
+    C fig9_wb = paperMachine(CoreClass::SLM, CommitMode::InOrder, 1);
+    fig9_wb.core.lockdown = true;
+    std::vector<RuleRow> rows = {
+        // Machines built today.
+        {"defaults", C{}, 16, ""},
+        {"in-order", small([](C &c) { c.setMode(CommitMode::InOrder); }),
+         4, ""},
+        {"ooo-safe", small([](C &c) { c.setMode(CommitMode::OooSafe); }),
+         4, ""},
+        {"ooo-wb", small([](C &c) { c.setMode(CommitMode::OooWB); }), 4,
+         ""},
+        {"ooo-unsafe",
+         small([](C &c) { c.setMode(CommitMode::OooUnsafe); }), 4, ""},
+        {"fig9 in-order lockdown", fig9_wb, 16, ""},
+        {"perfbench paper",
+         paperMachine(CoreClass::HSW, CommitMode::OooWB, 1), 16, ""},
+        {"perfbench paper sharded",
+         paperMachine(CoreClass::HSW, CommitMode::OooWB, 2), 16, ""},
+        {"perfbench litmus", small([](C &c) {
+             c.maxCycles = 30'000'000;
+             c.network = NetworkKind::Ideal;
+             c.ideal.numNodes = 4;
+             c.ideal.baseLatency = 8;
+             c.ideal.jitter = 12;
+             c.setMode(CommitMode::OooWB);
+         }),
+         4, ""},
+
+        // threads <= numCores
+        {"threads > cores", small([](C &) {}), 5,
+         "workload has 5 threads but only 4 cores"},
+        {"no threads", small([](C &) {}), 0, ""},
+
+        // 1 <= numCores <= maxCores
+        {"1 core", small([](C &c) {
+             c.numCores = 1;
+             c.mesh.fit(1);
+         }),
+         1, ""},
+        {"0 cores", small([](C &c) { c.numCores = 0; }), 0,
+         "numCores must be in [1, 32] (the directory's sharer set), "
+         "got 0"},
+        {"maxCores", small([](C &c) {
+             c.numCores = maxCores;
+             c.mesh.fit(maxCores);
+         }),
+         maxCores, ""},
+        {"maxCores + 1", small([](C &c) {
+             c.numCores = maxCores + 1;
+             c.mesh.fit(maxCores + 1);
+         }),
+         1,
+         "numCores must be in [1, 32] (the directory's sharer set), "
+         "got 33"},
+
+        // 1 <= shards <= numCores
+        {"0 shards", small([](C &c) { c.shards = 0; }), 4,
+         "shards must be in [1, 4], got 0"},
+        {"a shard per core", small([](C &c) { c.shards = 4; }), 4, ""},
+        {"more shards than cores", small([](C &c) { c.shards = 5; }),
+         4, "shards must be in [1, 4], got 5"},
+
+        // no fault, recovery or observability layer at shards > 1
+        {"every layer at 1 shard", small([](C &c) {
+             c.faults.delayProb = 0.1;
+             c.recovery.enabled = true;
+             c.obs.flightRecorder = 64;
+             c.obs.metrics = true;
+             c.obs.timelinePeriod = 100;
+             c.obs.metricsPeriod = 100;
+             c.obs.trace = unsigned(LogFlag::Core);
+         }),
+         4, ""},
+        {"faults at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.faults.dropProb = 0.1;
+         }),
+         4, layers_off},
+        {"unarmed fault spec at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.faults.seed = 7;
+         }),
+         4, ""},
+        {"recovery at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.recovery.enabled = true;
+         }),
+         4, layers_off},
+        {"flight recorder at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.obs.flightRecorder = 64;
+         }),
+         4, layers_off},
+        {"metrics at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.obs.metrics = true;
+         }),
+         4, layers_off},
+        {"timeline at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.obs.timelinePeriod = 100;
+         }),
+         4, layers_off},
+        {"metrics stream at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.obs.metricsPeriod = 100;
+         }),
+         4, layers_off},
+        {"trace at 2 shards", small([](C &c) {
+             c.shards = 2;
+             c.obs.trace = unsigned(LogFlag::Core);
+         }),
+         4, layers_off},
+
+        // FaultConfig::validate
+        {"certain delay", small([](C &c) {
+             c.faults.delayProb = 1.0;
+             c.faults.delayMax = 1;
+         }),
+         4, ""},
+        {"delay probability > 1",
+         small([](C &c) { c.faults.delayProb = 1.5; }), 4,
+         "fault config: delay probability outside [0,1]: 1.5"},
+        {"drop without a budget", small([](C &c) {
+             c.faults.dropProb = 0.1;
+             c.faults.dropMax = 0;
+         }),
+         4, "fault config: drop armed with zero dropMax"},
+
+        // recovery cycle parameters >= 1
+        {"one-cycle recovery", small([](C &c) {
+             c.recovery.enabled = true;
+             c.recovery.pollCycles = 1;
+             c.recovery.retryTimeoutCycles = 1;
+             c.recovery.retransmitBaseCycles = 1;
+         }),
+         4, ""},
+        {"recovery pollCycles 0", small([](C &c) {
+             c.recovery.enabled = true;
+             c.recovery.pollCycles = 0;
+         }),
+         4, recovery_bad},
+        {"recovery retryTimeoutCycles 0", small([](C &c) {
+             c.recovery.enabled = true;
+             c.recovery.retryTimeoutCycles = 0;
+         }),
+         4, recovery_bad},
+        {"recovery retransmitBaseCycles 0", small([](C &c) {
+             c.recovery.enabled = true;
+             c.recovery.retransmitBaseCycles = 0;
+         }),
+         4, recovery_bad},
+        {"disarmed recovery ignores its cycles",
+         small([](C &c) { c.recovery.pollCycles = 0; }), 4, ""},
+
+        // the mesh holds the cores
+        {"3x1 mesh, 4 cores", small([](C &c) {
+             c.mesh.width = 3;
+             c.mesh.height = 1;
+         }),
+         4, "mesh too small for 4 cores"},
+        {"4x1 mesh, 4 cores", small([](C &c) {
+             c.mesh.width = 4;
+             c.mesh.height = 1;
+         }),
+         4, ""},
+        {"ideal network ignores the mesh", small([&](C &c) {
+             on_ideal(c);
+             c.mesh.width = 1;
+             c.mesh.height = 1;
+         }),
+         4, ""},
+
+        // local latency >= 1, lookahead >= 1
+        {"one-cycle mesh", small([](C &c) {
+             c.mesh.localLatency = 1;
+             c.mesh.hopLatency = 1;
+         }),
+         4, ""},
+        {"mesh localLatency 0",
+         small([](C &c) { c.mesh.localLatency = 0; }), 4, local_bad},
+        {"mesh hopLatency 0", small([](C &c) { c.mesh.hopLatency = 0; }),
+         4, "network lookahead must be >= 1"},
+        {"one-cycle ideal network", small([&](C &c) {
+             on_ideal(c);
+             c.ideal.localLatency = 1;
+             c.ideal.baseLatency = 1;
+         }),
+         4, ""},
+        {"ideal localLatency 0", small([&](C &c) {
+             on_ideal(c);
+             c.ideal.localLatency = 0;
+         }),
+         4, local_bad},
+        {"ideal baseLatency 0", small([&](C &c) {
+             on_ideal(c);
+             c.ideal.baseLatency = 0;
+         }),
+         4, "network lookahead must be >= 1"},
+
+        // OooWB needs a lockdown core
+        {"ooo-wb without lockdown", small([](C &c) {
+             c.setMode(CommitMode::OooWB);
+             c.core.lockdown = false;
+         }),
+         4, "OooWB commit requires a lockdown core"},
+
+        // Structures that can never commit; an empty LDT, eviction
+        // buffer or writeback buffer runs.
+        {"one-entry structures", small([](C &c) {
+             c.core.fetchWidth = c.core.commitWidth = 1;
+             c.core.iqSize = c.core.robSize = c.core.lqSize = 1;
+             c.core.sqSize = c.core.sbSize = c.core.cachePorts = 1;
+             c.mem.numMshrs = 1;
+         }),
+         4, ""},
+        {"empty LDT and buffers", small([](C &c) {
+             c.setMode(CommitMode::OooWB);
+             c.core.ldtSize = 0;
+             c.mem.llcEvictionBuffer = 0;
+             c.mem.wbBufferSize = 0;
+         }),
+         4, ""},
+        {"ldtSize -1", small([](C &c) { c.core.ldtSize = -1; }), 4,
+         "core.ldtSize must be >= 0, got -1"},
+    };
+
+    // Cache geometry, for each cache a System builds: one set is
+    // inside; no way, no set and three sets are outside.
+    for (const auto &[cache, size, assoc] :
+         {std::tuple{"L1", &MemSystemConfig::l1Size,
+                     &MemSystemConfig::l1Assoc},
+          {"L2", &MemSystemConfig::l2Size, &MemSystemConfig::l2Assoc},
+          {"LLC", &MemSystemConfig::llcBankSize,
+           &MemSystemConfig::llcAssoc}}) {
+        auto geometry = [size = size, assoc = assoc](std::uint64_t bytes,
+                                                     unsigned ways) {
+            return small([=](C &c) {
+                c.mem.*size = bytes;
+                c.mem.*assoc = ways;
+            });
+        };
+        const std::string n = cache;
+        rows.push_back({n + " one set", geometry(8 * 64, 8), 4, ""});
+        rows.push_back({n + " 0 ways", geometry(8 * 64, 0), 4, assoc_bad});
+        rows.push_back({n + " 0 sets", geometry(7 * 64, 8), 4, sets_bad(0)});
+        rows.push_back(
+            {n + " 3 sets", geometry(3 * 8 * 64, 8), 4, sets_bad(3)});
+    }
+
+    // Each core width or size, and the MSHR count, below 1 is
+    // refused by name.
+    for (const auto &[field, member] :
+         {std::pair{"core.fetchWidth", &CoreConfig::fetchWidth},
+          {"core.commitWidth", &CoreConfig::commitWidth},
+          {"core.iqSize", &CoreConfig::iqSize},
+          {"core.robSize", &CoreConfig::robSize},
+          {"core.lqSize", &CoreConfig::lqSize},
+          {"core.sqSize", &CoreConfig::sqSize},
+          {"core.sbSize", &CoreConfig::sbSize},
+          {"core.cachePorts", &CoreConfig::cachePorts}})
+        rows.push_back(
+            {std::string(field) + " 0",
+             small([member = member](C &c) { c.core.*member = 0; }), 4,
+             std::string(field) + " must be >= 1, got 0"});
+    rows.push_back({"mem.numMshrs 0",
+                    small([](C &c) { c.mem.numMshrs = 0; }), 4,
+                    "mem.numMshrs must be >= 1, got 0"});
+    return rows;
+}
+
+/** @p n threads that halt at once. */
+Workload
+haltingThreads(int n)
+{
+    Workload wl;
+    wl.threads.resize(std::size_t(n),
+                      Program{Instr{Opcode::Halt, 0, 0, 0, 0, 0}});
+    return wl;
+}
+
+} // namespace
+
+TEST(SystemMulti, ConfigRules)
+{
+    for (const RuleRow &row : ruleRows()) {
+        SCOPED_TRACE(row.name);
+        EXPECT_EQ(row.cfg.validate(row.threads), row.refusal);
+        try {
+            System sys(row.cfg, haltingThreads(row.threads));
+            EXPECT_EQ(row.refusal, "") << "System built a refused config";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(e.what(), "fatal: " + row.refusal);
+        }
+    }
 }
 
 TEST(SystemMulti, MaxCyclesCapsRun)

@@ -131,7 +131,6 @@ TEST(Watchdog, TsoViolationClassifiesExitTwo)
     cfg.ideal.jitter = 10;
     cfg.setMode(CommitMode::OooUnsafe);
     cfg.core.lockdown = false;
-    cfg.mem.writersBlock = false;
     System sys(cfg, wl);
     const ClassifiedRun cr = runClassified(sys);
     EXPECT_EQ(cr.outcome, RunOutcome::TsoViolation);

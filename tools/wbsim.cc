@@ -17,7 +17,8 @@
  *   2  TSO violation detected
  *   3  deadlock / hang / message leak / cycle cap
  *   4  internal panic
- *   64 usage error
+ *   64 usage error, or a configuration the model refuses
+ *      (SystemConfig::validate)
  */
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include <unistd.h>
 
@@ -132,7 +134,8 @@ usage()
         "                    list available workloads and exit\n"
         "exit codes: 0 ok, 2 TSO violation / corrupt snapshot or\n"
         "            trace, 3 deadlock/hang, 4 internal panic,\n"
-        "            64 usage error\n");
+        "            64 usage error or a machine the model\n"
+        "            refuses\n");
 }
 
 /**
@@ -326,7 +329,7 @@ main(int argc, char **argv)
         else if (a == "--in-order-issue")
             in_order_issue = true;
         else if (a == "--ldt")
-            ok = parseFlag("--ldt", next(), 1, 1 << 20, ldt);
+            ok = parseFlag("--ldt", next(), 0, 1 << 20, ldt);
         else if (a == "--trace")
             ok = parseTraceFlags(next(), trace_mask);
         else if (a == "--faults")
@@ -426,20 +429,6 @@ main(int argc, char **argv)
         wl_seed = replay_trace.seed;
         if (!cores_set)
             cores = int(replay_trace.threads.size());
-        if (cores > maxCores) {
-            std::fprintf(stderr,
-                         "trace has %zu threads; the directory's "
-                         "sharer set names at most %d cores\n",
-                         replay_trace.threads.size(), maxCores);
-            return 64;
-        }
-        if (cores < int(replay_trace.threads.size())) {
-            std::fprintf(stderr,
-                         "--cores %d is fewer than the trace's %zu "
-                         "thread(s)\n",
-                         cores, replay_trace.threads.size());
-            return 64;
-        }
     } else if (is_litmus) {
         wl = makeLitmus(lk, iters);
         wl_source = "litmus";
@@ -461,42 +450,19 @@ main(int argc, char **argv)
         wl_seed = p.seed;
     }
 
-    // Sharded execution trades the observability/fault layers for
-    // parallel speed (docs/PARALLEL.md): anything that logs, samples
-    // or snapshots mid-run would need its own cross-shard ordering
-    // story, so it is a usage error alongside --shards > 1.
-    if (shards > 1) {
-        if (shards > cores) {
+    // Snapshots and recorded traces are this tool's, and need one
+    // queue and one commit stream; SystemConfig::validate refuses
+    // the System's own layers at --shards > 1 (docs/PARALLEL.md).
+    for (const auto &[set, flag] :
+         {std::pair{checkpoint_at != 0, "--checkpoint-at"},
+          {!restore_path.empty(), "--restore"},
+          {!record_trace.empty(), "--record-trace"}}) {
+        if (shards > 1 && set) {
             std::fprintf(stderr,
-                         "--shards %d exceeds --cores %d (one tile "
-                         "per shard minimum)\n",
-                         shards, cores);
+                         "%s is incompatible with --shards > 1 "
+                         "(docs/PARALLEL.md)\n",
+                         flag);
             return 64;
-        }
-        const struct
-        {
-            bool set;
-            const char *flag;
-        } incompatible[] = {
-            {!faults_spec.empty(), "--faults"},
-            {flight_recorder != 0, "--flight-recorder"},
-            {!trace_out.empty(), "--trace-out"},
-            {timeline_period != 0, "--timeline"},
-            {!metrics_stream.empty(), "--metrics-stream"},
-            {!metrics_expo.empty(), "--metrics-expo"},
-            {checkpoint_at != 0, "--checkpoint-at"},
-            {!restore_path.empty(), "--restore"},
-            {!record_trace.empty(), "--record-trace"},
-            {trace_mask != 0, "--trace"},
-        };
-        for (const auto &inc : incompatible) {
-            if (inc.set) {
-                std::fprintf(stderr,
-                             "%s is incompatible with --shards > 1 "
-                             "(docs/PARALLEL.md)\n",
-                             inc.flag);
-                return 64;
-            }
         }
     }
 
@@ -529,6 +495,14 @@ main(int argc, char **argv)
     cfg.obs.trace = trace_mask;
     if (!metrics_expo.empty())
         cfg.obs.metrics = true; // registry without a stream
+
+    // A machine the model cannot run is a usage error, refused
+    // before anything is printed or opened.
+    if (const std::string bad = cfg.validate(int(wl.threads.size()));
+        !bad.empty()) {
+        std::fprintf(stderr, "fatal: %s\n", bad.c_str());
+        return 64;
+    }
 
     // Reject unwritable sinks before burning simulation time.
     for (const std::string &sink :
@@ -583,8 +557,8 @@ main(int argc, char **argv)
             return 2;
         }
         // Compare against the System's own config copy: the
-        // constructor normalises derived fields (bank count, mesh
-        // shape), and the snapshot records the normalised form.
+        // constructor sets the derived bank count, and the snapshot
+        // records the config with it.
         if (restore_snap.configFingerprint !=
                 configFingerprint(sys.config()) ||
             restore_snap.workloadFingerprint != wl_fp) {
