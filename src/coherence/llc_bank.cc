@@ -182,9 +182,12 @@ LLCBank::transientInfos(Tick now_tick) const
                               : 0);
         out.push_back(i);
     };
-    _array.forEach([&](Addr line, const DirEntry &e) {
-        consider(line, e, false);
-    });
+    // Every transient array entry went through noteBusy(), so the
+    // candidate set covers them. It is not pruned here: only the
+    // watchdog's sweep does that, and the set is in the witness.
+    for (const Addr line : _busyLines)
+        if (const DirEntry *e = _array.find(line))
+            consider(line, *e, false);
     for (const auto &[line, e] : _evbuf)
         consider(line, e, true);
     std::sort(out.begin(), out.end(),

@@ -209,7 +209,8 @@ class LLCBank : public SimObject
      *  transient state since the watchdog last saw it stable.
      *  Lazily swept by oldestTransactionAge(), which keeps the
      *  per-poll cost O(active transactions) instead of a full
-     *  directory scan. Mutable: the sweep is logically const. */
+     *  directory scan; transientInfos() reads it for the same
+     *  reason. Mutable: the sweep is logically const. */
     mutable std::unordered_set<Addr> _busyLines;
 
     /** Record a transition into a transient directory state. */

@@ -23,12 +23,14 @@
  * Node-internal transfers never cross a shard and bypass the
  * outboxes.
  *
- * Every injected message is tracked in an in-flight ledger until its
- * delivery callback runs, so a leaked (never-delivered) message is
- * detectable at end of run and nameable in a crash report. An
- * optional FaultInjector is consulted per message to apply seeded
- * delay spikes, duplication, reordering bursts, and drops (fault
- * injection and transport recovery require a single-shard run).
+ * The inboxes are the in-flight ledger: a message that is not
+ * dropped stays in its destination's inbox until its delivery event
+ * runs, so a leaked (never-delivered) message is detectable at end of
+ * run and nameable in a crash report, a panic's unwinding included.
+ * Dropped messages wait in an id-ordered side table. An optional
+ * FaultInjector is consulted per message to apply seeded delay
+ * spikes, duplication, reordering bursts, and drops (fault injection
+ * and transport recovery require a single-shard run).
  */
 
 #ifndef WB_NETWORK_NETWORK_HH
@@ -81,15 +83,16 @@ struct NetMsg
     virtual const char *kind() const { return "msg"; }
 
     /** Address the message concerns (0 if not address-bearing);
-     *  used by the leak ledger and crash reports. */
+     *  named by undelivered() and so by leak checks and crash
+     *  reports. */
     virtual std::uint64_t debugAddr() const { return 0; }
 };
 
 /**
  * Shared ownership: a fault-duplicated message is referenced by two
- * delivery events at once, and endpoint queues hold messages while
- * the ledger still names them. Messages are logically owned by
- * exactly one component at a time. Built with make_shared in
+ * inbox entries at once, and an endpoint queue may hold a message
+ * whose duplicate is still in flight. Messages are logically owned
+ * by exactly one component at a time. Built with make_shared in
  * makeCohMsg, so the control block shares the message's allocation,
  * and freed by whichever thread drops the last reference: there is
  * no pool, thread-local or process-global, behind it.
@@ -108,10 +111,11 @@ class Network : public SimObject
     using Handler = std::function<void(MsgPtr)>;
 
     /** Ledger record of a message that has not (yet) been
-     *  delivered. `dropped` entries are permanent — the injector ate
-     *  the message — unless the recovery layer is armed:
-     *  `retxPending` then marks a dropped forward/response the
-     *  transport is still retransmitting. Ids are composite:
+     *  delivered: read off its inbox entry, or for a dropped message
+     *  kept in the dropped table. `dropped` entries are permanent —
+     *  the injector ate the message — unless the recovery layer is
+     *  armed: `retxPending` then marks a dropped forward/response
+     *  the transport is still retransmitting. Ids are composite:
      *  (destination << 48) | per-destination count, so each shard
      *  allocates ids for its own nodes without coordination. */
     struct InFlightMsg
@@ -157,12 +161,14 @@ class Network : public SimObject
     void commitSends();
 
     /**
-     * Shard phase: move node @p node's inbox arrivals for tick
-     * @p t — if any — into @p eq as Delivery-lane events, in
-     * canonical order. Call before draining the queue at @p t, at
-     * latest at the node's nextArrival(): a shard may skip ticks in
-     * which none of its nodes has an arrival. Only the thread owning
-     * @p node may call this.
+     * Shard phase: schedule in @p eq one Delivery-lane event per
+     * arrival of node @p node due at tick @p t, if any. Each event
+     * pops the inbox's next arrival when it runs, so the arrivals
+     * are delivered in canonical order and stay in the inbox (the
+     * ledger) until then. Call once per due tick, before draining
+     * the queue at @p t, at latest at the node's nextArrival(): a
+     * shard may skip ticks in which none of its nodes has an
+     * arrival. Only the thread owning @p node may call this.
      */
     void scheduleDeliveries(int node, Tick t, EventQueue &eq);
 
@@ -216,7 +222,7 @@ class Network : public SimObject
     /** Messages injected but not yet delivered. Excludes drops —
      *  except dropped messages a retransmission is still chasing,
      *  which the drain loop must keep waiting for. Serial phase
-     *  only; O(nodes). */
+     *  only; O(nodes + messages in flight). */
     std::size_t inFlight() const;
 
     /** undelivered().size() without building the list. */
@@ -257,11 +263,12 @@ class Network : public SimObject
         return _oooDelivered[std::size_t(vnet)]->value();
     }
 
-    /** Snapshot witness: the in-flight ledgers (ordered by id),
-     *  per-source sequence stamps, per-channel delivery horizons,
-     *  the duplicate-delivery windows, pending inbox arrivals, and
-     *  any implementation state (serializeExtra). Serial phase
-     *  only; the outboxes must be empty (committed). */
+    /** Snapshot witness: the per-destination id counters, the
+     *  ledger (undelivered(), ordered by id), per-source sequence
+     *  stamps, per-channel delivery horizons, the duplicate-delivery
+     *  windows, pending inbox arrivals, and any implementation state
+     *  (serializeExtra). Serial phase only; the outboxes must be
+     *  empty (committed). */
     void serializeState(ByteWriter &w) const;
 
   protected:
@@ -305,7 +312,9 @@ class Network : public SimObject
     /** One pending arrival in a destination inbox. The canonical
      *  delivery order is (arrival tick, snow, src, seq, copy);
      *  `copy` disambiguates fault duplicates (1) and retransmission
-     *  attempts (2 + attempt) from originals (0). */
+     *  attempts (2 + attempt) from originals (0). An original or a
+     *  duplicate is its own ledger record; a retransmission's record
+     *  is its dropped-table entry. */
     struct InboxEntry
     {
         Tick at = 0;
@@ -329,56 +338,6 @@ class Network : public SimObject
         }
     };
 
-    /** Per-destination ledger slice. Ids rise monotonically per
-     *  destination, so non-dropped entries live in a ring slotted by
-     *  their low id bits: ids [oldest, nextId] occupy the slots, a
-     *  delivered entry becomes a tombstone (id 0) and tombstones are
-     *  trimmed from the oldest end. Dropped entries (fault runs only)
-     *  live in the ordered side table instead, so a drop that is
-     *  never delivered does not pin the ring's oldest end. */
-    struct DstLedger
-    {
-        std::vector<InFlightMsg> ring; //!< size 0 or a power of two
-        std::uint64_t oldest = 1;      //!< low id of the oldest slot
-        std::uint64_t nextId = 0;      //!< low id last issued
-        std::size_t live = 0;          //!< non-tombstone ring slots
-        std::size_t retxPending = 0;   //!< side entries being retried
-        std::map<std::uint64_t, InFlightMsg> dropped;
-
-        /** Ledger entry @p id, nullptr once retired. */
-        InFlightMsg *find(std::uint64_t id);
-
-        /** Store entry @p e under the id just issued (nextId). */
-        void add(const InFlightMsg &e);
-
-        /** Remove the entry @p e points at (from find()). */
-        void retire(InFlightMsg &e);
-
-        /** Set a dropped entry's `retxPending`, keeping the count. */
-        void setRetxPending(InFlightMsg &e, bool on);
-
-        /** Entries not yet delivered, dropped ones included. */
-        std::size_t size() const { return live + dropped.size(); }
-
-        /** Call @p f on every entry in ascending id order. */
-        template <typename F> void forEach(F &&f) const;
-
-      private:
-        InFlightMsg &
-        slot(std::uint64_t low)
-        {
-            return ring[low & (ring.size() - 1)];
-        }
-
-        /** Advance `oldest` past tombstones. */
-        void
-        trim()
-        {
-            while (oldest <= nextId && slot(oldest).id == 0)
-                ++oldest;
-        }
-    };
-
     /** Delivery statistics accumulated on the destination shard's
      *  thread, folded into the shared counters by the commit phase
      *  in node order. */
@@ -389,16 +348,28 @@ class Network : public SimObject
         std::array<std::uint64_t, numVNets> ooo{};
     };
 
-    std::uint64_t recordLedger(const NetMsg &msg, Tick snow,
-                               bool dropped);
+    /** Issue the next ledger id of destination @p dst. */
+    std::uint64_t
+    newId(int dst)
+    {
+        return (std::uint64_t(std::uint16_t(dst)) << 48) |
+               ++_lastId[std::size_t(dst)];
+    }
+
+    /** Inbox entries that are their own ledger records. */
+    std::size_t inboxRecords() const;
 
     /** Insert an arrival into @p dst's inbox. */
     void inboxInsert(int dst, InboxEntry entry);
 
-    /** Retire ledger entry @p id and update the duplicate /
-     *  out-of-order delivery statistics as @p msg arrives at tick
-     *  @p at (destination shard's thread). */
-    void accountDelivery(std::uint64_t id, const NetMsg &msg, Tick at);
+    /** Delivery event: pop node @p node's next arrival, account it
+     *  and hand it to the node's handler. */
+    void deliverNext(int node);
+
+    /** Update the duplicate / out-of-order delivery statistics as
+     *  @p e arrives, and retire the dropped entry a retransmission
+     *  recovers (destination shard's thread). */
+    void accountDelivery(const InboxEntry &e);
 
     /** Account traffic for a cross-node message travelling @p hops
      *  hops (commit phase — touches shared counters). */
@@ -422,8 +393,8 @@ class Network : public SimObject
     void place(Tick snow, MsgPtr msg, Tick latency);
 
     /** Schedule retransmission attempt @p attempt of a dropped
-     *  message after its (bounded exponential) backoff. The ledger
-     *  entry @p id stays `dropped` until a retransmission lands.
+     *  message after its (bounded exponential) backoff. The dropped
+     *  entry @p id stays in the table until a retransmission lands.
      *  Single-shard only (rides the primary event queue). */
     void scheduleRetransmit(std::uint64_t id, MsgPtr msg,
                             Tick latency, unsigned attempt);
@@ -438,7 +409,9 @@ class Network : public SimObject
      *  between epochs. */
     std::vector<std::vector<InboxEntry>> _inbox;
     std::vector<Tick> _nextArrival; //!< per node: its inbox's top
-    std::vector<DstLedger> _ledgers;      //!< per destination node
+    std::vector<std::uint64_t> _lastId;   //!< per dst: last low id
+    /** Dropped messages by id (fault runs, so single-shard only). */
+    std::map<std::uint64_t, InFlightMsg> _dropped;
     std::vector<NodeDelta> _deltas;       //!< per destination node
     std::vector<std::uint64_t> _srcSeq;   //!< per-source stamps
     std::vector<DedupFilter> _dedup;      //!< per-dst dup tracking

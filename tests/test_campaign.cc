@@ -678,3 +678,36 @@ TEST(CampaignTelemetry, SidecarsAreByteIdenticalAcrossWorkerCounts)
     EXPECT_NE(sidecarNoWall(prom).find("# TYPE wb_commits counter"),
               std::string::npos);
 }
+
+// The full builtin fault campaign, plain and with recovery plus the
+// fault-free-twin equivalence check, pinned byte for byte: the
+// aggregate JSON and CSV and every job's crash report, in job order.
+// Its panics unwind with deliveries still scheduled, so the pins
+// also cover what the network's ledger reports after a panic.
+TEST(FaultCampaign, OutputsArePinned)
+{
+    for (const bool recovery : {false, true}) {
+        SCOPED_TRACE(recovery ? "recovery" : "plain");
+        CampaignSpec spec = faultCampaignSpec();
+        spec.recovery.enabled = recovery;
+        ASSERT_EQ(spec.validate(), "");
+        ASSERT_EQ(spec.jobCount(), 504u);
+        for (const int jobs : {2, 4}) {
+            SCOPED_TRACE(jobs);
+            CampaignRunner::Options opts;
+            opts.jobs = jobs;
+            opts.progress = false;
+            opts.verifyEquivalence = recovery;
+            const CampaignResult res = CampaignRunner(spec, opts).run();
+            std::ostringstream json, csv;
+            writeCampaignJson(json, spec, res);
+            writeCampaignCsv(csv, res);
+            std::uint64_t h = fnv1a64(json.str());
+            h = fnv1a64(csv.str(), h);
+            for (const JobResult &r : res.jobs)
+                h = fnv1a64(r.crashJson, h);
+            EXPECT_EQ(h, recovery ? 0xf41bcbef195678f6ULL
+                                  : 0xe08b75ac61a3765cULL);
+        }
+    }
+}

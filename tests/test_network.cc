@@ -253,6 +253,43 @@ TEST(Ideal, DroppedMessagesInTheLedger)
     }
 }
 
+// A handler that throws (a panic) unwinds out of its tick with that
+// tick's later arrivals still undelivered: the ledger must keep
+// listing them, as the crash report and the leak count read it.
+TEST(Ideal, ThrowingHandlerLeavesTheTicksLaterArrivalsInTheLedger)
+{
+    EventQueue eq;
+    StatRegistry st;
+    IdealNetworkConfig cfg;
+    cfg.numNodes = 2;
+    cfg.baseLatency = 5;
+    IdealNetwork net("net", &eq, &st, cfg);
+    int calls = 0;
+    net.registerNode(1, [&](MsgPtr) {
+        if (++calls == 1)
+            throw std::runtime_error("handler panic");
+    });
+    for (int i = 0; i < 3; ++i)
+        net.send(mkMsg(0, 1, VNet::Response), 0);
+    EXPECT_THROW(net.drain(eq), std::runtime_error);
+    EXPECT_EQ(calls, 1);
+
+    // Node 1's n-th message has id (1 << 48) | n; the first was
+    // handed to the handler, so only the second and third are left.
+    const auto left = net.undelivered();
+    ASSERT_EQ(left.size(), 2u);
+    for (std::size_t i = 0; i < left.size(); ++i) {
+        EXPECT_EQ(left[i].id, (std::uint64_t(1) << 48) | (i + 2));
+        EXPECT_EQ(left[i].src, 0);
+        EXPECT_EQ(left[i].dst, 1);
+        EXPECT_EQ(left[i].vnet, int(VNet::Response));
+        EXPECT_EQ(left[i].injectedAt, 0u);
+        EXPECT_FALSE(left[i].dropped);
+    }
+    EXPECT_EQ(net.undeliveredCount(), 2u);
+    EXPECT_EQ(net.inFlight(), 2u);
+}
+
 TEST(Ideal, NoJitterKeepsOrder)
 {
     EventQueue eq;

@@ -52,7 +52,9 @@ usage()
         "         [--scale F] [--iters N]\n"
         "                   execute NAME (benchmark profile or\n"
         "                   litmus) on the functional reference\n"
-        "                   model and record the trace; detailed-\n"
+        "                   model and record the trace; --cores\n"
+        "                   sizes builtin profiles only (a litmus\n"
+        "                   has a fixed thread count); detailed-\n"
         "                   model recordings: wbsim --record-trace\n"
         "  info FILE        print header fields and per-thread\n"
         "                   instruction histograms\n"
@@ -71,6 +73,7 @@ cmdRecord(int argc, char **argv)
     std::string out;
     std::uint64_t seed = 0;
     int cores = 4;
+    bool cores_given = false;
     double scale = 0.1;
     int iters = 200;
 
@@ -90,9 +93,10 @@ cmdRecord(int argc, char **argv)
             out = next();
         else if (a == "--seed")
             ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0), seed);
-        else if (a == "--cores")
+        else if (a == "--cores") {
             ok = parseFlag("--cores", next(), 1, maxCores, cores);
-        else if (a == "--scale")
+            cores_given = true;
+        } else if (a == "--scale")
             ok = parseFlag("--scale", next(), minScale, maxScale, scale);
         else if (a == "--iters")
             ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
@@ -115,6 +119,14 @@ cmdRecord(int argc, char **argv)
     if (parseLitmusName(workload, lk)) {
         wl = makeLitmus(lk, iters);
         source = "litmus";
+        if (cores_given) {
+            std::fprintf(stderr,
+                         "--cores: litmus '%s' has a fixed thread "
+                         "count (%zu); --cores sizes builtin "
+                         "profiles only\n",
+                         workload.c_str(), wl.threads.size());
+            return 64;
+        }
     } else if (!std::ranges::count(benchmarkNames(), workload)) {
         std::fprintf(stderr,
                      "--workload: unknown workload '%s' (see wbsim "
