@@ -10,17 +10,24 @@
  *
  * A set's ways are built the first time allocate() places a line in
  * it; until then the set is a null pointer that every method treats
- * as a set of invalid ways. A System therefore pays for the sets its
- * run touches, not for the whole capacity (docs/PERFORMANCE.md).
+ * as a set of invalid ways. A way holds its tag, LRU stamp and a
+ * pointer to its payload, which lives in a slot of the array's slot
+ * chunks while the line is held. A System therefore pays for the
+ * lines its run holds, not for the whole capacity
+ * (docs/PERFORMANCE.md).
  */
 
 #ifndef WB_MEM_CACHE_ARRAY_HH
 #define WB_MEM_CACHE_ARRAY_HH
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/addr.hh"
@@ -31,18 +38,32 @@
 namespace wb
 {
 
+/** Sets in a cache of @p size_bytes at @p assoc ways, computed in
+ *  64 bits; 0 without a way. */
+inline std::uint64_t
+cacheSets(std::uint64_t size_bytes, unsigned assoc)
+{
+    return assoc ? size_bytes / (std::uint64_t{lineBytes} * assoc) : 0;
+}
+
 /** "" when @p size_bytes at @p assoc ways makes a CacheArray (one
- *  way or more, a power-of-two set count), else the rule broken.
- *  SystemConfig::validate checks a System's caches with it. */
+ *  way or more, a power-of-two set count that the array's unsigned
+ *  set index holds), else the rule broken. SystemConfig::validate
+ *  checks a System's caches with it. */
 inline std::string
 cacheGeometryError(std::uint64_t size_bytes, unsigned assoc)
 {
     if (assoc == 0)
         return "cache: associativity must be at least 1";
-    const auto sets = unsigned(size_bytes / (lineBytes * assoc));
-    if (sets == 0 || (sets & (sets - 1)) != 0)
+    const std::uint64_t sets = cacheSets(size_bytes, assoc);
+    if (!std::has_single_bit(sets))
         return "cache: number of sets (" + std::to_string(sets) +
                ") must be a power of two";
+    constexpr unsigned most =
+        std::bit_floor(std::numeric_limits<unsigned>::max());
+    if (sets > most)
+        return "cache: number of sets (" + std::to_string(sets) +
+               ") must be at most " + std::to_string(most);
     return "";
 }
 
@@ -56,13 +77,8 @@ template <typename Payload>
 class CacheArray
 {
   public:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0; // full line address for simplicity
-        std::uint64_t lru = 0;
-        Payload line{};
-    };
+    /** Payload slots per chunk. */
+    static constexpr std::size_t chunkSlots = 64;
 
     /**
      * @param size_bytes total capacity
@@ -75,17 +91,21 @@ class CacheArray
     CacheArray(std::uint64_t size_bytes, unsigned assoc,
                unsigned index_divisor = 1)
         : _assoc(assoc),
-          _numSets(assoc ? unsigned(size_bytes / (lineBytes * assoc))
-                         : 0),
+          _numSets(checkedSets(size_bytes, assoc)),
           _indexDivisor(index_divisor ? index_divisor : 1),
+          _setBits(unsigned(std::countr_zero(_numSets))),
           _sets(_numSets)
     {
-        const std::string err = cacheGeometryError(size_bytes, assoc);
-        if (!err.empty())
-            fatal("%s", err.c_str());
-        while ((1u << _setBits) < _numSets)
-            ++_setBits;
     }
+
+    ~CacheArray()
+    {
+        eachValid(*this,
+                  [](std::size_t, Way &w) { std::destroy_at(w.line); });
+    }
+
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
 
     unsigned assoc() const { return _assoc; }
     unsigned numSets() const { return _numSets; }
@@ -107,7 +127,7 @@ class CacheArray
     find(Addr line_addr)
     {
         Way *w = findWay(line_addr);
-        return w ? &w->line : nullptr;
+        return w ? w->line : nullptr;
     }
 
     const Payload *
@@ -124,14 +144,15 @@ class CacheArray
         if (!w)
             return nullptr;
         w->lru = ++_lruClock;
-        return &w->line;
+        return w->line;
     }
 
     /**
-     * Allocate a line that is known to be absent. Requires a free way
-     * in the set (check with needVictim()/pickVictim() first). The
-     * returned reference stays valid until the line is erased: no
-     * allocation moves another line.
+     * Allocate a line that is known to be absent, with a
+     * value-initialised payload. Requires a free way in the set
+     * (check with needVictim()/pickVictim() first). The returned
+     * reference stays valid until the line is erased: no allocation
+     * moves another line's payload.
      */
     Payload &
     allocate(Addr line_addr)
@@ -142,17 +163,16 @@ class CacheArray
             set = std::make_unique<Way[]>(_assoc);
         Way *free_way = nullptr;
         for (unsigned i = 0; i < _assoc; ++i) {
-            if (!set[i].valid) {
+            if (!set[i].line) {
                 free_way = &set[i];
                 break;
             }
         }
         assert(free_way && "allocate() without a free way");
-        free_way->valid = true;
         free_way->tag = line_addr;
         free_way->lru = ++_lruClock;
-        free_way->line = Payload{};
-        return free_way->line;
+        free_way->line = newPayload();
+        return *free_way->line;
     }
 
     /** True if allocating @p line_addr requires evicting first. */
@@ -163,7 +183,7 @@ class CacheArray
         if (!set)
             return false;
         for (unsigned i = 0; i < _assoc; ++i)
-            if (!set[i].valid)
+            if (!set[i].line)
                 return false;
         return true;
     }
@@ -183,7 +203,7 @@ class CacheArray
         const Way *best = nullptr;
         for (unsigned i = 0; i < _assoc; ++i) {
             const Way &w = set[i];
-            if (!w.valid || !evictable(w.tag, w.line))
+            if (!w.line || !evictable(w.tag, std::as_const(*w.line)))
                 continue;
             if (!best || w.lru < best->lru)
                 best = &w;
@@ -191,13 +211,17 @@ class CacheArray
         return best ? best->tag : invalidAddr;
     }
 
-    /** Remove a line that must be present. */
+    /** Remove a line that must be present. Its payload is destroyed
+     *  and its slot may go to a line in any set: read nothing of the
+     *  payload after this. */
     void
     erase(Addr line_addr)
     {
         Way *w = findWay(line_addr);
         assert(w && "erase() of absent line");
-        w->valid = false;
+        std::destroy_at(w->line);
+        _free.push_back(w->line);
+        w->line = nullptr;
     }
 
     /** Visit every valid line in slot order: fn(lineAddr, payload&). */
@@ -205,7 +229,7 @@ class CacheArray
     void
     forEach(Fn fn)
     {
-        eachValid(*this, [&](std::size_t, Way &w) { fn(w.tag, w.line); });
+        eachValid(*this, [&](std::size_t, Way &w) { fn(w.tag, *w.line); });
     }
 
     /** Visit every valid line in slot order:
@@ -215,22 +239,22 @@ class CacheArray
     forEach(Fn fn) const
     {
         eachValid(*this, [&](std::size_t, const Way &w) {
-            fn(w.tag, w.line);
+            fn(w.tag, std::as_const(*w.line));
         });
     }
 
+    /** Every slot off the free list holds one valid line's payload. */
     std::size_t
     validLines() const
     {
-        std::size_t n = 0;
-        eachValid(*this, [&](std::size_t, const Way &) { ++n; });
-        return n;
+        return _chunks.size() * chunkSlots - _free.size();
     }
 
     /** Snapshot witness: LRU clock plus every valid way in slot
      *  order (slot index set * assoc + way, tag, lru stamp), payload
      *  encoded by @p fn(writer, payload). Slot numbers are simulated
-     *  state: they do not depend on which sets have been built. */
+     *  state: they do not depend on which sets have been built or
+     *  where the payloads live. */
     template <typename Fn>
     void
     serializeState(ByteWriter &w, Fn fn) const
@@ -241,11 +265,52 @@ class CacheArray
             w.u64(slot);
             w.u64(way.tag);
             w.u64(way.lru);
-            fn(w, way.line);
+            fn(w, std::as_const(*way.line));
         });
     }
 
   private:
+    /** 24 bytes: a search reads the set's ways and no payload. */
+    struct Way
+    {
+        Addr tag = 0; // full line address for simplicity
+        std::uint64_t lru = 0;
+        Payload *line = nullptr; //!< null: the way is invalid
+    };
+
+    /** Storage for one payload, constructed only while it is held. */
+    struct Slot
+    {
+        alignas(Payload) unsigned char bytes[sizeof(Payload)];
+    };
+
+    static unsigned
+    checkedSets(std::uint64_t size_bytes, unsigned assoc)
+    {
+        const std::string err = cacheGeometryError(size_bytes, assoc);
+        if (!err.empty())
+            fatal("%s", err.c_str());
+        return unsigned(cacheSets(size_bytes, assoc));
+    }
+
+    /** A value-initialised payload in the most recently freed slot,
+     *  or in a new chunk's first when none is free. */
+    Payload *
+    newPayload()
+    {
+        if (_free.empty()) {
+            _chunks.push_back(
+                std::make_unique_for_overwrite<Slot[]>(chunkSlots));
+            // Room for every slot, so erase() never allocates.
+            _free.reserve(_chunks.size() * chunkSlots);
+            for (std::size_t i = chunkSlots; i-- > 0;)
+                _free.push_back(&_chunks.back()[i]);
+        }
+        void *slot = _free.back();
+        _free.pop_back();
+        return ::new (slot) Payload();
+    }
+
     Way *
     findWay(Addr line_addr)
     {
@@ -253,7 +318,7 @@ class CacheArray
         if (!set)
             return nullptr;
         for (unsigned i = 0; i < _assoc; ++i)
-            if (set[i].valid && set[i].tag == line_addr)
+            if (set[i].tag == line_addr && set[i].line)
                 return &set[i];
         return nullptr;
     }
@@ -268,7 +333,7 @@ class CacheArray
             if (!self._sets[s])
                 continue;
             for (unsigned i = 0; i < self._assoc; ++i)
-                if (self._sets[s][i].valid)
+                if (self._sets[s][i].line)
                     fn(s * self._assoc + i, self._sets[s][i]);
         }
     }
@@ -276,11 +341,15 @@ class CacheArray
     unsigned _assoc;
     unsigned _numSets;
     unsigned _indexDivisor;
-    unsigned _setBits = 0;
+    unsigned _setBits;
     /** One block of _assoc ways per set; null until the set's first
-     *  allocate(). Blocks are never freed or moved, so payload
-     *  references survive allocations in other sets. */
+     *  allocate(). */
     std::vector<std::unique_ptr<Way[]>> _sets;
+    /** Payload storage. Chunks are never freed or moved before the
+     *  array is, so a payload keeps its address while it is held. */
+    std::vector<std::unique_ptr<Slot[]>> _chunks;
+    /** Free slots, last freed on top. */
+    std::vector<void *> _free;
     std::uint64_t _lruClock = 0;
 };
 

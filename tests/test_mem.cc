@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "coherence/main_memory.hh"
@@ -151,23 +156,35 @@ lineInNewSet(const CacheArray<Payload> &c, const std::vector<Addr> &taken)
 
 } // namespace
 
-// Sets are built by their first allocate(): a new array holds no
-// payloads, and a set holds assoc of them once it has held a line.
-TEST(CacheArray, SetsAreBuiltOnFirstAllocate)
+// A payload exists only while its line is held. A new array holds
+// none; one line in each of N sets holds at most N plus one chunk of
+// slots, where a layout with payloads in the set blocks would hold
+// N * assoc; a line erased and another allocated reuses the slot; and
+// the array destroys every payload it still holds.
+TEST(CacheArray, PayloadsAreHeldPerLine)
 {
     Counted::live = 0;
     {
         CacheArray<Counted> c(64 * 1024, 4); // 256 sets x 4 ways
         EXPECT_EQ(Counted::live, 0);
 
-        const Addr a = 0x1000;
-        c.allocate(a).v = 1;
-        EXPECT_EQ(Counted::live, 4);
-        c.allocate(conflictingLines(c, a, 2)[1]).v = 2;
-        EXPECT_EQ(Counted::live, 4) << "same set: nothing built";
-        c.allocate(lineInNewSet(c, {a})).v = 3;
-        EXPECT_EQ(Counted::live, 8);
-        EXPECT_EQ(c.validLines(), 3u);
+        std::vector<Addr> lines;
+        for (int i = 0; i < 100; ++i) {
+            lines.push_back(lineInNewSet(c, lines));
+            c.allocate(lines.back()).v = i;
+        }
+        EXPECT_EQ(c.validLines(), 100u);
+        EXPECT_LE(Counted::live,
+                  100 + int(CacheArray<Counted>::chunkSlots));
+
+        const int held = Counted::live;
+        for (int i = 0; i < 50; ++i) {
+            c.erase(lines[std::size_t(i)]);
+            lines.push_back(lineInNewSet(c, lines));
+            c.allocate(lines.back()).v = 100 + i;
+            EXPECT_EQ(Counted::live, held) << "after reuse " << i;
+        }
+        EXPECT_EQ(c.validLines(), 100u);
     }
     EXPECT_EQ(Counted::live, 0);
 }
@@ -256,6 +273,259 @@ TEST(CacheArray, SerializeNumbersSlotsBySetAndWay)
         EXPECT_EQ(r.u64(), way + 1u); // payload
     }
     EXPECT_TRUE(r.atEnd());
+}
+
+// The largest set count cacheGeometryError accepts is the largest
+// power of two the array's unsigned set index holds, 2^31; 2^32 is
+// refused, not cast to 0. (SystemMulti.ConfigRules has the 2^26-way
+// and 2^32 + 1-set rows.) Only the predicate runs: arrays of these
+// sizes would allocate gigabytes of set pointers.
+TEST(CacheArray, SetCountStopsAtTheIndexWidth)
+{
+    const std::string too_many = "cache: number of sets (4294967296) "
+                                 "must be at most 2147483648";
+    for (const std::uint64_t ways : {1, 8}) {
+        const std::uint64_t set_bytes = ways * lineBytes;
+        EXPECT_EQ(cacheGeometryError(set_bytes << 31, unsigned(ways)), "");
+        EXPECT_EQ(cacheGeometryError(set_bytes << 32, unsigned(ways)),
+                  too_many);
+    }
+}
+
+namespace
+{
+
+/** A payload that owns heap memory, so a leaked or twice-destroyed
+ *  payload shows under ASan. */
+struct Owning
+{
+    std::uint64_t id = 0;
+    std::vector<std::uint64_t> owned;
+};
+
+/**
+ * The reference model of a CacheArray: per set, a map from way to
+ * line with explicit LRU stamps. It takes set indices from the array
+ * under test and recomputes everything else.
+ */
+struct RefArray
+{
+    struct Line
+    {
+        Addr tag;
+        std::uint64_t lru;
+        std::uint64_t id;
+    };
+
+    unsigned assoc;
+    std::vector<std::map<unsigned, Line>> sets;
+    std::uint64_t clock = 0;
+
+    Line *
+    find(unsigned set, Addr a)
+    {
+        for (auto &[way, l] : sets[set])
+            if (l.tag == a)
+                return &l;
+        return nullptr;
+    }
+
+    void
+    allocate(unsigned set, Addr a, std::uint64_t id)
+    {
+        unsigned way = 0;
+        while (sets[set].count(way))
+            ++way;
+        sets[set][way] = {a, ++clock, id};
+    }
+
+    void
+    erase(unsigned set, Addr a)
+    {
+        std::erase_if(sets[set],
+                      [&](const auto &wl) { return wl.second.tag == a; });
+    }
+
+    /** The LRU line that @p ok accepts; the lowest way on a tie. */
+    template <typename Ok>
+    Addr
+    victim(unsigned set, Ok ok) const
+    {
+        const Line *best = nullptr;
+        for (const auto &[way, l] : sets[set])
+            if (ok(l.tag, l.id) && (!best || l.lru < best->lru))
+                best = &l;
+        return best ? best->tag : invalidAddr;
+    }
+
+    std::size_t
+    lines() const
+    {
+        std::size_t n = 0;
+        for (const auto &s : sets)
+            n += s.size();
+        return n;
+    }
+
+    /** (tag, id) of every line in slot order. */
+    std::vector<std::pair<Addr, std::uint64_t>>
+    contents() const
+    {
+        std::vector<std::pair<Addr, std::uint64_t>> out;
+        for (const auto &s : sets)
+            for (const auto &[way, l] : s)
+                out.emplace_back(l.tag, l.id);
+        return out;
+    }
+
+    std::vector<unsigned char>
+    witness() const
+    {
+        ByteWriter w;
+        w.u64(clock);
+        w.u64(lines());
+        for (std::size_t s = 0; s < sets.size(); ++s) {
+            for (const auto &[way, l] : sets[s]) {
+                w.u64(s * assoc + way);
+                w.u64(l.tag);
+                w.u64(l.lru);
+                w.u64(l.id);
+            }
+        }
+        return w.take();
+    }
+};
+
+/** @p steps seeded random operations on a CacheArray and on the
+ *  reference model, comparing every result and, after every step,
+ *  validLines(), forEach order and the serializeState bytes. */
+void
+runDifferential(std::uint64_t size, unsigned assoc, unsigned divisor,
+                std::uint64_t seed, int steps)
+{
+    CacheArray<Owning> c(size, assoc, divisor);
+    const CacheArray<Owning> &cc = c;
+    RefArray ref{assoc, std::vector<std::map<unsigned, RefArray::Line>>(
+                            c.numSets())};
+    std::mt19937_64 rng(seed);
+    // Three lines per way, all in one bank's residue class, so sets
+    // fill, evict and reuse slots.
+    const std::uint64_t pool = 3ull * c.numSets() * assoc;
+    std::uint64_t next_id = 0;
+    for (int step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const Addr a =
+            ((rng() % pool) * divisor + divisor - 1) * lineBytes;
+        const unsigned set = c.setIndex(a);
+        RefArray::Line *rl = ref.find(set, a);
+        // Victim predicates: accept every line, or refuse the lines
+        // whose tag or id falls in a drawn residue class.
+        const std::uint64_t pick = rng() % 6;
+        auto ok = [&](Addr tag, std::uint64_t id) {
+            switch (pick % 3) {
+              case 0: return true;
+              case 1: return (tag >> lineShift) % 3 != pick / 3;
+              default: return id % 2 != pick / 3;
+            }
+        };
+        auto evictable = [&](Addr tag, const Owning &p) {
+            return ok(tag, p.id);
+        };
+        switch (rng() % 7) {
+          case 0: {
+            const Owning *p = cc.find(a);
+            ASSERT_EQ(p != nullptr, rl != nullptr);
+            if (p) {
+                EXPECT_EQ(p->id, rl->id);
+            }
+            break;
+          }
+          case 1: {
+            const Owning *p = c.findAndTouch(a);
+            ASSERT_EQ(p != nullptr, rl != nullptr);
+            if (p) {
+                EXPECT_EQ(p->id, rl->id);
+                rl->lru = ++ref.clock;
+            }
+            break;
+          }
+          case 2:
+          case 3: {
+            if (rl)
+                break;
+            const bool full = ref.sets[set].size() == assoc;
+            ASSERT_EQ(c.needVictim(a), full);
+            if (full) {
+                const Addr v = c.pickVictim(a, evictable);
+                ASSERT_EQ(v, ref.victim(set, ok));
+                if (v == invalidAddr)
+                    break;
+                c.erase(v);
+                ref.erase(set, v);
+            }
+            Owning &p = c.allocate(a);
+            EXPECT_EQ(p.id, 0u);
+            EXPECT_TRUE(p.owned.empty());
+            p.id = ++next_id;
+            p.owned.assign(next_id % 5 + 1, next_id);
+            ref.allocate(set, a, next_id);
+            break;
+          }
+          case 4:
+            if (rl) {
+                c.erase(a);
+                ref.erase(set, a);
+            }
+            break;
+          case 5:
+            EXPECT_EQ(cc.needVictim(a), ref.sets[set].size() == assoc);
+            break;
+          default:
+            EXPECT_EQ(cc.pickVictim(a, evictable), ref.victim(set, ok));
+            break;
+        }
+
+        ASSERT_EQ(cc.validLines(), ref.lines());
+        std::vector<std::pair<Addr, std::uint64_t>> seen, seen_const;
+        c.forEach([&](Addr t, Owning &p) { seen.emplace_back(t, p.id); });
+        cc.forEach([&](Addr t, const Owning &p) {
+            seen_const.emplace_back(t, p.id);
+        });
+        const auto want = ref.contents();
+        ASSERT_EQ(seen, want);
+        ASSERT_EQ(seen_const, want);
+        ByteWriter w;
+        cc.serializeState(w, [](ByteWriter &bw, const Owning &p) {
+            bw.u64(p.id);
+        });
+        ASSERT_EQ(w.buffer(), ref.witness());
+    }
+}
+
+} // namespace
+
+// The array against a plain model, over geometries from direct-mapped
+// to fully associative (one set of 8, and one of 128 ways, which
+// spans two slot chunks), with a banked index divisor too.
+TEST(CacheArray, MatchesReferenceModel)
+{
+    struct Geometry
+    {
+        std::uint64_t size;
+        unsigned assoc, divisor;
+    };
+    const Geometry geometries[] = {
+        {16 * lineBytes, 1, 1},   {1024, 2, 1},
+        {16 * 1024, 4, 4},        {32 * 1024, 8, 1},
+        {8 * lineBytes, 8, 1},    {128 * lineBytes, 128, 1},
+    };
+    std::uint64_t seed = 1;
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(std::to_string(g.size) + " B, " +
+                     std::to_string(g.assoc) + " ways, divisor " +
+                     std::to_string(g.divisor));
+        runDifferential(g.size, g.assoc, g.divisor, seed++, 4000);
+    }
 }
 
 // A zero associativity used to divide by zero (SIGFPE) while the

@@ -222,6 +222,20 @@ writeFile(const std::string &path,
             std::streamsize(data.size()));
 }
 
+/** Overwrite the byte at @p offset of @p path in place. The
+ *  corruption sweeps write in place rather than truncate and rewrite
+ *  the file per case: a file truncated and rewritten can be flushed
+ *  to disk on close, which ties a sweep's time to the disk. */
+void
+pokeByte(const std::string &path, std::size_t offset,
+         unsigned char byte)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in |
+                             std::ios::out);
+    f.seekp(std::streamoff(offset));
+    f.put(char(byte));
+}
+
 struct Aggregates
 {
     std::string json, csv;
@@ -377,9 +391,9 @@ TEST(JobJournalFile, EveryTornTailIsDroppedNotFatal)
     const std::size_t rec1_end =
         full.size() - (16 + w.buffer().size());
 
-    for (std::size_t cut = rec1_end + 1; cut < full.size();
-         ++cut) {
-        writeFile(path, {full.begin(), full.begin() + long(cut)});
+    // Longest cut first, so each cut only shortens the file.
+    for (std::size_t cut = full.size() - 1; cut > rec1_end; --cut) {
+        std::filesystem::resize_file(path, cut);
         JobJournal::LoadResult part;
         ASSERT_TRUE(JobJournal::load(path, part, err))
             << "cut at " << cut << ": " << err;
@@ -555,18 +569,17 @@ TEST(ResultCache, StoreLookupRoundTripAndCorruptionDegradesToMiss)
     }
     ASSERT_FALSE(file.empty());
     const auto bytes = readFile(file);
-    auto mutated = bytes;
     for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
         for (int bit = 0; bit < 8; ++bit) {
-            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
-            writeFile(file, mutated);
+            pokeByte(file, byte,
+                     bytes[byte] ^ static_cast<unsigned char>(1u << bit));
             EXPECT_FALSE(cache.lookup(key, out))
                 << "flip at byte " << byte << " bit " << bit
                 << " was served as a hit";
-            mutated[byte] ^= static_cast<unsigned char>(1u << bit);
         }
+        pokeByte(file, byte, bytes[byte]);
     }
-    writeFile(file, bytes);
+    ASSERT_EQ(readFile(file), bytes);
     EXPECT_TRUE(cache.lookup(key, out));
     std::filesystem::remove_all(dir);
 }

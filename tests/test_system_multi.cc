@@ -287,7 +287,7 @@ ruleRows()
         "self-send would arrive inside its own tick)";
     const std::string assoc_bad =
         "cache: associativity must be at least 1";
-    auto sets_bad = [](int sets) {
+    auto sets_bad = [](std::uint64_t sets) {
         return "cache: number of sets (" + std::to_string(sets) +
                ") must be a power of two";
     };
@@ -520,7 +520,9 @@ ruleRows()
     };
 
     // Cache geometry, for each cache a System builds: one set is
-    // inside; no way, no set and three sets are outside.
+    // inside; no way, no set and three sets are outside, and so are
+    // 2^26 ways (64 B times the ways wrapped to a zero divisor in 32
+    // bits) and 2^32 + 1 sets (cast to unsigned, it read as one set).
     for (const auto &[cache, size, assoc] :
          {std::tuple{"L1", &MemSystemConfig::l1Size,
                      &MemSystemConfig::l1Assoc},
@@ -540,6 +542,11 @@ ruleRows()
         rows.push_back({n + " 0 sets", geometry(7 * 64, 8), 4, sets_bad(0)});
         rows.push_back(
             {n + " 3 sets", geometry(3 * 8 * 64, 8), 4, sets_bad(3)});
+        rows.push_back({n + " 2^26 ways", geometry(128 * 1024, 1u << 26),
+                        4, sets_bad(0)});
+        rows.push_back({n + " 2^32 + 1 sets",
+                        geometry(((1ull << 32) + 1) * 8 * 64, 8), 4,
+                        sets_bad((1ull << 32) + 1)});
     }
 
     // Each core width or size, and the MSHR count, below 1 is

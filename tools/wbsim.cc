@@ -73,7 +73,7 @@ usage()
         "                    PARALLEL.md). Incompatible with the\n"
         "                    fault/observability/checkpoint/trace\n"
         "                    layers        (default 1)\n"
-        "  --scale F         workload scale      (default 0.5)\n"
+        "  --scale F         profile scale       (default 0.5)\n"
         "  --iters N         litmus iterations   (default 2000)\n"
         "  --network K       mesh | ideal        (default mesh)\n"
         "  --jitter N        ideal-net jitter    (default 10,\n"
@@ -251,7 +251,9 @@ main(int argc, char **argv)
     bool cores_set = false;
     int shards = 1;
     double scale = 0.5;
+    bool scale_set = false;
     int iters = 2000;
+    bool iters_set = false;
     NetworkKind network = NetworkKind::Mesh;
     Tick jitter = 10;
     std::uint64_t seed = 0;
@@ -301,11 +303,13 @@ main(int argc, char **argv)
         } else if (a == "--cores") {
             ok = parseFlag("--cores", next(), 1, maxCores, cores);
             cores_set = true;
-        } else if (a == "--scale")
+        } else if (a == "--scale") {
             ok = parseFlag("--scale", next(), minScale, maxScale, scale);
-        else if (a == "--iters")
+            scale_set = true;
+        } else if (a == "--iters") {
             ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
-        else if (a == "--shards")
+            iters_set = true;
+        } else if (a == "--shards")
             ok = parseFlag("--shards", next(), 1, 4096, shards);
         else if (a == "--network") {
             const std::string n = next();
@@ -400,6 +404,33 @@ main(int argc, char **argv)
     const bool is_trace = workload.rfind("trace=", 0) == 0;
     const bool is_litmus =
         !is_trace && parseLitmusName(workload, lk);
+    const bool is_builtin = !is_trace && !is_litmus;
+    if (is_builtin && !std::ranges::count(benchmarkNames(), workload)) {
+        std::fprintf(stderr,
+                     "--workload: unknown workload '%s' (see "
+                     "--list)\n",
+                     workload.c_str());
+        return 64;
+    }
+    // A sizing flag the workload would ignore is refused, not
+    // dropped: --scale sizes a builtin profile, --iters a litmus.
+    const char *kind = is_trace    ? "a replayed trace"
+                       : is_litmus ? "a litmus"
+                                   : "a builtin profile";
+    if (scale_set && !is_builtin) {
+        std::fprintf(stderr,
+                     "--scale: '%s' is %s; --scale sizes builtin "
+                     "profiles only\n",
+                     workload.c_str(), kind);
+        return 64;
+    }
+    if (iters_set && !is_litmus) {
+        std::fprintf(stderr,
+                     "--iters: '%s' is %s; --iters sizes litmus "
+                     "tests only\n",
+                     workload.c_str(), kind);
+        return 64;
+    }
     std::string wl_source;
     std::uint64_t wl_seed = 0;
     if (is_trace) {
@@ -435,13 +466,6 @@ main(int argc, char **argv)
         if (!cores_set && cores == 16)
             cores = 4;
     } else {
-        if (!std::ranges::count(benchmarkNames(), workload)) {
-            std::fprintf(stderr,
-                         "--workload: unknown workload '%s' (see "
-                         "--list)\n",
-                         workload.c_str());
-            return 64;
-        }
         SyntheticParams p = benchmarkProfile(workload, scale);
         if (seed)
             p.seed = seed;

@@ -53,9 +53,11 @@ usage()
         "                   execute NAME (benchmark profile or\n"
         "                   litmus) on the functional reference\n"
         "                   model and record the trace; --cores\n"
-        "                   sizes builtin profiles only (a litmus\n"
-        "                   has a fixed thread count); detailed-\n"
-        "                   model recordings: wbsim --record-trace\n"
+        "                   and --scale size builtin profiles\n"
+        "                   only (a litmus has a fixed thread\n"
+        "                   count), --iters a litmus only;\n"
+        "                   detailed-model recordings: wbsim\n"
+        "                   --record-trace\n"
         "  info FILE        print header fields and per-thread\n"
         "                   instruction histograms\n"
         "  diff A B         report the first divergence between\n"
@@ -75,7 +77,9 @@ cmdRecord(int argc, char **argv)
     int cores = 4;
     bool cores_given = false;
     double scale = 0.1;
+    bool scale_given = false;
     int iters = 200;
+    bool iters_given = false;
 
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
@@ -96,11 +100,13 @@ cmdRecord(int argc, char **argv)
         else if (a == "--cores") {
             ok = parseFlag("--cores", next(), 1, maxCores, cores);
             cores_given = true;
-        } else if (a == "--scale")
+        } else if (a == "--scale") {
             ok = parseFlag("--scale", next(), minScale, maxScale, scale);
-        else if (a == "--iters")
+            scale_given = true;
+        } else if (a == "--iters") {
             ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
-        else {
+            iters_given = true;
+        } else {
             usage();
             return 64;
         }
@@ -127,10 +133,23 @@ cmdRecord(int argc, char **argv)
                          workload.c_str(), wl.threads.size());
             return 64;
         }
+        if (scale_given) {
+            std::fprintf(stderr,
+                         "--scale: '%s' is a litmus; --scale sizes "
+                         "builtin profiles only\n",
+                         workload.c_str());
+            return 64;
+        }
     } else if (!std::ranges::count(benchmarkNames(), workload)) {
         std::fprintf(stderr,
                      "--workload: unknown workload '%s' (see wbsim "
                      "--list)\n",
+                     workload.c_str());
+        return 64;
+    } else if (iters_given) {
+        std::fprintf(stderr,
+                     "--iters: '%s' is a builtin profile; --iters "
+                     "sizes litmus tests only\n",
                      workload.c_str());
         return 64;
     } else {
