@@ -164,7 +164,7 @@ writeCampaignJson(std::ostream &os, const CampaignSpec &spec,
     w.closeArray();
     w.field("seeds", std::uint64_t(spec.seeds));
     w.field("baseSeed", spec.baseSeed);
-    w.field("cores", std::uint64_t(spec.cores));
+    w.field("cores", std::uint64_t(spec.machine.numCores));
     w.field("scale", spec.scale);
     w.closeObject();
 

@@ -335,8 +335,8 @@ CampaignRunner::run()
         std::filesystem::create_directories(_opts.telemetryDir);
         tele.period = _opts.telemetryPeriod
                           ? _opts.telemetryPeriod
-                          : (_spec.obs.metricsPeriod
-                                 ? _spec.obs.metricsPeriod
+                          : (_spec.machine.obs.metricsPeriod
+                                 ? _spec.machine.obs.metricsPeriod
                                  : Tick(50000));
         tele.dir = _opts.telemetryDir;
         board.opened.assign(jobs.size(), 0);

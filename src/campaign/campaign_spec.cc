@@ -8,7 +8,6 @@
 #include "sim/parse.hh"
 #include "trace/trace_workload.hh"
 #include "workload/benchmarks.hh"
-#include "workload/synthetic.hh"
 
 namespace wb
 {
@@ -96,25 +95,10 @@ CampaignSpec::expand() const
 SystemConfig
 CampaignSpec::configFor(const JobSpec &job) const
 {
-    SystemConfig cfg;
-    cfg.numCores = cores;
+    SystemConfig cfg = machine;
     cfg.core = makeCoreConfig(job.cls);
-    cfg.checker = checker;
-    cfg.maxCycles = maxCycles;
-    cfg.network = network;
-    cfg.ideal.jitter = jitter;
-    if (network == NetworkKind::Mesh)
-        cfg.mesh.fit(cores);
-    if (watchdogCycles)
-        cfg.watchdogCycles = watchdogCycles;
-    if (txnWarnCycles)
-        cfg.txnWarnCycles = txnWarnCycles;
-    if (txnDeadlockCycles)
-        cfg.txnDeadlockCycles = txnDeadlockCycles;
-    if (watchdogPollCycles)
-        cfg.watchdogPollCycles = watchdogPollCycles;
-    if (teardownDrainCycles)
-        cfg.teardownDrainCycles = teardownDrainCycles;
+    if (cfg.network == NetworkKind::Mesh)
+        cfg.mesh.fit(cfg.numCores);
     cfg.setMode(job.mode);
     if (!job.faultSpec.empty()) {
         std::string err;
@@ -123,8 +107,6 @@ CampaignSpec::configFor(const JobSpec &job) const
                   job.mixName.c_str(), err.c_str());
         cfg.faults.seed = job.faultSeed;
     }
-    cfg.recovery = recovery;
-    cfg.obs = obs;
     if (configHook)
         configHook(job, cfg);
     return cfg;
@@ -135,15 +117,16 @@ CampaignSpec::workloadFor(const JobSpec &job) const
 {
     if (workloadFactory)
         return workloadFactory(job, *this);
-    // `trace=FILE`: replay a recorded trace. A TraceError here (file
-    // vanished or corrupted since validate()) propagates out of the
-    // job and is classified as an infrastructure failure.
-    if (job.workload.rfind("trace=", 0) == 0)
-        return loadTraceWorkload(job.workload.substr(6));
-    SyntheticParams p = benchmarkProfile(job.workload, scale);
-    if (!useProfileSeed)
-        p.seed = job.seed;
-    return makeSynthetic(p, cores);
+    // A TraceError here (a trace file vanished or corrupted since
+    // validate()) propagates out of the job and is classified as an
+    // infrastructure failure.
+    ResolvedWorkload named = resolveWorkload(
+        job.workload, {.threads = machine.numCores,
+                       .scale = scale,
+                       .seed = useProfileSeed ? 0 : job.seed});
+    if (!named.error.empty())
+        fatal("campaign: %s", named.error.c_str());
+    return std::move(named.workload);
 }
 
 CampaignSpec
@@ -157,9 +140,7 @@ paperCampaign(std::vector<CommitMode> modes,
     spec.classes = std::move(classes);
     spec.useProfileSeed = true;
     spec.scale = scale;
-    spec.cores = 16;
-    spec.checker = false; // timing runs; tests cover correctness
-    spec.maxCycles = 400'000'000;
+    spec.machine.checker = false; // timing runs; tests cover correctness
     return spec;
 }
 
@@ -197,22 +178,14 @@ CampaignSpec::validate() const
         return "retries must be >= 0";
     if (!workloadFactory)
         for (const std::string &wl : workloads) {
-            if (wl.rfind("trace=", 0) == 0) {
-                // Existence check only; full validation (checksums,
-                // semantic limits) happens when the job loads it.
-                const std::string path = wl.substr(6);
-                std::ifstream f(path, std::ios::binary);
-                if (!f)
-                    return "trace file '" + path +
-                           "' does not exist";
-                continue;
-            }
-            bool known = false;
-            for (const std::string &n : benchmarkNames())
-                if (n == wl)
-                    known = true;
-            if (!known)
-                return "unknown workload '" + wl + "'";
+            const ResolvedWorkload named = resolveWorkload(wl, {}, false);
+            if (!named.error.empty())
+                return named.error;
+            // A litmus's outcomes need its own classification, which
+            // campaign results do not carry.
+            if (named.kind == WorkloadKind::Litmus)
+                return "workload '" + wl + "' is a litmus; a campaign "
+                       "runs builtin profiles and trace=FILE";
         }
     for (const CampaignMix &mix : mixes)
         if (!mix.spec.empty()) {
@@ -221,10 +194,10 @@ CampaignSpec::validate() const
             if (!parseFaultSpec(mix.spec, fc, err))
                 return "mix '" + mix.name + "': " + err;
         }
-    // Every job's machine by System's own rules (its workload has
-    // `cores` threads), once the mixes are known to parse.
+    // Every job's machine by System's own rules (its workload has a
+    // thread per core), once the mixes are known to parse.
     for (const JobSpec &job : expand())
-        if (std::string bad = configFor(job).validate(cores);
+        if (std::string bad = configFor(job).validate(machine.numCores);
             !bad.empty())
             return bad;
     return "";
@@ -336,6 +309,15 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
             return parseBool(value, field) ||
                    fail("bad boolean '" + value + "'");
         };
+        // A watchdog count; 0 keeps System's default.
+        SystemConfig &m = out.machine;
+        const auto watchdog = [&](Tick SystemConfig::*field) {
+            Tick cycles = 0;
+            if (!number(cycles))
+                return false;
+            m.*field = cycles ? cycles : SystemConfig{}.*field;
+            return true;
+        };
         bool ok = true;
         if (key == "name") {
             out.name = value;
@@ -358,7 +340,7 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
                 out.classes.push_back(cls);
             }
         } else if (key == "network") {
-            if (!parseNetworkKind(value, out.network))
+            if (!parseNetworkKind(value, m.network))
                 return fail("unknown network '" + value + "'");
         } else if (key == "seeds") {
             ok = number(out.seeds, 1);
@@ -367,46 +349,46 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
         } else if (key == "profile-seed") {
             ok = boolean(out.useProfileSeed);
         } else if (key == "cores") {
-            ok = number(out.cores, 1, maxCores);
+            ok = number(m.numCores, 1, maxCores);
         } else if (key == "scale") {
             ok = number(out.scale, minScale, maxScale);
         } else if (key == "jitter") {
             // As wbsim --jitter: well below the watchdogs.
-            ok = number(out.jitter, 0, 10'000);
+            ok = number(m.ideal.jitter, 0, 10'000);
         } else if (key == "checker") {
-            ok = boolean(out.checker);
+            ok = boolean(m.checker);
         } else if (key == "max-cycles") {
-            ok = number(out.maxCycles, 1);
+            ok = number(m.maxCycles, 1);
         } else if (key == "watchdog") {
-            ok = number(out.watchdogCycles);
+            ok = watchdog(&SystemConfig::watchdogCycles);
         } else if (key == "txn-warn") {
-            ok = number(out.txnWarnCycles);
+            ok = watchdog(&SystemConfig::txnWarnCycles);
         } else if (key == "txn-deadlock") {
-            ok = number(out.txnDeadlockCycles);
+            ok = watchdog(&SystemConfig::txnDeadlockCycles);
         } else if (key == "poll") {
-            ok = number(out.watchdogPollCycles);
+            ok = watchdog(&SystemConfig::watchdogPollCycles);
         } else if (key == "drain") {
-            ok = number(out.teardownDrainCycles);
+            ok = watchdog(&SystemConfig::teardownDrainCycles);
         } else if (key == "retries") {
             ok = number(out.maxRetries);
         } else if (key == "recovery") {
-            ok = boolean(out.recovery.enabled);
+            ok = boolean(m.recovery.enabled);
         } else if (key == "retry-timeout") {
-            ok = number(out.recovery.retryTimeoutCycles);
+            ok = number(m.recovery.retryTimeoutCycles);
         } else if (key == "retry-budget") {
-            ok = number(out.recovery.retryBudget);
+            ok = number(m.recovery.retryBudget);
         } else if (key == "recovery-poll") {
-            ok = number(out.recovery.pollCycles);
+            ok = number(m.recovery.pollCycles);
         } else if (key == "retransmit-base") {
-            ok = number(out.recovery.retransmitBaseCycles);
+            ok = number(m.recovery.retransmitBaseCycles);
         } else if (key == "retransmit-budget") {
-            ok = number(out.recovery.retransmitBudget);
+            ok = number(m.recovery.retransmitBudget);
         } else if (key == "flight-recorder") {
-            ok = number(out.obs.flightRecorder);
+            ok = number(m.obs.flightRecorder);
         } else if (key == "timeline-period") {
-            ok = number(out.obs.timelinePeriod);
+            ok = number(m.obs.timelinePeriod);
         } else if (key == "metrics-period") {
-            ok = number(out.obs.metricsPeriod);
+            ok = number(m.obs.metricsPeriod);
         } else {
             return fail("unknown key '" + key + "'");
         }

@@ -73,7 +73,8 @@ struct CampaignSpec
     // -- axes ----------------------------------------------------
     /** Workload axis entries are benchmark profile names
      *  (benchmarkNames()) or `trace=FILE` — a recorded `.wbt` trace
-     *  replayed through the detailed model (docs/TRACES.md). Trace
+     *  replayed through the detailed model (docs/TRACES.md), as
+     *  resolveWorkload() reads them; a litmus is refused. Trace
      *  entries ignore the per-job seed: the workload is fully
      *  determined by the file. */
     std::vector<std::string> workloads;
@@ -89,31 +90,20 @@ struct CampaignSpec
      *  fixed-program runs this way). */
     bool useProfileSeed = false;
 
-    // -- machine parameters shared by all jobs -------------------
-    int cores = 16;
-    double scale = 1.0;          //!< workload iteration scale
-    NetworkKind network = NetworkKind::Mesh;
-    Tick jitter = 10;            //!< ideal-network jitter
-    bool checker = true;         //!< attach the dynamic TSO checker
-    Tick maxCycles = 400'000'000;
-    // 0 = keep the SystemConfig default for each of these.
-    Tick watchdogCycles = 0;
-    Tick txnWarnCycles = 0;
-    Tick txnDeadlockCycles = 0;
-    Tick watchdogPollCycles = 0;
-    Tick teardownDrainCycles = 0;
-
-    /** Message-loss recovery layer for every job (manifest keys
-     *  `recovery`, `retry-timeout`, `retry-budget`, ...). Off by
-     *  default: fault mixes then keep their PR-1 fail-fast
-     *  classification. */
-    RecoveryConfig recovery{};
-
-    /** Observability layer for every job (manifest keys
-     *  `flight-recorder`, `timeline-period`). When enabled the
-     *  runner writes per-job trace/timeline files next to the
+    // -- machine shared by all jobs -----------------------------
+    /** Every job's machine, which the manifest keys set and
+     *  configFor() copies: SystemConfig's defaults but for
+     *  ideal-network jitter 10 and a 400M-cycle cap. Recovery and
+     *  observability are off unless set; with a flight recorder or
+     *  timeline on, the runner writes per-job files next to the
      *  campaign results. */
-    ObsConfig obs{};
+    SystemConfig machine = [] {
+        SystemConfig m;
+        m.ideal.jitter = 10;
+        m.maxCycles = 400'000'000;
+        return m;
+    }();
+    double scale = 1.0; //!< builtin profiles' iteration scale
 
     /** Bounded retry budget for runner-infrastructure failures. */
     int maxRetries = 1;
@@ -136,8 +126,10 @@ struct CampaignSpec
     /** Number of jobs expand() will produce. */
     std::size_t jobCount() const;
 
-    /** Build the SystemConfig for one job (faults parsed + seeded,
-     *  configHook applied last). */
+    /** Build the SystemConfig for one job: the machine with the
+     *  job's core class and commit mode, the mesh fitted to the core
+     *  count, the job's fault mix parsed and seeded, and configHook
+     *  applied last. */
     SystemConfig configFor(const JobSpec &job) const;
 
     /** Build the workload for one job. */

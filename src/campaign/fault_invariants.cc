@@ -109,16 +109,16 @@ faultCampaignSpec(int seeds)
     };
     spec.seeds = seeds;
     spec.baseSeed = 1000;
-    spec.cores = 4;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 8;
-    spec.checker = true;
-    spec.maxCycles = 4'000'000;
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
+    SystemConfig &m = spec.machine;
+    m.numCores = 4;
+    m.network = NetworkKind::Ideal;
+    m.ideal.jitter = 8;
+    m.maxCycles = 4'000'000;
+    m.watchdogCycles = 40'000;
+    m.txnWarnCycles = 6'000;
+    m.txnDeadlockCycles = 20'000;
+    m.watchdogPollCycles = 256;
+    m.teardownDrainCycles = 25'000;
     spec.workloadFactory = [](const JobSpec &job,
                               const CampaignSpec &s) {
         SyntheticParams p;
@@ -136,9 +136,9 @@ faultCampaignSpec(int seeds)
         // healing + end-state equivalence, which needs an
         // interleaving-independent final image; without recovery,
         // keep the racier (load-value-dependent) default mix.
-        p.singleWriter = s.recovery.enabled;
+        p.singleWriter = s.machine.recovery.enabled;
         p.seed = job.seed;
-        return makeSynthetic(p, s.cores);
+        return makeSynthetic(p, s.machine.numCores);
     };
     return spec;
 }

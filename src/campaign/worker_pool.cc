@@ -56,7 +56,7 @@ buildCampaignSpec(const JournalHeader &desc, CampaignSpec &out,
     if (desc.seedsOverride > 0)
         out.seeds = int(desc.seedsOverride);
     if (desc.recovery || desc.verifyEquivalence)
-        out.recovery.enabled = true;
+        out.machine.recovery.enabled = true;
     err = out.validate();
     if (!err.empty()) {
         err = "campaign spec: " + err;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "campaign/campaign_aggregator.hh"
@@ -39,10 +40,10 @@ tinySpec()
     spec.mixes = {{"clean", ""}, {"delay", "delay=0.05:60"}};
     spec.seeds = 2;
     spec.baseSeed = 42;
-    spec.cores = 2;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 4;
-    spec.maxCycles = 2'000'000;
+    spec.machine.numCores = 2;
+    spec.machine.network = NetworkKind::Ideal;
+    spec.machine.ideal.jitter = 4;
+    spec.machine.maxCycles = 2'000'000;
     spec.workloadFactory = [](const JobSpec &job,
                               const CampaignSpec &s) {
         SyntheticParams p;
@@ -55,9 +56,21 @@ tinySpec()
         p.storeRatio = 0.3;
         p.sharedRatio = 0.3;
         p.seed = job.seed;
-        return makeSynthetic(p, s.cores);
+        return makeSynthetic(p, s.machine.numCores);
     };
     return spec;
+}
+
+/** The fault campaign's watchdog counts: a lost message ends its job
+ *  in a deadlock verdict within tens of thousands of cycles. */
+void
+fastWatchdogs(SystemConfig &m)
+{
+    m.watchdogCycles = 40'000;
+    m.txnWarnCycles = 6'000;
+    m.txnDeadlockCycles = 20'000;
+    m.watchdogPollCycles = 256;
+    m.teardownDrainCycles = 25'000;
 }
 
 CampaignResult
@@ -197,11 +210,11 @@ TEST(CampaignSpec, ManifestParsesAndValidates)
               (std::vector<std::string>{"fft", "radix"}));
     EXPECT_EQ(spec.modes.size(), 2u);
     EXPECT_EQ(spec.classes.size(), 2u);
-    EXPECT_EQ(spec.cores, 4);
-    EXPECT_EQ(spec.network, NetworkKind::Ideal);
+    EXPECT_EQ(spec.machine.numCores, 4);
+    EXPECT_EQ(spec.machine.network, NetworkKind::Ideal);
     EXPECT_EQ(spec.seeds, 3);
     EXPECT_EQ(spec.baseSeed, 7u);
-    EXPECT_FALSE(spec.checker);
+    EXPECT_FALSE(spec.machine.checker);
     EXPECT_EQ(spec.maxRetries, 2);
     ASSERT_EQ(spec.mixes.size(), 2u);
     EXPECT_EQ(spec.mixes[1].name, "stormy");
@@ -268,16 +281,16 @@ TEST(CampaignSpec, ValidateRefusesWhatSystemRefuses)
 {
     CampaignSpec wide;
     wide.workloads = {"fft"};
-    wide.cores = maxCores + 1;
+    wide.machine.numCores = maxCores + 1;
 
     CampaignSpec no_poll;
     no_poll.workloads = {"fft"};
-    no_poll.recovery.enabled = true;
-    no_poll.recovery.pollCycles = 0;
+    no_poll.machine.recovery.enabled = true;
+    no_poll.machine.recovery.pollCycles = 0;
 
     CampaignSpec hooked; // one variant's hook breaks its machine
     hooked.workloads = {"fft"};
-    hooked.cores = 4;
+    hooked.machine.numCores = 4;
     hooked.variants = {"ok", "robless"};
     hooked.configHook = [](const JobSpec &job, SystemConfig &cfg) {
         if (job.variant == "robless")
@@ -298,7 +311,7 @@ TEST(CampaignSpec, ValidateRefusesWhatSystemRefuses)
         EXPECT_EQ(c.spec.validate(), c.refusal);
         const JobSpec job = c.spec.expand().back();
         Workload wl;
-        wl.threads.resize(std::size_t(c.spec.cores),
+        wl.threads.resize(std::size_t(c.spec.machine.numCores),
                           Program{Instr{Opcode::Halt, 0, 0, 0, 0, 0}});
         try {
             System sys(c.spec.configFor(job), wl);
@@ -310,6 +323,105 @@ TEST(CampaignSpec, ValidateRefusesWhatSystemRefuses)
 
     hooked.variants = {"ok"};
     EXPECT_EQ(hooked.validate(), "");
+}
+
+// Each manifest key of the machine lands in the SystemConfig a job
+// runs, and nowhere else; a watchdog count of 0 keeps System's
+// default (poll = 0 would otherwise switch the per-transaction
+// watchdog off).
+TEST(CampaignSpec, ManifestKeysSetTheJobMachine)
+{
+    const auto jobConfig = [](const std::string &line) {
+        std::istringstream in("workloads = fft\n" + line + "\n");
+        CampaignSpec spec;
+        std::string err;
+        EXPECT_TRUE(parseCampaignSpec(in, spec, err)) << err;
+        return spec.configFor(spec.expand().front());
+    };
+    const SystemConfig base = jobConfig("");
+    EXPECT_EQ(base.ideal.jitter, Tick(10));
+    EXPECT_EQ(base.maxCycles, Tick(400'000'000));
+    const SystemConfig sys{};
+
+    using Set = std::function<void(SystemConfig &)>;
+    const struct
+    {
+        const char *line;
+        Set set;
+    } rows[] = {
+        {"cores = 4",
+         [](SystemConfig &c) {
+             c.numCores = 4;
+             c.mesh.fit(4);
+         }},
+        {"network = ideal",
+         [](SystemConfig &c) { c.network = NetworkKind::Ideal; }},
+        {"jitter = 6", [](SystemConfig &c) { c.ideal.jitter = 6; }},
+        {"checker = off", [](SystemConfig &c) { c.checker = false; }},
+        {"max-cycles = 5000", [](SystemConfig &c) { c.maxCycles = 5000; }},
+        {"watchdog = 7000",
+         [](SystemConfig &c) { c.watchdogCycles = 7000; }},
+        {"txn-warn = 7001",
+         [](SystemConfig &c) { c.txnWarnCycles = 7001; }},
+        {"txn-deadlock = 7002",
+         [](SystemConfig &c) { c.txnDeadlockCycles = 7002; }},
+        {"poll = 7003",
+         [](SystemConfig &c) { c.watchdogPollCycles = 7003; }},
+        {"drain = 7004",
+         [](SystemConfig &c) { c.teardownDrainCycles = 7004; }},
+        {"watchdog = 0", nullptr},
+        {"txn-warn = 0", nullptr},
+        {"txn-deadlock = 0", nullptr},
+        {"poll = 0", nullptr},
+        {"drain = 0", nullptr},
+        {"recovery = on",
+         [](SystemConfig &c) { c.recovery.enabled = true; }},
+        {"retry-timeout = 99",
+         [](SystemConfig &c) { c.recovery.retryTimeoutCycles = 99; }},
+        {"retry-budget = 9",
+         [](SystemConfig &c) { c.recovery.retryBudget = 9; }},
+        {"recovery-poll = 98",
+         [](SystemConfig &c) { c.recovery.pollCycles = 98; }},
+        {"retransmit-base = 97",
+         [](SystemConfig &c) { c.recovery.retransmitBaseCycles = 97; }},
+        {"retransmit-budget = 7",
+         [](SystemConfig &c) { c.recovery.retransmitBudget = 7; }},
+        {"flight-recorder = 64",
+         [](SystemConfig &c) { c.obs.flightRecorder = 64; }},
+        {"timeline-period = 500",
+         [](SystemConfig &c) { c.obs.timelinePeriod = 500; }},
+        {"metrics-period = 600",
+         [](SystemConfig &c) { c.obs.metricsPeriod = 600; }},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.line);
+        SystemConfig want = base;
+        if (row.set) {
+            row.set(want);
+            EXPECT_TRUE(configFingerprint(want) !=
+                            configFingerprint(base) ||
+                        want.obs.metricsPeriod != base.obs.metricsPeriod);
+        }
+        const SystemConfig got = jobConfig(row.line);
+        EXPECT_EQ(configFingerprint(got), configFingerprint(want));
+        EXPECT_EQ(got.obs.metricsPeriod, want.obs.metricsPeriod);
+    }
+    EXPECT_EQ(jobConfig("poll = 0").watchdogPollCycles, Tick(2048));
+    for (const char *line : {"watchdog = 0", "txn-warn = 0",
+                             "txn-deadlock = 0", "poll = 0",
+                             "drain = 0"}) {
+        const SystemConfig got = jobConfig(line);
+        EXPECT_EQ(got.watchdogCycles, sys.watchdogCycles) << line;
+        EXPECT_EQ(got.txnWarnCycles, sys.txnWarnCycles) << line;
+        EXPECT_EQ(got.txnDeadlockCycles, sys.txnDeadlockCycles) << line;
+        EXPECT_EQ(got.watchdogPollCycles, sys.watchdogPollCycles)
+            << line;
+        EXPECT_EQ(got.teardownDrainCycles, sys.teardownDrainCycles)
+            << line;
+    }
+    // A later 0 goes back to the default, not to the earlier value.
+    EXPECT_EQ(jobConfig("poll = 7003\npoll = 0").watchdogPollCycles,
+              sys.watchdogPollCycles);
 }
 
 TEST(CampaignAggregator, ReductionAndLiveCounts)
@@ -386,11 +498,7 @@ TEST(CampaignRunner, CrashIsolationRecordsFaultedJobs)
     CampaignSpec spec = tinySpec();
     spec.mixes = {{"clean", ""}, {"drop", "drop=0.05:2"}};
     spec.seeds = 3;
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
+    fastWatchdogs(spec.machine);
 
     const CampaignResult result = runSpec(spec, 4);
     EXPECT_EQ(result.summary.done, result.jobs.size());
@@ -428,11 +536,7 @@ TEST(CampaignRunner, CrashSidecarsMatchAndRehomeFromTheCache)
     CampaignSpec spec = tinySpec();
     spec.mixes = {{"clean", ""}, {"drop", "drop=0.05:2"}};
     spec.seeds = 3;
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
+    fastWatchdogs(spec.machine);
 
     const std::string root = testing::TempDir() + "wbcrash-sidecars";
     std::filesystem::remove_all(root);
@@ -529,11 +633,7 @@ TEST(CampaignDeterminism, WorkerCountCannotChangeTheReport)
 {
     CampaignSpec spec = tinySpec();
     spec.mixes.push_back({"drop", "drop=0.05:2"});
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
+    fastWatchdogs(spec.machine);
 
     const CampaignResult serial = runSpec(spec, 1);
     const CampaignResult wide = runSpec(spec, 8);
@@ -560,11 +660,7 @@ TEST(CampaignDeterminism, CrashReportsAreBitIdenticalAcrossRuns)
     spec.modes = {CommitMode::OooWB};
     spec.mixes = {{"drop", "drop=0.05:2"}};
     spec.seeds = 2;
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
+    fastWatchdogs(spec.machine);
 
     const CampaignResult a = runSpec(spec, 2);
     const CampaignResult b = runSpec(spec, 1);
@@ -628,7 +724,7 @@ TEST(CampaignSpec, MetricsPeriodManifestKeyReachesJobConfigs)
     CampaignSpec spec;
     std::string err;
     ASSERT_TRUE(parseCampaignSpec(in, spec, err)) << err;
-    EXPECT_EQ(spec.obs.metricsPeriod, Tick(12345));
+    EXPECT_EQ(spec.machine.obs.metricsPeriod, Tick(12345));
 
     const auto jobs = spec.expand();
     ASSERT_FALSE(jobs.empty());
@@ -689,7 +785,7 @@ TEST(FaultCampaign, OutputsArePinned)
     for (const bool recovery : {false, true}) {
         SCOPED_TRACE(recovery ? "recovery" : "plain");
         CampaignSpec spec = faultCampaignSpec();
-        spec.recovery.enabled = recovery;
+        spec.machine.recovery.enabled = recovery;
         ASSERT_EQ(spec.validate(), "");
         ASSERT_EQ(spec.jobCount(), 504u);
         for (const int jobs : {2, 4}) {

@@ -368,17 +368,17 @@ TEST(RecoveryCampaign, VerifyEquivalenceIsWorkerCountInvariant)
     };
     spec.seeds = 2;
     spec.baseSeed = 1000;
-    spec.cores = 4;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 8;
-    spec.checker = true;
-    spec.maxCycles = 4'000'000;
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
-    spec.recovery.enabled = true;
+    SystemConfig &m = spec.machine;
+    m.numCores = 4;
+    m.network = NetworkKind::Ideal;
+    m.ideal.jitter = 8;
+    m.maxCycles = 4'000'000;
+    m.watchdogCycles = 40'000;
+    m.txnWarnCycles = 6'000;
+    m.txnDeadlockCycles = 20'000;
+    m.watchdogPollCycles = 256;
+    m.teardownDrainCycles = 25'000;
+    m.recovery.enabled = true;
     spec.workloadFactory = [](const JobSpec &job,
                               const CampaignSpec &) {
         return recoveryWorkload(job.seed, /*single_writer=*/true);

@@ -42,10 +42,10 @@ tinySpec()
     spec.mixes = {{"clean", ""}, {"delay", "delay=0.05:60"}};
     spec.seeds = 2;
     spec.baseSeed = 42;
-    spec.cores = 2;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 4;
-    spec.maxCycles = 2'000'000;
+    spec.machine.numCores = 2;
+    spec.machine.network = NetworkKind::Ideal;
+    spec.machine.ideal.jitter = 4;
+    spec.machine.maxCycles = 2'000'000;
     spec.workloadFactory = [](const JobSpec &job,
                               const CampaignSpec &s) {
         SyntheticParams p;
@@ -58,7 +58,7 @@ tinySpec()
         p.storeRatio = 0.3;
         p.sharedRatio = 0.3;
         p.seed = job.seed;
-        return makeSynthetic(p, s.cores);
+        return makeSynthetic(p, s.machine.numCores);
     };
     return spec;
 }

@@ -471,7 +471,7 @@ TEST(TraceCampaign, TraceAxisValidatesAndLoads)
 
     CampaignSpec spec;
     spec.workloads = {"trace=" + path};
-    spec.cores = 2;
+    spec.machine.numCores = 2;
     EXPECT_EQ(spec.validate(), "");
 
     const auto jobs = spec.expand();
@@ -505,4 +505,121 @@ TEST(TraceCampaign, TraceAxisValidatesAndLoads)
     EXPECT_EQ(result.summary.infraFailures, 1u);
 
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------
+// Workload names
+// ---------------------------------------------------------------
+
+// One row per kind x sizing: an accepted name builds what the direct
+// call builds, with the same provenance; a sizing the kind ignores,
+// or an unknown name, is refused with one text.
+TEST(ResolveWorkload, EveryKindAndSizing)
+{
+    const std::string golden = WB_TEST_DATA_DIR "/golden_sb.wbt";
+    const TraceFile trace = TraceFile::load(golden);
+    const auto builtin = [](double scale, std::uint64_t seed,
+                            int threads) {
+        SyntheticParams p = benchmarkProfile("fft", scale);
+        if (seed)
+            p.seed = seed;
+        return std::pair{makeSynthetic(p, threads), p.seed};
+    };
+    const auto [fft, fft_seed] = builtin(1.0, 0, 16);
+    const auto [fft4, fft4_seed] = builtin(1.0, 0, 4);
+    const auto [fft_small, small_seed] = builtin(0.05, 0, 16);
+    const auto [fft7, seed7] = builtin(1.0, 7, 16);
+    const Workload sb = makeLitmus(LitmusKind::StoreBuffer, 2000);
+    const Workload sb50 = makeLitmus(LitmusKind::StoreBuffer, 50);
+    const Workload replay = traceWorkload(trace);
+
+    const WorkloadSizing none;
+    WorkloadSizing threads;
+    threads.threads = 4;
+    WorkloadSizing scale;
+    scale.scale = 0.05;
+    scale.scaleGiven = true;
+    WorkloadSizing iters;
+    iters.iterations = 50;
+    iters.iterationsGiven = true;
+    WorkloadSizing seed;
+    seed.seed = 7;
+    seed.seedGiven = true;
+    WorkloadSizing quiet_seed = seed; // a value, not a given flag
+    quiet_seed.seedGiven = false;
+
+    const std::string tr = "trace=" + golden;
+    const struct
+    {
+        std::string name;
+        WorkloadSizing sizing;
+        const Workload *want; //!< nullptr: refused
+        std::string source;
+        std::uint64_t seed;
+        std::string error;
+    } rows[] = {
+        {"fft", none, &fft, "builtin", fft_seed, ""},
+        {"fft", threads, &fft4, "builtin", fft4_seed, ""},
+        {"fft", scale, &fft_small, "builtin", small_seed, ""},
+        {"fft", iters, nullptr, "", 0,
+         "--iters: 'fft' is a builtin profile; --iters sizes litmus "
+         "tests only"},
+        {"fft", seed, &fft7, "builtin", seed7, ""},
+        {"fft", quiet_seed, &fft7, "builtin", seed7, ""},
+        {"sb", none, &sb, "litmus", 0, ""},
+        {"sb", threads, &sb, "litmus", 0, ""},
+        {"sb", scale, nullptr, "", 0,
+         "--scale: 'sb' is a litmus; --scale sizes builtin profiles "
+         "only"},
+        {"sb", iters, &sb50, "litmus", 0, ""},
+        {"sb", seed, nullptr, "", 0,
+         "--seed: 'sb' is a litmus; --seed seeds builtin profiles "
+         "only"},
+        {"sb", quiet_seed, &sb, "litmus", 0, ""},
+        {tr, none, &replay, trace.source, trace.seed, ""},
+        {tr, threads, &replay, trace.source, trace.seed, ""},
+        {tr, scale, nullptr, "", 0,
+         "--scale: '" + tr + "' is a replayed trace; --scale sizes "
+         "builtin profiles only"},
+        {tr, iters, nullptr, "", 0,
+         "--iters: '" + tr + "' is a replayed trace; --iters sizes "
+         "litmus tests only"},
+        {tr, seed, nullptr, "", 0,
+         "--seed: '" + tr + "' is a replayed trace; --seed seeds "
+         "builtin profiles only"},
+        {tr, quiet_seed, &replay, trace.source, trace.seed, ""},
+        {"bogus", none, nullptr, "", 0,
+         "unknown workload 'bogus' (see wbsim --list)"},
+        {"store-buffer", none, nullptr, "", 0,
+         "unknown workload 'store-buffer' (see wbsim --list)"},
+        {"", none, nullptr, "", 0,
+         "unknown workload '' (see wbsim --list)"},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.name);
+        const ResolvedWorkload got = resolveWorkload(row.name, row.sizing);
+        const ResolvedWorkload checked =
+            resolveWorkload(row.name, row.sizing, false);
+        EXPECT_EQ(got.error, row.error);
+        EXPECT_EQ(checked.error, row.error);
+        EXPECT_TRUE(checked.workload.threads.empty());
+        if (!row.want)
+            continue;
+        EXPECT_EQ(workloadFingerprint(got.workload),
+                  workloadFingerprint(*row.want));
+        EXPECT_EQ(got.workload.traceFingerprint,
+                  row.want->traceFingerprint);
+        EXPECT_EQ(got.source, row.source);
+        EXPECT_EQ(got.seed, row.seed);
+    }
+
+    // Without a build, a trace is checked for its file only.
+    EXPECT_EQ(resolveWorkload("trace=no_such.wbt", none, false).error,
+              "trace file 'no_such.wbt' does not exist");
+    EXPECT_THROW(resolveWorkload("trace=no_such.wbt", none),
+                 TraceError);
+    EXPECT_THROW(resolveWorkload("trace=" WB_TEST_DATA_DIR
+                                 "/mismatch_sb.wbt",
+                                 none),
+                 TraceMismatchError);
 }

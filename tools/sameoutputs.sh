@@ -17,7 +17,10 @@
 #     plain and with --recovery --verify-equivalence;
 #   - the 16-core fft snapshot taken at cycle 9001, which each tree
 #     also restores from the other tree to its cold report;
-#   - a `wbtrace record` trace.
+#   - a `wbtrace record` trace of a profile and of a seeded litmus;
+#   - the golden trace's replayed report;
+#   - a manifest campaign (written here) mixing a profile and a trace
+#     with `jitter`, `poll = 0` and `drain` set.
 # Every output and exit status is compared with `cmp` (stderr, the
 # campaigns' stdout with its wall time, and the campaign journals are
 # not).
@@ -113,6 +116,24 @@ for side in base change; do
         --checkpoint ck16.wbsnap --json ckpt16.json
     run "$side" record wbtrace record --workload fft --seed 7 \
         --cores 4 -o record.wbt
+    run "$side" replay wbsim --workload "trace=$root/tests/data/golden_sb.wbt" \
+        --cores 2 --json -
+    run "$side" record-litmus wbtrace record --workload sb --iters 50 \
+        --seed 3 -o record-litmus.wbt
+    cat >"$work/$side-out/mixed.wbc" <<EOF2
+workloads = lu_cb, trace=$root/tests/data/golden_sb.wbt
+modes = in-order ooo-wb
+cores = 4
+scale = 0.05
+network = ideal
+jitter = 6
+poll = 0
+drain = 50000
+EOF2
+    run "$side" camp-mixed wbcampaign --spec mixed.wbc -j2 --no-cache \
+        --out camp-mixed --json camp-mixed.json --csv camp-mixed.csv
+    mv "$work/$side-out/camp-mixed.out" "$work/$side-out/camp-mixed.log"
+    rm -f "$work/$side-out"/camp-mixed/{journal.wbj,durability.json}
 done
 
 status=0

@@ -21,7 +21,6 @@
  *      (SystemConfig::validate)
  */
 
-#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -76,9 +75,10 @@ usage()
         "  --scale F         profile scale       (default 0.5)\n"
         "  --iters N         litmus iterations   (default 2000)\n"
         "  --network K       mesh | ideal        (default mesh)\n"
-        "  --jitter N        ideal-net jitter    (default 10,\n"
-        "                                         at most 10000)\n"
-        "  --seed N          workload seed override\n"
+        "  --jitter N        ideal network only: per-message\n"
+        "                    jitter (default 10, at most 10000)\n"
+        "  --seed N          builtin profile seed (default: the\n"
+        "                    profile's own)\n"
         "  --no-checker      disable the TSO checker (faster)\n"
         "  --non-silent      non-silent shared evictions\n"
         "  --in-order-issue  stall-on-use (EV5/ECL-style) issue\n"
@@ -250,13 +250,10 @@ main(int argc, char **argv)
     int cores = 16;
     bool cores_set = false;
     int shards = 1;
-    double scale = 0.5;
-    bool scale_set = false;
-    int iters = 2000;
-    bool iters_set = false;
+    WorkloadSizing sizing{.scale = 0.5};
     NetworkKind network = NetworkKind::Mesh;
     Tick jitter = 10;
-    std::uint64_t seed = 0;
+    bool jitter_set = false;
     bool checker = true;
     bool silent_evictions = true;
     bool in_order_issue = false;
@@ -304,11 +301,13 @@ main(int argc, char **argv)
             ok = parseFlag("--cores", next(), 1, maxCores, cores);
             cores_set = true;
         } else if (a == "--scale") {
-            ok = parseFlag("--scale", next(), minScale, maxScale, scale);
-            scale_set = true;
+            ok = parseFlag("--scale", next(), minScale, maxScale,
+                           sizing.scale);
+            sizing.scaleGiven = true;
         } else if (a == "--iters") {
-            ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
-            iters_set = true;
+            ok = parseFlag("--iters", next(), 1, 100'000'000,
+                           sizing.iterations);
+            sizing.iterationsGiven = true;
         } else if (a == "--shards")
             ok = parseFlag("--shards", next(), 1, 4096, shards);
         else if (a == "--network") {
@@ -324,9 +323,12 @@ main(int argc, char **argv)
             // Bounded well below the watchdogs, so jitter alone can
             // never pass for a hang.
             ok = parseFlag("--jitter", next(), 0, 10'000, jitter);
-        } else if (a == "--seed")
-            ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0), seed);
-        else if (a == "--no-checker")
+            jitter_set = true;
+        } else if (a == "--seed") {
+            ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0),
+                           sizing.seed);
+            sizing.seedGiven = true;
+        } else if (a == "--no-checker")
             checker = false;
         else if (a == "--non-silent")
             silent_evictions = false;
@@ -395,84 +397,51 @@ main(int argc, char **argv)
             return 64;
     }
 
-    // Build the workload. Trace provenance (source tag + generation
-    // seed) rides along so --record-trace writes faithful metadata —
+    // A flag the run would ignore is refused, not dropped: only the
+    // ideal network jitters.
+    if (jitter_set && network != NetworkKind::Ideal) {
+        std::fprintf(stderr,
+                     "--jitter: the network is %s; --jitter delays "
+                     "the ideal network only\n",
+                     networkKindName(network));
+        return 64;
+    }
+
+    // Build the workload. Its provenance (source tag + generation
+    // seed) rides along so --record-trace writes faithful metadata,
     // and a replayed trace re-records byte-identically.
-    Workload wl;
-    LitmusKind lk{};
-    TraceFile replay_trace;
-    const bool is_trace = workload.rfind("trace=", 0) == 0;
-    const bool is_litmus =
-        !is_trace && parseLitmusName(workload, lk);
-    const bool is_builtin = !is_trace && !is_litmus;
-    if (is_builtin && !std::ranges::count(benchmarkNames(), workload)) {
-        std::fprintf(stderr,
-                     "--workload: unknown workload '%s' (see "
-                     "--list)\n",
-                     workload.c_str());
-        return 64;
-    }
-    // A sizing flag the workload would ignore is refused, not
-    // dropped: --scale sizes a builtin profile, --iters a litmus.
-    const char *kind = is_trace    ? "a replayed trace"
-                       : is_litmus ? "a litmus"
-                                   : "a builtin profile";
-    if (scale_set && !is_builtin) {
-        std::fprintf(stderr,
-                     "--scale: '%s' is %s; --scale sizes builtin "
-                     "profiles only\n",
-                     workload.c_str(), kind);
-        return 64;
-    }
-    if (iters_set && !is_litmus) {
-        std::fprintf(stderr,
-                     "--iters: '%s' is %s; --iters sizes litmus "
-                     "tests only\n",
-                     workload.c_str(), kind);
-        return 64;
-    }
-    std::string wl_source;
-    std::uint64_t wl_seed = 0;
-    if (is_trace) {
-        // Load + validate before anything else: hostile, damaged or
-        // mismatched input is rejected up front (exit 2), and no
-        // partially decoded workload ever reaches the System.
-        const std::string path = workload.substr(6);
-        try {
-            replay_trace = TraceFile::load(path);
-            wl = traceWorkload(replay_trace);
-        } catch (const TraceError &e) {
-            std::fprintf(stderr, "trace load failed: %s\n",
-                         e.what());
-            if (!crash_dump.empty()) {
-                std::ofstream dump(crash_dump);
-                if (dump)
-                    writeLoadFailureReport(
-                        dump,
-                        dynamic_cast<const TraceMismatchError *>(&e)
-                            ? "trace-mismatch"
-                            : "trace-corrupt",
-                        e.what());
-            }
-            return 2;
+    sizing.threads = cores;
+    ResolvedWorkload named;
+    try {
+        // A trace is loaded and validated before anything else:
+        // hostile, damaged or mismatched input is rejected up front
+        // (exit 2), and no partially decoded workload ever reaches
+        // the System.
+        named = resolveWorkload(workload, sizing);
+    } catch (const TraceError &e) {
+        std::fprintf(stderr, "trace load failed: %s\n", e.what());
+        if (!crash_dump.empty()) {
+            std::ofstream dump(crash_dump);
+            if (dump)
+                writeLoadFailureReport(
+                    dump,
+                    dynamic_cast<const TraceMismatchError *>(&e)
+                        ? "trace-mismatch"
+                        : "trace-corrupt",
+                    e.what());
         }
-        wl_source = replay_trace.source;
-        wl_seed = replay_trace.seed;
-        if (!cores_set)
-            cores = int(replay_trace.threads.size());
-    } else if (is_litmus) {
-        wl = makeLitmus(lk, iters);
-        wl_source = "litmus";
-        if (!cores_set && cores == 16)
-            cores = 4;
-    } else {
-        SyntheticParams p = benchmarkProfile(workload, scale);
-        if (seed)
-            p.seed = seed;
-        wl = makeSynthetic(p, cores);
-        wl_source = "builtin";
-        wl_seed = p.seed;
+        return 2;
     }
+    if (!named.error.empty()) {
+        std::fprintf(stderr, "%s\n", named.error.c_str());
+        return 64;
+    }
+    const Workload &wl = named.workload;
+    const bool is_litmus = named.kind == WorkloadKind::Litmus;
+    // Unless --cores says otherwise, a litmus runs on 4 cores, and a
+    // builtin profile or a trace on one core per thread.
+    if (!cores_set)
+        cores = is_litmus ? 4 : int(wl.threads.size());
 
     // Snapshots and recorded traces are this tool's, and need one
     // queue and one commit stream; SystemConfig::validate refuses
@@ -559,8 +528,8 @@ main(int argc, char **argv)
     // recorded streams are complete.
     std::unique_ptr<TraceRecorder> trace_rec;
     if (!record_trace.empty()) {
-        trace_rec = std::make_unique<TraceRecorder>(wl, wl_source,
-                                                    wl_seed);
+        trace_rec = std::make_unique<TraceRecorder>(wl, named.source,
+                                                    named.seed);
         trace_rec->attach(sys);
     }
 
@@ -737,13 +706,14 @@ main(int argc, char **argv)
         std::printf("\nlitmus outcomes {first,second}:\n");
         for (const auto &[pair, count] : countOutcomes(
                  [&sys](Addr a) { return sys.peekCoherent(a); },
-                 iters))
+                 sizing.iterations))
             std::printf("  {%llu,%llu} x %d%s\n",
                         static_cast<unsigned long long>(pair.first),
                         static_cast<unsigned long long>(
                             pair.second),
                         count,
-                        illegalOutcome(lk, pair) ? "  <-- ILLEGAL"
+                        illegalOutcome(named.litmus, pair)
+                            ? "  <-- ILLEGAL"
                                                  : "");
     }
 

@@ -35,8 +35,6 @@
 #include "trace/trace_recorder.hh"
 #include "trace/trace_workload.hh"
 #include "workload/benchmarks.hh"
-#include "workload/litmus.hh"
-#include "workload/synthetic.hh"
 
 namespace
 {
@@ -56,6 +54,8 @@ usage()
         "                   and --scale size builtin profiles\n"
         "                   only (a litmus has a fixed thread\n"
         "                   count), --iters a litmus only;\n"
+        "                   --seed seeds the functional model's\n"
+        "                   schedule, and a builtin profile too;\n"
         "                   detailed-model recordings: wbsim\n"
         "                   --record-trace\n"
         "  info FILE        print header fields and per-thread\n"
@@ -73,13 +73,10 @@ cmdRecord(int argc, char **argv)
 {
     std::string workload;
     std::string out;
-    std::uint64_t seed = 0;
-    int cores = 4;
+    // --seed seeds a builtin profile and the functional model's
+    // schedule, so it is never a sizing a litmus ignores.
+    WorkloadSizing sizing{.threads = 4, .scale = 0.1, .iterations = 200};
     bool cores_given = false;
-    double scale = 0.1;
-    bool scale_given = false;
-    int iters = 200;
-    bool iters_given = false;
 
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
@@ -96,16 +93,20 @@ cmdRecord(int argc, char **argv)
         else if (a == "-o" || a == "--out")
             out = next();
         else if (a == "--seed")
-            ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0), seed);
+            ok = parseFlag("--seed", next(), 0, ~std::uint64_t(0),
+                           sizing.seed);
         else if (a == "--cores") {
-            ok = parseFlag("--cores", next(), 1, maxCores, cores);
+            ok = parseFlag("--cores", next(), 1, maxCores,
+                           sizing.threads);
             cores_given = true;
         } else if (a == "--scale") {
-            ok = parseFlag("--scale", next(), minScale, maxScale, scale);
-            scale_given = true;
+            ok = parseFlag("--scale", next(), minScale, maxScale,
+                           sizing.scale);
+            sizing.scaleGiven = true;
         } else if (a == "--iters") {
-            ok = parseFlag("--iters", next(), 1, 100'000'000, iters);
-            iters_given = true;
+            ok = parseFlag("--iters", next(), 1, 100'000'000,
+                           sizing.iterations);
+            sizing.iterationsGiven = true;
         } else {
             usage();
             return 64;
@@ -118,52 +119,39 @@ cmdRecord(int argc, char **argv)
         return 64;
     }
 
-    Workload wl;
-    std::string source;
-    std::uint64_t wl_seed = seed;
-    LitmusKind lk{};
-    if (parseLitmusName(workload, lk)) {
-        wl = makeLitmus(lk, iters);
-        source = "litmus";
-        if (cores_given) {
-            std::fprintf(stderr,
-                         "--cores: litmus '%s' has a fixed thread "
-                         "count (%zu); --cores sizes builtin "
-                         "profiles only\n",
-                         workload.c_str(), wl.threads.size());
-            return 64;
-        }
-        if (scale_given) {
-            std::fprintf(stderr,
-                         "--scale: '%s' is a litmus; --scale sizes "
-                         "builtin profiles only\n",
-                         workload.c_str());
-            return 64;
-        }
-    } else if (!std::ranges::count(benchmarkNames(), workload)) {
-        std::fprintf(stderr,
-                     "--workload: unknown workload '%s' (see wbsim "
-                     "--list)\n",
-                     workload.c_str());
+    // The name is checked before anything is built: a trace, a
+    // recording already, is refused unread.
+    const ResolvedWorkload checked =
+        resolveWorkload(workload, sizing, false);
+    if (!checked.error.empty()) {
+        std::fprintf(stderr, "%s\n", checked.error.c_str());
         return 64;
-    } else if (iters_given) {
-        std::fprintf(stderr,
-                     "--iters: '%s' is a builtin profile; --iters "
-                     "sizes litmus tests only\n",
-                     workload.c_str());
-        return 64;
-    } else {
-        SyntheticParams p = benchmarkProfile(workload, scale);
-        if (seed)
-            p.seed = seed;
-        wl = makeSynthetic(p, cores);
-        source = "builtin";
-        wl_seed = p.seed;
     }
+    if (checked.kind == WorkloadKind::Trace) {
+        std::fprintf(stderr,
+                     "--workload: '%s' is a replayed trace; record "
+                     "takes a builtin profile or a litmus\n",
+                     workload.c_str());
+        return 64;
+    }
+    const ResolvedWorkload named = resolveWorkload(workload, sizing);
+    if (cores_given && named.kind == WorkloadKind::Litmus) {
+        std::fprintf(stderr,
+                     "--cores: litmus '%s' has a fixed thread "
+                     "count (%zu); --cores sizes builtin "
+                     "profiles only\n",
+                     workload.c_str(),
+                     named.workload.threads.size());
+        return 64;
+    }
+    // The functional model's seed: a builtin profile's own (which
+    // --seed overrides), or --seed for a litmus, which no seed builds.
+    const std::uint64_t seed = named.seed ? named.seed : sizing.seed;
 
     try {
         const TraceFile t =
-            recordFunctional(wl, source, wl_seed ? wl_seed : 1);
+            recordFunctional(named.workload, named.source,
+                             seed ? seed : 1);
         t.save(out);
         std::printf("trace written to %s (%llu records, "
                     "%zu threads)\n",
