@@ -181,8 +181,7 @@ CampaignSpec::validate() const
             const ResolvedWorkload named = resolveWorkload(wl, {}, false);
             if (!named.error.empty())
                 return named.error;
-            // A litmus's outcomes need its own classification, which
-            // campaign results do not carry.
+            // No manifest key sizes a litmus's iterations.
             if (named.kind == WorkloadKind::Litmus)
                 return "workload '" + wl + "' is a litmus; a campaign "
                        "runs builtin profiles and trace=FILE";
